@@ -1,16 +1,17 @@
-// PR10 — GB/s SWF ingest.
+// GB/s SWF ingest.
 //
-// Measures the full ingest pipeline against the legacy implementations
-// on one generated on-disk trace:
-//   * legacy parse: the istream-based read_swf_file, the pre-PR10 rate;
-//   * fast parse: the mmap'd chunk-parallel FastReader at 1/2/8
-//     threads, with records/header/errors compared against the legacy
-//     result (the records_identical bit gates in CI — a fast parser
-//     that disagrees with the oracle scores zero);
-//   * stream drain: swf::StreamReader, whose line scanner is now the
-//     same fast scanner, drained record by record in O(1) memory;
+// Measures the reader against the reference implementation on one
+// generated on-disk trace (row names are the ones BENCH_10.json gates):
+//   * legacy parse: validate::reference_read_swf, a getline loop over
+//     an ifstream;
+//   * fast parse: swf::read_swf_file (mmap'd, chunk-parallel) at 1/2/8
+//     threads, with records/header/errors compared against the
+//     reference result (the records_identical bit gates in CI — a
+//     reader that disagrees with the oracle scores zero);
+//   * stream drain: swf::TraceReader, the same scanner over a refill
+//     window, drained record by record in bounded memory;
 //   * write: the buffered to_chars emitter vs the ostream formatting
-//     the writer used before PR10 (reproduced here as the baseline).
+//     the writer used before (reproduced here as the baseline).
 //
 // The headline gate metrics are fast_parse.speedup_vs_legacy (>= 5x)
 // and fast_parse.records_identical (== 1). Default sizes: 1M jobs
@@ -25,9 +26,9 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/swf/fast_reader.hpp"
-#include "core/swf/stream_reader.hpp"
+#include "core/swf/reader.hpp"
 #include "core/swf/writer.hpp"
+#include "validate/reference_reader.hpp"
 #include "workload/stream.hpp"
 
 namespace {
@@ -81,8 +82,8 @@ int main(int argc, char** argv) {
   const int reps = options.quick ? 5 : 3;
 
   bench::print_header(
-      "PR10: GB/s SWF ingest",
-      "The mmap'd chunk-parallel parser sustains >= 5x the legacy parse "
+      "GB/s SWF ingest",
+      "The mmap'd chunk-parallel reader sustains >= 5x the reference parse "
       "rate while staying byte-identical on records, header and errors.");
 
   // One on-disk trace, streamed to /tmp in constant memory.
@@ -117,26 +118,28 @@ int main(int argc, char** argv) {
   bench::JsonReporter json("bench_ingest");
   util::Table table({"path", "MB/s", "speedup", "identical"});
 
-  // Legacy parse baseline.
+  // Reference parse baseline.
   swf::ReadResult legacy;
-  const double legacy_s =
-      best_seconds(reps, [&] { legacy = swf::read_swf_file(path); });
-  if (!legacy.ok()) return fail("legacy parse reported errors");
+  const double legacy_s = best_seconds(reps, [&] {
+    std::ifstream in(path);
+    legacy = validate::reference_read_swf(in);
+  });
+  if (!legacy.ok()) return fail("reference parse reported errors");
   const double legacy_rate = mb_per_s(bytes, legacy_s);
   json.add("legacy_parse", "mb_per_s", legacy_rate, "MB/s");
-  table.row().cell("legacy read_swf_file").cell(legacy_rate, 1).cell("-").cell(
+  table.row().cell("reference_read_swf").cell(legacy_rate, 1).cell("-").cell(
       "-");
 
-  // Fast parse at each thread count; identical means identical at
-  // EVERY thread count, not just the fastest.
+  // Whole-trace parse at each thread count; identical means identical
+  // at EVERY thread count, not just the fastest.
   double best_rate = 0.0;
   bool all_identical = true;
   for (const int threads : kThreadCounts) {
-    swf::FastReaderOptions fast_options;
-    fast_options.threads = threads;
+    swf::ReaderOptions reader_options;
+    reader_options.threads = threads;
     swf::ReadResult fast;
     const double seconds = best_seconds(
-        reps, [&] { fast = swf::fast_read_swf_file(path, fast_options); });
+        reps, [&] { fast = swf::read_swf_file(path, reader_options); });
     const bool identical = same_parse(fast, legacy);
     all_identical = all_identical && identical;
     const double rate = mb_per_s(bytes, seconds);
@@ -145,7 +148,7 @@ int main(int argc, char** argv) {
     json.add(name, "mb_per_s", rate, "MB/s");
     json.add(name, "records_identical", identical ? 1.0 : 0.0, "bool");
     table.row()
-        .cell("fast threads=" + std::to_string(threads))
+        .cell("read_swf_file threads=" + std::to_string(threads))
         .cell(rate, 1)
         .cell(rate / legacy_rate, 2)
         .cell(identical ? "yes" : "NO");
@@ -156,12 +159,12 @@ int main(int argc, char** argv) {
   json.add("fast_parse", "records_identical", all_identical ? 1.0 : 0.0,
            "bool");
 
-  // StreamReader drain: the O(1)-memory path on the shared scanner.
+  // TraceReader drain: the bounded-memory path on the same scanner.
   {
     std::size_t records = 0;
     bool stream_errors = false;
     const double seconds = best_seconds(reps, [&] {
-      swf::StreamReader reader(path);
+      swf::TraceReader reader(path);
       records = 0;
       while (reader.next()) ++records;
       stream_errors = stream_errors || reader.error_count() > 0;
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
     json.add("stream_drain", "records_per_s", double(records) / seconds,
              "records/s");
     table.row()
-        .cell("stream drain")
+        .cell("TraceReader drain")
         .cell(rate, 1)
         .cell(rate / legacy_rate, 2)
         .cell("-");
@@ -205,8 +208,8 @@ int main(int argc, char** argv) {
   }
 
   std::cout << table.to_string() << '\n'
-            << "fast parse best: " << best_rate << " MB/s ("
-            << best_rate / legacy_rate << "x legacy), records identical: "
+            << "read_swf_file best: " << best_rate << " MB/s ("
+            << best_rate / legacy_rate << "x reference), records identical: "
             << (all_identical ? "yes" : "NO") << '\n';
   json.add_table("ingest", table);
   if (!json.write(options.json_path)) return 1;

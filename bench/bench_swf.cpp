@@ -4,7 +4,7 @@
 //   * parse/write micro throughput on an in-memory trace (the original
 //     E1 "the file format is easy to parse and use" rates);
 //   * the streaming scale demonstration: a synthetic trace is streamed
-//     to disk (constant memory), replayed through swf::StreamReader +
+//     to disk (constant memory), replayed through swf::TraceReader +
 //     the bounded-memory engine path at half and full length, and
 //     replayed once more through the materialize-everything path. Each
 //     replay runs in a child process so its peak RSS (wait4 ru_maxrss)
@@ -26,7 +26,7 @@
 #include <sstream>
 
 #include "common.hpp"
-#include "core/swf/stream_reader.hpp"
+#include "core/swf/reader.hpp"
 #include "core/swf/writer.hpp"
 #include "util/resource.hpp"
 #include "workload/stream.hpp"
@@ -89,9 +89,7 @@ int phase_stream_replay(const std::string& trace_path,
   std::ofstream csv(csv_path);
   if (!csv) return fail("cannot write " + csv_path);
 
-  swf::StreamReaderOptions reader_options;
-  reader_options.prefetch = true;
-  swf::StreamReader source(trace_path, reader_options);
+  swf::TraceReader source(trace_path);
   if (source.open_failed()) return fail("cannot open " + trace_path);
 
   // Both replay paths dump completions through the same streaming CSV

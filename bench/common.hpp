@@ -1,6 +1,6 @@
 // Shared helpers for the experiment harnesses (bench/). Each binary
-// regenerates one artifact from DESIGN.md's experiment index and prints
-// it as an ASCII table; EXPERIMENTS.md records the measured outputs.
+// runs one experiment and prints its results as an ASCII table (the
+// README's "Benchmarks and `BENCH_*.json`" section lists them).
 // Every bench also speaks a common CLI (--quick, --json PATH) and can
 // emit its results as machine-readable JSON so CI can track performance
 // trajectories (BENCH_*.json) across PRs.

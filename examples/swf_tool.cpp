@@ -2,7 +2,7 @@
 //
 // Subcommands:
 //   validate <file.swf>              check the consistency rules
-//   validate <file.swf> <scheduler-spec> <golden> [--bless] [flags]
+//   validate <file.swf> <scheduler-spec> <golden> [--bless] [spec-flags]
 //                                    replay under invariant checkers and
 //                                    compare (or --bless: regenerate) the
 //                                    golden decision-trace snapshot;
@@ -13,23 +13,23 @@
 //                                    invariant checkers attached
 //   fuzz parse [seed] [cases]        differential parser fuzzing:
 //                                    seeded byte-level mutations through
-//                                    the legacy and fast SWF parsers,
-//                                    asserting identical verdicts
+//                                    the reference and production SWF
+//                                    readers, asserting identical verdicts
 //   stats <file.swf>                 print aggregate statistics
 //   anonymize <in.swf> <out.swf>     renumber identities incrementally
 //   generate <model> <jobs> <nodes> <load> <out.swf>
 //                                    synthesize a model workload
 //   convert-iacct <raw> <out.swf> <site>   convert hypercube accounting
 //   convert-nqs <raw> <out.swf> <site>     convert NQS/PBS accounting
-//   simulate <file.swf> <scheduler-spec> [rank-metric]
+//   simulate <file.swf> <scheduler-spec> [rank-metric] [spec-flags]
 //                                    replay and print metrics
-//   stream-simulate <file.swf> <scheduler-spec> [lookahead]
+//   stream-simulate <file.swf> <scheduler-spec> [lookahead] [spec-flags]
 //                                    constant-memory streaming replay
 //   generate-stream <model> <jobs> <nodes> <interarrival> <out.swf>
 //                                    stream a synthetic trace to disk
 //   trace-summary <trace.jsonl> [top-k]
 //                                    summarize a JSONL event trace
-//   snapshot <file.swf> <scheduler-spec> <time> <out.snap> [fault-flags]
+//   snapshot <file.swf> <scheduler-spec> <time> <out.snap> [spec-flags]
 //                                    run to sim-time <time>, freeze the
 //                                    complete engine state into a
 //                                    versioned binary snapshot; the
@@ -51,21 +51,14 @@
 //                                    (README "Scheduling daemon")
 //   schedulers                       print the policy registry catalogue
 //
-// simulate, stream-simulate and golden-mode validate accept trailing
-// observability flags (all opt-in; see README "Observability"):
-//   --trace <path>        JSONL event trace with provenance
-//   --timeseries <path>   sim-time machine/queue time-series CSV
-//   --sample-every <s>    time-series cadence in sim-seconds
-//   --profile <path>      Chrome trace-event JSON (opens in Perfetto)
-// plus ingest flags (README "Ingest pipeline"):
-//   --parser stream|fast  trace parser backend (default stream)
-//   --threads <n>         fast-parser worker threads (needs --parser fast)
-// plus fault-injection & recovery flags (README "Failure & recovery"):
-//   --faults <seed>       seeded per-node crash schedule (0 disables)
-//   --mtbf <s> --repair <s>          crash-schedule distributions
-//   --checkpoint <s> --dump <s> --read <s>   checkpoint/restart costs
-//   --retry <n> --backoff <s>        drop after n kills, requeue delay
-//   --overrun extend|kill|grace --grace <s>  walltime-overrun policy
+// validate (golden mode), simulate, stream-simulate and snapshot take
+// trailing spec-flags: any SimulationSpec key as `--key value`, with
+// '-' for '_' (`--retry-limit 3` is `retry_limit=3`). The spec parser
+// validates them, so the flags and the spec grammar cannot drift apart.
+// Examples: --trace <path> --timeseries <path> --sample-every <s>
+// --profile <path> (README "Observability"), --threads <n> (README
+// "Ingest pipeline"), --faults <seed> --mtbf <s> --checkpoint <s>
+// --retry-limit <n> --overrun kill (README "Failure & recovery").
 // stream-simulate rejects --faults: the crash schedule needs the
 // workload horizon up front, which a stream cannot provide.
 //
@@ -86,7 +79,6 @@
 #include "core/swf/anonymize.hpp"
 #include "core/swf/convert.hpp"
 #include "core/swf/reader.hpp"
-#include "core/swf/stream_reader.hpp"
 #include "core/swf/validator.hpp"
 #include "core/swf/writer.hpp"
 #include "metrics/aggregate.hpp"
@@ -98,6 +90,7 @@
 #include "sim/replay.hpp"
 #include "sim/snapshot/snapshot.hpp"
 #include "sim/snapshot/whatif.hpp"
+#include "util/keyval.hpp"
 #include "util/resource.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -118,7 +111,7 @@ int usage() {
       "usage: swf_tool <command> ...\n"
       "  validate <file.swf>\n"
       "  validate <file.swf> <scheduler-spec> <golden-file> [--bless] "
-      "[fault-flags]\n"
+      "[spec-flags]\n"
       "  fuzz [seed] [workloads] [jobs-per-workload]\n"
       "  fuzz parse [seed] [cases]\n"
       "  stats <file.swf>\n"
@@ -129,13 +122,12 @@ int usage() {
       "<mean-interarrival-s> <out.swf>\n"
       "  convert-iacct <raw-log> <out.swf> <installation>\n"
       "  convert-nqs <raw-log> <out.swf> <installation>\n"
-      "  simulate <file.swf> <scheduler-spec> [rank-metric] [sink-flags] "
-      "[fault-flags]\n"
+      "  simulate <file.swf> <scheduler-spec> [rank-metric] [spec-flags]\n"
       "  stream-simulate <file.swf> <scheduler-spec> [lookahead] "
-      "[sink-flags]\n"
+      "[spec-flags]\n"
       "  trace-summary <trace.jsonl> [top-k]\n"
       "  snapshot <file.swf> <scheduler-spec> <time> <out.snap> "
-      "[fault-flags]\n"
+      "[spec-flags]\n"
       "  resume <file.snap> [--golden <golden-file>]\n"
       "  whatif <file.snap> <procs> <estimate-s> [--offset <s>] "
       "[--simulate]\n"
@@ -146,21 +138,16 @@ int usage() {
       "scheduler-spec is a registry spec string, e.g. \"easy\" or\n"
       "\"easy reserve_depth=2\" (run `swf_tool schedulers` for the "
       "catalogue)\n"
-      "sink-flags (all opt-in): --trace <path> --timeseries <path>\n"
-      "  --sample-every <sim-seconds> --profile <path>\n"
-      "ingest-flags: --parser stream|fast --threads <n>\n"
-      "fault-flags (simulate/validate; see README \"Failure & "
-      "recovery\"):\n"
-      "  --faults <seed> --mtbf <s> --repair <s> --checkpoint <s>\n"
-      "  --dump <s> --read <s> --retry <n> --backoff <s>\n"
-      "  --overrun extend|kill|grace --grace <s>\n";
+      "spec-flags: any simulation-spec key as --key value, '-' for '_',\n"
+      "  e.g. --trace <path> --sample-every <s> --threads <n>\n"
+      "  --faults <seed> --mtbf <s> --checkpoint <s> --retry-limit <n>\n";
   return 2;
 }
 
 /// Load a trace or exit. Malformed records are fatal — each is reported
 /// as `path:line: message` and the tool exits 1, rather than silently
-/// running the experiment on a shrunken workload. The spec's parser=/
-/// threads= keys select the backend (identical records either way).
+/// running the experiment on a shrunken workload. The spec's threads=
+/// key sets the parser workers (identical records at any count).
 swf::Trace load_or_die(const std::string& path,
                        const sim::SimulationSpec& spec = {}) {
   auto result = sim::load_trace(path, spec);
@@ -184,159 +171,42 @@ int cmd_validate(const std::string& path) {
   return report.clean() ? 0 : 1;
 }
 
-/// Trailing flags shared by simulate, stream-simulate and golden-mode
-/// validate: observability sinks plus fault injection & recovery.
-struct RunFlags {
-  std::string trace;
-  std::string timeseries;
-  std::string profile;
-  std::int64_t sample_every = 0;
-
-  // Fault & recovery knobs mirror the SimulationSpec fields 1:1; the
-  // spec's own validate() rejects inconsistent combinations (e.g.
-  // --mtbf without --faults) with a precise message.
-  std::uint64_t faults = 0;
-  std::int64_t mtbf = -1;    ///< -1: keep the spec default
-  std::int64_t repair = -1;  ///< -1: keep the spec default
-  std::int64_t checkpoint = 0;
-  std::int64_t dump = 0;
-  std::int64_t read = 0;
-  int retry = 0;
-  std::int64_t backoff = 0;
-  std::optional<sim::fault::OverrunPolicy> overrun;
-  std::int64_t grace = 0;
-
-  // Ingest knobs (README "Ingest pipeline").
-  std::string parser = "stream";
-  int threads = 1;
-
-  /// --bless (golden-mode validate only; valueless).
-  bool bless = false;
-
-  bool any_faults() const { return faults != 0; }
-
-  void apply(sim::SimulationSpec& spec) const {
-    spec.parser = parser;
-    spec.threads = threads;
-    if (!trace.empty()) spec.with_trace(trace);
-    if (!timeseries.empty()) spec.with_timeseries(timeseries, sample_every);
-    if (!profile.empty()) spec.with_profile(profile);
-    if (faults != 0) spec.faults = faults;
-    // Set the distributions even without --faults, so spec.validate()
-    // produces its "needs faults=<seed>" message instead of the flags
-    // being silently ignored.
-    if (mtbf > 0) spec.mtbf = mtbf;
-    if (repair > 0) spec.repair = repair;
-    spec.checkpoint = checkpoint;
-    spec.dump = dump;
-    spec.read = read;
-    spec.retry_limit = retry;
-    spec.backoff = backoff;
-    if (overrun) spec.overrun = *overrun;
-    spec.grace = grace;
-  }
-};
-
-/// Parse trailing `--flag value` pairs from argv[first..). Returns
-/// false (with a message on stderr) on an unknown flag, a missing
-/// value, or a malformed number; the spec itself rejects the remaining
-/// combinations (e.g. --sample-every without --timeseries, --grace
-/// without --overrun grace) with its own message.
-bool parse_run_flags(int argc, char** argv, int first, RunFlags& out) {
-  // Non-negative integer flags that map straight onto a field.
-  struct IntFlag {
-    const char* name;
-    std::int64_t* field;
-    std::int64_t min;
-  };
-  const IntFlag int_flags[] = {
-      {"--mtbf", &out.mtbf, 1},       {"--repair", &out.repair, 1},
-      {"--checkpoint", &out.checkpoint, 0}, {"--dump", &out.dump, 0},
-      {"--read", &out.read, 0},       {"--backoff", &out.backoff, 0},
-      {"--grace", &out.grace, 0},
-  };
+/// Build the run's spec from `base` plus trailing spec-flags
+/// argv[first..): `--key value` is the SimulationSpec key with '-' for
+/// '_', and SimulationSpec::parse is the only validator. `--bless` is
+/// the one valueless flag, accepted only when `bless` is given. Returns
+/// nullopt with a message on stderr for a malformed flag list or spec.
+std::optional<sim::SimulationSpec> spec_with_flags(
+    const sim::SimulationSpec& base, int argc, char** argv, int first,
+    bool* bless = nullptr) {
+  std::string text = base.to_string();
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--bless") {
-      out.bless = true;
+    if (flag == "--bless" && bless) {
+      *bless = true;
       continue;
+    }
+    // Values are quoted, so only the key could inject text into the
+    // spec: it must be a bare name (`--trace=x y` is rejected).
+    std::string key = flag.rfind("--", 0) == 0 ? flag.substr(2) : "";
+    std::replace(key.begin(), key.end(), '-', '_');
+    if (key.empty() || key.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") !=
+                           std::string::npos) {
+      std::cerr << "unknown flag " << flag << "\n";
+      return std::nullopt;
     }
     if (i + 1 >= argc) {
       std::cerr << flag << " needs a value\n";
-      return false;
+      return std::nullopt;
     }
-    const std::string value = argv[++i];
-    if (flag == "--parser") {
-      if (value != "stream" && value != "fast") {
-        std::cerr << "--parser must be stream or fast\n";
-        return false;
-      }
-      out.parser = value;
-    } else if (flag == "--threads") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1 || *n > 256) {
-        std::cerr << "--threads must be in [1, 256]\n";
-        return false;
-      }
-      out.threads = int(*n);
-    } else if (flag == "--trace") {
-      out.trace = value;
-    } else if (flag == "--timeseries") {
-      out.timeseries = value;
-    } else if (flag == "--profile") {
-      out.profile = value;
-    } else if (flag == "--sample-every") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1) {
-        std::cerr << "--sample-every must be a positive integer "
-                     "(sim-seconds)\n";
-        return false;
-      }
-      out.sample_every = *n;
-    } else if (flag == "--faults") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 1) {
-        std::cerr << "--faults must be a positive seed (omit the flag "
-                     "to disable injection)\n";
-        return false;
-      }
-      out.faults = std::uint64_t(*n);
-    } else if (flag == "--retry") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0) {
-        std::cerr << "--retry must be a non-negative integer "
-                     "(0 = retry forever)\n";
-        return false;
-      }
-      out.retry = int(*n);
-    } else if (flag == "--overrun") {
-      const auto policy = sim::fault::overrun_policy_from_name(value);
-      if (!policy) {
-        std::cerr << "--overrun must be extend, kill or grace\n";
-        return false;
-      }
-      out.overrun = *policy;
-    } else {
-      bool matched = false;
-      for (const auto& f : int_flags) {
-        if (flag != f.name) continue;
-        const auto n = util::parse_i64(value);
-        if (!n || *n < f.min) {
-          std::cerr << f.name << " must be an integer >= " << f.min
-                    << " (seconds)\n";
-          return false;
-        }
-        *f.field = *n;
-        matched = true;
-        break;
-      }
-      if (!matched) {
-        std::cerr << "unknown flag " << flag << "\n";
-        return false;
-      }
-    }
+    text += " " + key + "=" + util::quote_spec_value(argv[++i]);
   }
-  return true;
+  try {
+    return sim::SimulationSpec::parse(text);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return std::nullopt;
+  }
 }
 
 /// Golden-trace mode: replay the trace under `scheduler` with every
@@ -345,26 +215,21 @@ bool parse_run_flags(int argc, char** argv, int first, RunFlags& out) {
 /// feed the same seeded crash schedule the golden was blessed with, so
 /// crashy workloads can be pinned too.
 int cmd_validate_golden(const std::string& path,
-                        const std::string& scheduler,
                         const std::string& golden_path,
-                        const RunFlags& flags) {
-  sim::SimulationSpec spec;
-  spec.scheduler = scheduler;
-  flags.apply(spec);
+                        const sim::SimulationSpec& spec, bool bless) {
+  const std::string& scheduler = spec.scheduler;
   const auto trace = load_or_die(path, spec);
-  const std::int64_t nodes =
-      trace.header.max_nodes.value_or(sim::kDefaultNodes);
 
   auto instance = sched::make_scheduler(scheduler);
   validate::CheckerOptions checker_options;
-  checker_options.nodes = nodes;
+  checker_options.nodes = spec.nodes.value_or(
+      trace.header.max_nodes.value_or(sim::kDefaultNodes));
   checker_options.scheduler = scheduler;
   // Crash kills are expected interruptions, not invariant violations.
-  checker_options.outages = flags.any_faults();
+  checker_options.outages = spec.faults != 0;
   validate::InvariantChecker checker(checker_options);
   checker.watch(*instance);
   validate::DecisionRecorder recorder;
-  const bool bless = flags.bless;
   sim::replay(trace, std::move(instance), spec,
               sim::ReplayHooks{}.observe(checker).observe(recorder));
 
@@ -524,21 +389,15 @@ int cmd_trace_summary(const std::string& path, std::size_t top_k) {
   return summary.version >= 1 ? 0 : 1;
 }
 
-int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
-                        std::size_t lookahead, const RunFlags& flags) {
-  if (flags.any_faults()) {
+int cmd_stream_simulate(const std::string& path,
+                        const sim::SimulationSpec& spec) {
+  if (spec.faults != 0) {
     std::cerr << "stream-simulate: --faults needs the workload horizon "
                  "up front; use simulate for fault injection\n";
     return 2;
   }
-  // Constant memory (with --parser fast: O(file), GB/s): per-job
-  // records are not retained; the metrics the report needs are
-  // accumulated online by an attached observer.
-  auto spec = sim::SimulationSpec{}
-                  .with_scheduler(scheduler)
-                  .with_lookahead(lookahead)
-                  .streaming_memory();
-  flags.apply(spec);
+  // Constant memory: per-job records are not retained; the metrics the
+  // report needs are accumulated online by an attached observer.
   const auto source = sim::open_trace_source(path, spec);
   if (source->open_failed()) {
     std::cerr << "cannot open " << path << "\n";
@@ -560,7 +419,7 @@ int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
   }
 
   util::Table table({"metric", "value"});
-  table.row().cell("scheduler").cell(scheduler);
+  table.row().cell("scheduler").cell(spec.scheduler);
   table.row().cell("jobs").cell(result.stats.jobs_completed);
   table.row().cell("mean wait (s)").cell(online.mean_wait(), 1);
   table.row().cell("mean bounded slowdown")
@@ -574,8 +433,8 @@ int cmd_stream_simulate(const std::string& path, const std::string& scheduler,
   return 0;
 }
 
-int cmd_simulate(const std::string& path, const std::string& scheduler,
-                 const std::string& rank_metric, const RunFlags& flags) {
+int cmd_simulate(const std::string& path, const std::string& rank_metric,
+                 const sim::SimulationSpec& spec) {
   // Resolve the metric name (same names campaign `rank =` lines use)
   // before the replay, so a typo fails fast instead of costing the
   // whole simulation; it throws with the valid list.
@@ -583,21 +442,19 @@ int cmd_simulate(const std::string& path, const std::string& scheduler,
   if (!rank_metric.empty()) {
     rank = metrics::metric_from_name(rank_metric);
   }
-  auto spec = sim::SimulationSpec{}.with_scheduler(scheduler);
-  flags.apply(spec);
   const auto trace = load_or_die(path, spec);
   const auto result = sim::replay(trace, spec);
   const auto report = metrics::compute_report(result.completed,
                                               result.stats);
   util::Table table({"metric", "value"});
-  table.row().cell("scheduler").cell(scheduler);
+  table.row().cell("scheduler").cell(spec.scheduler);
   table.row().cell("jobs").cell(report.jobs);
   table.row().cell("mean wait (s)").cell(report.mean_wait, 1);
   table.row().cell("mean bounded slowdown")
       .cell(report.mean_bounded_slowdown, 2);
   table.row().cell("p95 wait (s)").cell(report.p95_wait, 1);
   table.row().cell("utilization").cell(report.utilization, 3);
-  if (flags.any_faults() || report.jobs_killed > 0) {
+  if (spec.faults != 0 || report.jobs_killed > 0) {
     table.row().cell("jobs killed").cell(report.jobs_killed);
     table.row().cell("jobs dropped").cell(report.jobs_dropped);
     table.row().cell("mean restarts").cell(report.mean_restarts, 3);
@@ -616,17 +473,13 @@ int cmd_simulate(const std::string& path, const std::string& scheduler,
 /// every decision made before the freeze — is written to
 /// `<out>.decisions` so `resume --golden` can reconstruct the full
 /// trace for comparison against an uninterrupted golden.
-int cmd_snapshot(const std::string& path, const std::string& scheduler,
-                 std::int64_t at_time, const std::string& out,
-                 const RunFlags& flags) {
-  const auto trace = load_or_die(path);
-  auto spec = sim::SimulationSpec{}.with_scheduler(scheduler);
-  flags.apply(spec);
-  spec.validate();
+int cmd_snapshot(const std::string& path, std::int64_t at_time,
+                 const std::string& out, const sim::SimulationSpec& spec) {
+  const auto trace = load_or_die(path, spec);
   const auto config = sim::spec_engine_config(
       spec, trace.header.max_nodes.value_or(sim::kDefaultNodes));
 
-  sim::Engine engine(config, sched::make_scheduler(scheduler));
+  sim::Engine engine(config, sched::make_scheduler(spec.scheduler));
   validate::DecisionRecorder recorder;
   engine.add_observer(recorder);
   // Same seeded crash schedule replay() would generate, so a resumed
@@ -813,9 +666,12 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "validate" && argc == 3) return cmd_validate(argv[2]);
     if (cmd == "validate" && argc >= 5) {
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, 5, flags)) return 2;
-      return cmd_validate_golden(argv[2], argv[3], argv[4], flags);
+      bool bless = false;
+      const auto spec = spec_with_flags(
+          sim::SimulationSpec{}.with_scheduler(argv[3]), argc, argv, 5,
+          &bless);
+      if (!spec) return 2;
+      return cmd_validate_golden(argv[2], argv[4], *spec, bless);
     }
     if (cmd == "fuzz" && argc >= 3 && std::string(argv[2]) == "parse" &&
         argc <= 5) {
@@ -851,40 +707,39 @@ int main(int argc, char** argv) {
     if (cmd == "anonymize" && argc == 4) {
       return cmd_anonymize(argv[2], argv[3]);
     }
-    if (cmd == "generate" && argc == 7) {
-      return cmd_generate(argv[2], std::size_t(std::atoll(argv[3])),
-                          std::atoll(argv[4]), std::atof(argv[5]),
-                          argv[6]);
-    }
-    if (cmd == "generate-stream" && argc == 7) {
-      // atoll would turn a typo'd "-1" into an effectively unbounded
-      // stream that fills the disk; insist on positive counts.
-      const long long jobs = std::atoll(argv[3]);
-      const long long nodes = std::atoll(argv[4]);
-      if (jobs <= 0 || nodes <= 0) {
-        std::cerr << "generate-stream: jobs and nodes must be positive\n";
+    if ((cmd == "generate" || cmd == "generate-stream") && argc == 7) {
+      // atoll would accept "12abc" and turn a typo'd "-1" into a huge
+      // count; zero nodes would write a trace validate rejects.
+      const auto jobs = util::parse_i64(argv[3]);
+      const auto nodes = util::parse_i64(argv[4]);
+      if (!jobs || !nodes || *jobs < 1 || *nodes < 1) {
+        std::cerr << cmd << ": jobs and nodes must be positive integers\n";
         return 2;
       }
-      return cmd_generate_stream(argv[2], std::uint64_t(jobs), nodes,
+      if (cmd == "generate") {
+        return cmd_generate(argv[2], std::size_t(*jobs), *nodes,
+                            std::atof(argv[5]), argv[6]);
+      }
+      return cmd_generate_stream(argv[2], std::uint64_t(*jobs), *nodes,
                                  std::atof(argv[5]), argv[6]);
     }
     if (cmd == "stream-simulate" && argc >= 4) {
-      long long lookahead = 4096;
+      auto base = sim::SimulationSpec{}.with_scheduler(argv[3])
+                      .streaming_memory();
       int next = 4;
       // The optional lookahead is positional; anything starting with
-      // "--" is a sink flag instead.
+      // "--" is a spec-flag instead.
       if (next < argc && argv[next][0] != '-') {
-        lookahead = std::atoll(argv[next++]);
-        if (lookahead <= 0) {
+        const auto lookahead = util::parse_i64(argv[next++]);
+        if (!lookahead || *lookahead <= 0) {
           std::cerr << "stream-simulate: lookahead must be positive\n";
           return 2;
         }
+        base.with_lookahead(std::size_t(*lookahead));
       }
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, next, flags)) return 2;
-      if (flags.bless) return usage();  // --bless is validate-only
-      return cmd_stream_simulate(argv[2], argv[3], std::size_t(lookahead),
-                                 flags);
+      const auto spec = spec_with_flags(base, argc, argv, next);
+      if (!spec) return 2;
+      return cmd_stream_simulate(argv[2], *spec);
     }
     if (cmd == "convert-iacct" && argc == 5) {
       return cmd_convert(false, argv[2], argv[3], argv[4]);
@@ -896,10 +751,10 @@ int main(int argc, char** argv) {
       std::string rank_metric;
       int next = 4;
       if (next < argc && argv[next][0] != '-') rank_metric = argv[next++];
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, next, flags)) return 2;
-      if (flags.bless) return usage();  // --bless is validate-only
-      return cmd_simulate(argv[2], argv[3], rank_metric, flags);
+      const auto spec = spec_with_flags(
+          sim::SimulationSpec{}.with_scheduler(argv[3]), argc, argv, next);
+      if (!spec) return 2;
+      return cmd_simulate(argv[2], rank_metric, *spec);
     }
     if (cmd == "trace-summary" && (argc == 3 || argc == 4)) {
       long long top_k = 10;
@@ -920,10 +775,10 @@ int main(int argc, char** argv) {
                      "(sim-seconds)\n";
         return 2;
       }
-      RunFlags flags;
-      if (!parse_run_flags(argc, argv, 6, flags)) return 2;
-      if (flags.bless) return usage();  // --bless is validate-only
-      return cmd_snapshot(argv[2], argv[3], *at_time, argv[5], flags);
+      const auto spec = spec_with_flags(
+          sim::SimulationSpec{}.with_scheduler(argv[3]), argc, argv, 6);
+      if (!spec) return 2;
+      return cmd_snapshot(argv[2], *at_time, argv[5], *spec);
     }
     if (cmd == "resume" && (argc == 3 || argc == 5)) {
       std::string golden;

@@ -63,19 +63,9 @@ void CampaignSpec::validate() const {
       throw std::invalid_argument("campaign: workload '" + w.label +
                                   "' load must be in [0, 1]");
     }
-    if (w.parser != "stream" && w.parser != "fast") {
-      throw std::invalid_argument("campaign: workload '" + w.label +
-                                  "' parser must be stream or fast");
-    }
     if (w.threads < 1) {
       throw std::invalid_argument("campaign: workload '" + w.label +
                                   "' threads must be >= 1");
-    }
-    if (w.threads > 1 && w.parser != "fast") {
-      throw std::invalid_argument(
-          "campaign: workload '" + w.label +
-          "' sets threads > 1 but the stream parser is single-threaded "
-          "(set parser=fast)");
     }
     if (w.stream) {
       if (w.load > 0.0) {
@@ -297,16 +287,6 @@ WorkloadSpec parse_workload(std::string_view value, std::size_t line) {
       const auto n = util::parse_i64(val);
       if (!n || *n < 1) fail(line, "lookahead must be a positive integer");
       w.lookahead = std::size_t(*n);
-    } else if (key == "parser") {
-      if (w.model) {
-        fail(line, "parser= applies only to trace workloads; model "
-                   "workloads generate records, nothing is parsed");
-      }
-      const std::string p = util::to_lower(val);
-      if (p != "stream" && p != "fast") {
-        fail(line, "parser must be stream or fast");
-      }
-      w.parser = p;
     } else if (key == "threads") {
       if (w.model) {
         fail(line, "threads= applies only to trace workloads; model "

@@ -38,7 +38,7 @@ struct WorkloadSpec {
   double load = 0.0;
   /// Feed the cell through a streaming JobSource instead of a
   /// materialized trace: trace files are re-read per cell by
-  /// swf::StreamReader, models sampled by a ModelJobSource. The trace
+  /// swf::TraceReader, models sampled by a ModelJobSource. The trace
   /// itself never resides in memory (per-job completion records are
   /// still kept, for exact metrics). Streaming workloads cannot be
   /// rescaled (`load=`) and cannot be crossed with outage configs —
@@ -46,10 +46,8 @@ struct WorkloadSpec {
   bool stream = false;
   /// Ingestion window for streaming cells (records pulled ahead).
   std::size_t lookahead = 4096;
-  /// Trace-file ingestion backend: "stream" (constant-memory
-  /// StreamReader) or "fast" (mmap'd chunk-parallel FastReader).
-  std::string parser = "stream";
-  /// FastReader worker threads (parser=fast only).
+  /// Parser worker threads for loading a trace file whole (streamed
+  /// cells parse their windows inline and ignore it).
   int threads = 1;
 };
 
@@ -160,8 +158,8 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 ///   nodes = 128
 ///
 /// Workload options: `jobs=N`, `load=F`, `label=S`, `stream=0|1`,
-/// `lookahead=N` (streaming ingestion window), `parser=stream|fast` and
-/// `threads=N` (trace-file ingestion backend). Config flags are
+/// `lookahead=N` (streaming ingestion window) and `threads=N` (parser
+/// workers for a trace file loaded whole). Config flags are
 /// '+'-separated: `open` (default), `closed`, `outages`, `blind`
 /// (outages not announced in advance), `faults` (seeded crash
 /// schedule), plus valued tokens `mtbf:N`, `repair:N`, `checkpoint:N`,

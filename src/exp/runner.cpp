@@ -11,9 +11,7 @@
 #include <thread>
 
 #include "core/outage/generate.hpp"
-#include "core/swf/fast_reader.hpp"
 #include "core/swf/reader.hpp"
-#include "core/swf/stream_reader.hpp"
 #include "sched/registry.hpp"
 #include "sim/replay.hpp"
 #include "util/rng.hpp"
@@ -88,7 +86,7 @@ std::string cell_trace_path(const CampaignSpec& spec, const CellSpec& cell) {
          ".trace.jsonl";
 }
 
-/// Run one streaming cell: build the per-cell JobSource (StreamReader
+/// Run one streaming cell: build the per-cell JobSource (TraceReader
 /// for trace files, ModelJobSource for models) and replay it through
 /// the bounded-memory engine path. Per-job completion records are kept
 /// for exact metric aggregation. Open-loop streamed cells make the
@@ -158,27 +156,22 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
     return replay_source(source);
   }
 
-  // The workload picks its ingestion backend: the constant-memory
-  // StreamReader (default) or the mmap'd chunk-parallel FastReader.
-  swf::IngestOptions ingest;
-  ingest.fast = wspec.parser == "fast";
-  ingest.threads = wspec.threads;
-  const auto source = swf::open_trace_source(wspec.trace_path, ingest);
-  if (source->open_failed()) {
+  swf::TraceReader source(wspec.trace_path);
+  if (source.open_failed()) {
     throw std::runtime_error("campaign: cannot open trace '" +
                              wspec.trace_path + "'");
   }
-  auto result = replay_source(*source);
+  auto result = replay_source(source);
   // Malformed lines are fatal, exactly like the preload path: a report
   // over a silently shrunken workload is worse than failing.
-  if (source->error_count() > 0 || result.source_pulled == 0) {
-    std::string detail = source->error_count() > 0
-                             ? std::to_string(source->error_count()) +
+  if (source.error_count() > 0 || result.source_pulled == 0) {
+    std::string detail = source.error_count() > 0
+                             ? std::to_string(source.error_count()) +
                                    " malformed line(s)"
                              : "no job records";
-    if (!source->errors().empty()) {
-      detail += "; line " + std::to_string(source->errors().front().line) +
-                ": " + source->errors().front().message;
+    if (!source.errors().empty()) {
+      detail += "; line " + std::to_string(source.errors().front().line) +
+                ": " + source.errors().front().message;
     }
     throw std::runtime_error("campaign: trace '" + wspec.trace_path +
                              "': " + detail);
@@ -195,11 +188,9 @@ std::vector<PreloadedWorkload> preload_traces(const CampaignSpec& spec) {
   for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
     const auto& w = spec.workloads[i];
     if (w.model || w.stream) continue;
-    swf::FastReaderOptions fast_options;
-    fast_options.threads = w.threads;
-    auto result = w.parser == "fast"
-                      ? swf::fast_read_swf_file(w.trace_path, fast_options)
-                      : swf::read_swf_file(w.trace_path);
+    swf::ReaderOptions options;
+    options.threads = w.threads;
+    auto result = swf::read_swf_file(w.trace_path, options);
     // Malformed lines are fatal (matching swf_tool): an experiment on a
     // silently shrunken workload would misreport every metric.
     if (!result.ok()) {

@@ -570,10 +570,9 @@ void Engine::finish_job(SimJob& j) {
   c.restarts = j.restarts;
   ++jobs_completed_;
   if (config_.retain_completed) completed_.push_back(c);
-  // The observer may submit new jobs, which can grow jobs_dense_ and
+  // Observers may submit new jobs, which can grow jobs_dense_ and
   // invalidate `j`; use only the copied record from here on.
   const std::int64_t finished_id = c.id;
-  if (completion_observer_) completion_observer_(c);
   observers_.on_job_complete(c);
 
   scheduler_->on_job_end(*this, finished_id);

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -192,13 +191,6 @@ class Engine final : public sched::SchedulerContext {
     phase_listener_ = listener;
   }
 
-  /// DEPRECATED: single-function completion callback, kept for the old
-  /// predictor-training path. New code attaches a SimObserver via
-  /// add_observer instead.
-  void set_completion_observer(std::function<void(const CompletedJob&)> fn) {
-    completion_observer_ = std::move(fn);
-  }
-
   // -- snapshot / restore (src/sim/snapshot/snapshot.cpp) --
 
   /// Serialize the complete simulation state — clock, event queue,
@@ -372,7 +364,6 @@ class Engine final : public sched::SchedulerContext {
   std::vector<outage::OutageRecord> outages_;
   std::map<std::int64_t, sched::AdvanceReservation> reservations_;
   std::vector<CompletedJob> completed_;
-  std::function<void(const CompletedJob&)> completion_observer_;
   ObserverList observers_;
   PhaseListener* phase_listener_ = nullptr;
   /// One-shot start annotation (see SchedulerContext::annotate_start),

@@ -166,7 +166,7 @@ class ObserverList final : public SimObserver {
 };
 
 /// Adapter for callers that just want lambdas: any unset function is a
-/// no-op. The deprecated completion_observer path wraps into this.
+/// no-op. Attach it with Engine::add_observer or ReplayHooks::observe.
 class FunctionObserver final : public SimObserver {
  public:
   std::function<void(const CompletedJob&)> job_complete;

@@ -19,26 +19,17 @@ EngineConfig spec_engine_config(const SimulationSpec& spec,
   return config;
 }
 
-swf::IngestOptions ingest_options(const SimulationSpec& spec) {
-  swf::IngestOptions options;
-  options.fast = spec.parser == "fast";
-  options.threads = spec.threads;
-  return options;
-}
-
 std::unique_ptr<swf::TraceReader> open_trace_source(
-    const std::string& path, const SimulationSpec& spec) {
-  return swf::open_trace_source(path, ingest_options(spec));
+    const std::string& path, const SimulationSpec& /*spec*/) {
+  // Windows parse inline; spec.threads only speeds up whole-trace loads.
+  return std::make_unique<swf::TraceReader>(path);
 }
 
 swf::ReadResult load_trace(const std::string& path,
                            const SimulationSpec& spec) {
-  if (spec.parser == "fast") {
-    swf::FastReaderOptions options;
-    options.threads = spec.threads;
-    return swf::fast_read_swf_file(path, options);
-  }
-  return swf::read_swf_file(path);
+  swf::ReaderOptions options;
+  options.threads = spec.threads;
+  return swf::read_swf_file(path, options);
 }
 
 namespace {

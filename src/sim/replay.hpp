@@ -15,7 +15,7 @@
 #include <string>
 
 #include "core/outage/record.hpp"
-#include "core/swf/fast_reader.hpp"
+#include "core/swf/reader.hpp"
 #include "core/swf/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -36,18 +36,13 @@ inline constexpr std::int64_t kDefaultNodes = 128;
 EngineConfig spec_engine_config(const SimulationSpec& spec,
                                 std::int64_t header_nodes);
 
-/// The ingestion backend a spec's parser=/threads= keys select.
-swf::IngestOptions ingest_options(const SimulationSpec& spec);
-
-/// Open a trace file with the spec-selected parser (StreamReader for
-/// parser=stream, FastReader for parser=fast) behind the common
-/// diagnostic surface. Never throws; check open_failed()/error_count().
+/// Open a trace file as a streaming source (swf::TraceReader). Never
+/// throws; check open_failed()/error_count().
 std::unique_ptr<swf::TraceReader> open_trace_source(
     const std::string& path, const SimulationSpec& spec);
 
-/// Load a whole trace file with the spec-selected parser —
-/// read_swf_file for parser=stream, fast_read_swf_file (threads=N) for
-/// parser=fast; results are identical, only speed differs.
+/// Load a whole trace file (swf::read_swf_file), parsed on
+/// spec.threads workers; the records are the same at any count.
 swf::ReadResult load_trace(const std::string& path,
                            const SimulationSpec& spec);
 

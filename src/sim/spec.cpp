@@ -12,8 +12,7 @@ namespace {
 
 constexpr const char* kValidKeys =
     "scheduler=<registry spec string>, nodes=<int|auto>, closed_loop=<bool>, "
-    "announce=<bool>, lookahead=<int>, max_jobs=<int>, "
-    "parser=<stream|fast>, threads=<int>, "
+    "announce=<bool>, lookahead=<int>, max_jobs=<int>, threads=<int>, "
     "retain_completed=<bool>, recycle_slots=<bool>, trace=<path>, "
     "timeseries=<path>, sample_every=<int>, profile=<path>, "
     "faults=<seed>, mtbf=<seconds>, repair=<seconds>, "
@@ -71,9 +70,11 @@ SimulationSpec& SimulationSpec::with_max_jobs(std::uint64_t n) {
   return *this;
 }
 
-SimulationSpec& SimulationSpec::with_parser(std::string backend,
+SimulationSpec& SimulationSpec::with_parser(const std::string& backend,
                                             int n_threads) {
-  parser = std::move(backend);
+  if (backend != "stream" && backend != "fast") {
+    fail("parser must be 'stream' or 'fast'");
+  }
   threads = n_threads;
   return *this;
 }
@@ -163,14 +164,7 @@ void SimulationSpec::validate(bool resolve_scheduler) const {
          "], or auto");
   }
   if (lookahead == 0) fail("lookahead must be >= 1");
-  if (parser != "stream" && parser != "fast") {
-    fail("parser must be 'stream' or 'fast'");
-  }
   if (threads < 1 || threads > 256) fail("threads must be in [1, 256]");
-  if (threads > 1 && parser != "fast") {
-    fail("threads=" + std::to_string(threads) +
-         " needs parser=fast (the stream parser is single-threaded)");
-  }
   if (sample_every < 0) fail("sample_every must be >= 0");
   if (sample_every > 0 && timeseries.empty()) {
     fail("sample_every without timeseries=<path> samples into nowhere; "
@@ -222,7 +216,6 @@ std::string SimulationSpec::to_string() const {
   if (max_jobs != defaults.max_jobs) {
     s += " max_jobs=" + std::to_string(max_jobs);
   }
-  if (parser != defaults.parser) s += " parser=" + parser;
   if (threads != defaults.threads) s += " threads=" + std::to_string(threads);
   if (retain_completed != defaults.retain_completed) {
     s += std::string(" retain_completed=") + (retain_completed ? "1" : "0");
@@ -260,7 +253,7 @@ std::string SimulationSpec::to_string() const {
 SimulationSpec SimulationSpec::parse(const std::string& text) {
   SimulationSpec spec;
   const auto tokens = util::parse_spec(text, /*allow_head=*/false);
-  bool seen[24] = {};
+  bool seen[23] = {};
   auto once = [&](int idx, const std::string& key) {
     if (seen[idx]) fail(key + " set twice");
     seen[idx] = true;
@@ -296,11 +289,8 @@ SimulationSpec SimulationSpec::parse(const std::string& text) {
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("max_jobs must be a non-negative integer");
       spec.max_jobs = std::uint64_t(*n);
-    } else if (key == "parser") {
-      once(22, key);
-      spec.parser = value;
     } else if (key == "threads") {
-      once(23, key);
+      once(22, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 1) fail("threads must be a positive integer");
       spec.threads = int(*n);

@@ -42,12 +42,10 @@ struct SimulationSpec {
   bool deliver_announcements = true;
   /// Streaming ingestion window: records pulled ahead of the clock.
   std::size_t lookahead = 4096;
-  /// Trace-file ingestion backend: "stream" (constant-memory
-  /// swf::StreamReader) or "fast" (mmap'd chunk-parallel
-  /// swf::FastReader — O(file) memory, GB/s parse). Records and
-  /// diagnostics are identical either way; only speed/memory differ.
-  std::string parser = "stream";
-  /// FastReader worker threads; >1 requires parser=fast.
+  /// Parser worker threads for whole-trace loads (sim::load_trace). It
+  /// has no effect on streaming sources: their windows are below the
+  /// parallel chunk floor and parse inline. Records are the same at
+  /// any count.
   int threads = 1;
   /// Stop pulling after this many records (0 = drain the source) —
   /// the brake for unbounded generator streams. Streaming replays
@@ -99,7 +97,9 @@ struct SimulationSpec {
   SimulationSpec& announce_outages(bool on);
   SimulationSpec& with_lookahead(std::size_t n);
   SimulationSpec& with_max_jobs(std::uint64_t n);
-  SimulationSpec& with_parser(std::string backend, int n_threads = 1);
+  /// Sets threads = n_threads. There is one parser; `backend` must
+  /// still name one of the former backends ("stream" or "fast").
+  SimulationSpec& with_parser(const std::string& backend, int n_threads = 1);
   SimulationSpec& streaming_memory(bool on = true);  ///< retain off + recycle
   SimulationSpec& with_trace(std::string path);
   SimulationSpec& with_timeseries(std::string path,

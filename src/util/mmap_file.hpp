@@ -1,6 +1,6 @@
 // Read-only whole-file view: mmap for regular files, a read() loop for
-// everything else (pipes, /proc files, filesystems without mmap). The
-// fast SWF parser wants one contiguous byte span to carve into chunks;
+// everything else (pipes, /proc files, filesystems without mmap). A
+// whole-trace SWF load wants one contiguous byte span to carve into chunks;
 // this type provides it without forcing callers to care how the bytes
 // got into the address space.
 #pragma once

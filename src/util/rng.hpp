@@ -1,5 +1,5 @@
 // Random number generation and the distribution toolbox used by all
-// workload models (DESIGN.md section 3, `util`).
+// workload models (src/workload/).
 //
 // All stochastic components in pjsb draw from a single `Rng` instance so
 // that every experiment is reproducible from one seed. The distribution

@@ -102,17 +102,35 @@ FuzzReport run_fuzzer(const FuzzOptions& options = {});
 // Differential parser fuzzing (`swf_tool fuzz parse`): seeded byte-
 // level mutations of generated traces — bit flips, field splices, huge
 // tokens, NUL/UTF-8 junk, CRLF conversion, truncation, empty and
-// comment-only files — fed through the legacy readers and the fast
-// parser at several thread counts and adversarial chunk sizes. Every
-// case asserts identical records, header fields, accept/reject
-// verdicts, error lines/messages and bounded error storage; any
-// divergence or exception is a failure carrying its case seed.
+// comment-only files — fed through the reference reader and through
+// swf::read_swf_string (several thread counts, adversarial chunk sizes)
+// and swf::TraceReader (a random window size). Every case asserts
+// identical records, header fields, accept/reject verdicts, error
+// lines/messages and bounded error storage; any divergence or
+// exception is a failure carrying its case seed.
+
+/// One differential parse check of an SWF document.
+struct ParseCheck {
+  bool strict = false;
+  bool allow_extra = false;
+  /// Whole-trace chunk target, read at each of `threads`.
+  std::size_t chunk_bytes = 0;
+  std::vector<int> threads = {1, 2, 8};
+  /// TraceReader refill size.
+  std::size_t window_bytes = 0;
+};
+
+/// Read `text` with validate::reference_read_swf, with
+/// swf::read_swf_string at every thread count, and with a drained
+/// swf::TraceReader; returns the first divergence, or "" when they all
+/// agree.
+std::string check_parse(const std::string& text, const ParseCheck& check);
 
 struct ParserFuzzOptions {
   std::uint64_t seed = 1;
   /// Mutated inputs to generate and cross-check.
   int cases = 200;
-  /// FastReader thread counts exercised per case.
+  /// Whole-trace parser thread counts exercised per case.
   std::vector<int> thread_counts = {1, 2, 8};
   /// Failures stored verbatim; the count stays exact.
   std::size_t max_failures = 16;

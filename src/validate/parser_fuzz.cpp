@@ -1,7 +1,7 @@
-// Differential parser fuzzer: the legacy SWF readers are the oracle,
-// the fast parser must agree byte-for-byte on records, header fields,
-// verdicts and diagnostics — for every mutation, thread count and
-// chunk size.
+// Differential parser fuzzer: the reference reader is the oracle, and
+// the reader must agree byte-for-byte on records, header fields,
+// verdicts and diagnostics — for every mutation, thread count, chunk
+// size and streaming window.
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
@@ -10,12 +10,11 @@
 #include <string>
 #include <vector>
 
-#include "core/swf/fast_reader.hpp"
 #include "core/swf/reader.hpp"
-#include "core/swf/stream_reader.hpp"
 #include "core/swf/writer.hpp"
 #include "util/rng.hpp"
 #include "validate/fuzzer.hpp"
+#include "validate/reference_reader.hpp"
 
 namespace pjsb::validate {
 
@@ -23,7 +22,7 @@ namespace {
 
 /// Junk spliced into record lines: non-integers, overflow shapes,
 /// signs, floats, NUL and UTF-8 bytes — each must produce the same
-/// verdict from both parsers.
+/// verdict from both readers.
 const char* const kSpliceTokens[] = {
     "-",       "--3",       "abc",  "1e5",
     "0x10",    "99999999999999999999",
@@ -149,113 +148,108 @@ std::string describe(const swf::ParseError& e) {
   return std::to_string(e.line) + ": " + e.message;
 }
 
-/// Drain a reader; returns the records in order.
-std::vector<swf::JobRecord> drain(swf::TraceReader& reader) {
-  std::vector<swf::JobRecord> records;
-  while (auto r = reader.next()) records.push_back(*r);
-  return records;
-}
-
-struct CaseFailure {
-  bool failed = false;
-  std::string detail;
-};
-
-/// Run one mutated input through every parser and cross-check.
-CaseFailure check_case(const std::string& text, bool strict,
-                       bool allow_extra, std::size_t chunk_bytes,
-                       const std::vector<int>& thread_counts) {
-  auto fail = [](std::string detail) {
-    return CaseFailure{true, std::move(detail)};
-  };
-
-  // Oracle 1: the in-memory Reader (all records, unbounded errors).
-  swf::ReaderOptions legacy_options;
-  legacy_options.strict = strict;
-  legacy_options.allow_extra_fields = allow_extra;
-  const auto legacy = swf::read_swf_string(text, legacy_options);
-
-  // Oracle 2: the StreamReader (summaries, bounded errors), drained.
-  swf::StreamReaderOptions stream_options;
-  stream_options.strict = strict;
-  stream_options.allow_extra_fields = allow_extra;
-  auto stream = std::make_unique<swf::StreamReader>(
-      std::make_unique<std::istringstream>(text), "fuzz", stream_options);
-  const auto stream_records = drain(*stream);
-
-  for (const int threads : thread_counts) {
-    swf::FastReaderOptions fast_options;
-    fast_options.strict = strict;
-    fast_options.allow_extra_fields = allow_extra;
-    fast_options.threads = threads;
-    fast_options.chunk_bytes = chunk_bytes;
-    const std::string tag =
-        " [threads=" + std::to_string(threads) +
-        " chunk=" + std::to_string(chunk_bytes) +
-        (strict ? " strict" : "") + (allow_extra ? " allow_extra" : "") +
-        "]";
-
-    // Batch facade vs Reader: everything must match, including
-    // partial-execution records and the unbounded error list.
-    const auto fast = swf::fast_read_swf_string(text, fast_options);
-    if (fast.trace.records != legacy.trace.records) {
-      return fail("batch records diverge from Reader" + tag);
-    }
-    if (!(fast.trace.header == legacy.trace.header)) {
-      return fail("batch header diverges from Reader" + tag);
-    }
-    if (fast.errors.size() != legacy.errors.size()) {
-      return fail("batch error count " + std::to_string(fast.errors.size()) +
-                  " != Reader " + std::to_string(legacy.errors.size()) + tag);
-    }
-    for (std::size_t i = 0; i < fast.errors.size(); ++i) {
-      if (!(fast.errors[i] == legacy.errors[i])) {
-        return fail("batch error " + describe(fast.errors[i]) +
-                    " != Reader " + describe(legacy.errors[i]) + tag);
-      }
-    }
-
-    // JobSource facade vs StreamReader: summaries, counters and the
-    // bounded error storage must agree after a full drain.
-    swf::FastReader reader(text, "fuzz", fast_options);
-    const auto fast_records = drain(reader);
-    if (fast_records != stream_records) {
-      return fail("streamed records diverge from StreamReader" + tag);
-    }
-    if (!(reader.header() == stream->header())) {
-      return fail("header diverges from StreamReader" + tag);
-    }
-    if (reader.ok() != stream->ok()) {
-      return fail("verdict diverges: fast ok()=" +
-                  std::to_string(reader.ok()) + " stream ok()=" +
-                  std::to_string(stream->ok()) + tag);
-    }
-    if (reader.error_count() != stream->error_count()) {
-      return fail("error_count " + std::to_string(reader.error_count()) +
-                  " != stream " + std::to_string(stream->error_count()) +
-                  tag);
-    }
-    if (reader.errors() != stream->errors()) {
-      return fail("bounded error list diverges from StreamReader" + tag);
-    }
-    if (reader.errors().size() > fast_options.max_stored_errors) {
-      return fail("error storage exceeds bound: " +
-                  std::to_string(reader.errors().size()) + tag);
-    }
-    if (reader.partials_skipped() != stream->partials_skipped()) {
-      return fail("partials_skipped " +
-                  std::to_string(reader.partials_skipped()) + " != stream " +
-                  std::to_string(stream->partials_skipped()) + tag);
-    }
-    if (reader.lines_read() != stream->lines_read()) {
-      return fail("lines_read " + std::to_string(reader.lines_read()) +
-                  " != stream " + std::to_string(stream->lines_read()) + tag);
-    }
-  }
-  return {};
+/// Physical lines in `text`, counted the way getline does: an
+/// unterminated last line counts too.
+std::size_t physical_lines(const std::string& text) {
+  const auto n = std::size_t(std::count(text.begin(), text.end(), '\n'));
+  return n + (!text.empty() && text.back() != '\n' ? 1 : 0);
 }
 
 }  // namespace
+
+std::string check_parse(const std::string& text, const ParseCheck& check) {
+  swf::ReaderOptions options;
+  options.strict = check.strict;
+  options.allow_extra_fields = check.allow_extra;
+  // The oracle: every record, every error, every comment.
+  const auto reference = reference_read_swf(text, options);
+  const std::string mode = std::string(check.strict ? " strict" : "") +
+                           (check.allow_extra ? " allow_extra" : "");
+
+  options.chunk_bytes = check.chunk_bytes;
+  for (const int threads : check.threads) {
+    options.threads = threads;
+    const std::string tag = " [threads=" + std::to_string(threads) +
+                            " chunk=" + std::to_string(check.chunk_bytes) +
+                            mode + "]";
+    // Whole-trace load: everything must match, including
+    // partial-execution records and the unbounded error list.
+    const auto got = swf::read_swf_string(text, options);
+    if (got.trace.records != reference.trace.records) {
+      return "records diverge from the reference" + tag;
+    }
+    if (!(got.trace.header == reference.trace.header)) {
+      return "header diverges from the reference" + tag;
+    }
+    if (got.errors.size() != reference.errors.size()) {
+      return "error count " + std::to_string(got.errors.size()) +
+             " != reference " + std::to_string(reference.errors.size()) + tag;
+    }
+    for (std::size_t i = 0; i < got.errors.size(); ++i) {
+      if (!(got.errors[i] == reference.errors[i])) {
+        return "error " + describe(got.errors[i]) + " != reference " +
+               describe(reference.errors[i]) + tag;
+      }
+    }
+  }
+
+  // Streamed: a JobSource yields the summary records, keeps the first
+  // kMaxStoredErrors errors and counts them all. (Checked documents stay
+  // below the 256 stored post-header comments, so the header must match
+  // in full.)
+  options.threads = 1;
+  options.chunk_bytes = check.window_bytes;
+  const std::string tag =
+      " [window=" + std::to_string(check.window_bytes) + mode + "]";
+  swf::TraceReader reader(std::make_unique<std::istringstream>(text), "check",
+                          options);
+  std::vector<swf::JobRecord> records;
+  while (auto r = reader.next()) records.push_back(*r);
+  std::vector<swf::JobRecord> summaries;
+  std::size_t partials = 0;
+  for (const auto& r : reference.trace.records) {
+    if (r.is_summary()) {
+      summaries.push_back(r);
+    } else {
+      ++partials;
+    }
+  }
+  if (records != summaries) {
+    return "streamed records diverge from the reference" + tag;
+  }
+  if (!(reader.header() == reference.trace.header)) {
+    return "streamed header diverges from the reference" + tag;
+  }
+  if (reader.ok() != reference.ok()) {
+    return "verdict diverges: streamed ok()=" + std::to_string(reader.ok()) +
+           tag;
+  }
+  if (reader.error_count() != reference.errors.size()) {
+    return "streamed error_count " + std::to_string(reader.error_count()) +
+           " != reference " + std::to_string(reference.errors.size()) + tag;
+  }
+  const std::vector<swf::ParseError> stored(
+      reference.errors.begin(),
+      reference.errors.begin() +
+          std::ptrdiff_t(
+              std::min(reference.errors.size(), swf::kMaxStoredErrors)));
+  if (reader.errors() != stored) {
+    return "bounded error list diverges from the reference" + tag;
+  }
+  if (reader.partials_skipped() != partials) {
+    return "partials_skipped " + std::to_string(reader.partials_skipped()) +
+           " != " + std::to_string(partials) + tag;
+  }
+  // A strict stop ends the read at the offending line.
+  const std::size_t lines = check.strict && !reference.errors.empty()
+                                ? reference.errors.front().line
+                                : physical_lines(text);
+  if (reader.lines_read() != lines) {
+    return "lines_read " + std::to_string(reader.lines_read()) +
+           " != " + std::to_string(lines) + tag;
+  }
+  return {};
+}
 
 std::string ParserFuzzReport::summary() const {
   std::string s = "parser fuzzer: " + std::to_string(cases) + " cases, " +
@@ -275,28 +269,30 @@ ParserFuzzReport run_parser_fuzzer(const ParserFuzzOptions& options) {
     util::Rng rng(case_seed);
     std::string text = base_input(rng, case_seed);
     mutate(text, rng);
-    const bool strict = rng.bernoulli(0.25);
-    const bool allow_extra = rng.bernoulli(0.25);
-    // Tiny random chunks move the boundaries through every line; 0
-    // leaves auto-chunking in play.
-    const std::size_t chunk_bytes =
+    ParseCheck check;
+    check.strict = rng.bernoulli(0.25);
+    check.allow_extra = rng.bernoulli(0.25);
+    // Tiny random chunks and windows move the boundaries through every
+    // line; 0 leaves the defaults in play.
+    check.chunk_bytes =
         rng.bernoulli(0.75) ? std::size_t(rng.uniform_int(1, 257)) : 0;
+    check.window_bytes =
+        rng.bernoulli(0.75) ? std::size_t(rng.uniform_int(1, 257)) : 0;
+    check.threads = options.thread_counts;
     ++report.cases;
-    CaseFailure failure;
+    std::string failure;
     try {
-      failure = check_case(text, strict, allow_extra, chunk_bytes,
-                           options.thread_counts);
+      failure = check_parse(text, check);
     } catch (const std::exception& e) {
-      failure = {true, std::string("exception: ") + e.what()};
+      failure = std::string("exception: ") + e.what();
     }
-    if (failure.failed) {
+    if (!failure.empty()) {
       ++report.failure_count;
       if (report.failures.size() < options.max_failures) {
         report.failures.push_back(
             "[case=" + std::to_string(c) +
             " seed=" + std::to_string(options.seed) +
-            " (derived " + std::to_string(case_seed) + ")] " +
-            failure.detail);
+            " (derived " + std::to_string(case_seed) + ")] " + failure);
       }
     }
   }

@@ -1,16 +1,18 @@
-// StreamReader: grammar parity with the in-memory reader, header
-// capture, malformed/truncated-line diagnostics, bounded error storage,
-// and prefetch-thread equivalence.
-#include "core/swf/stream_reader.hpp"
+// TraceReader: the streaming JobSource over SWF text — header capture
+// before the first pull, malformed/truncated-line diagnostics, strict
+// stops, bounded error storage with exact counts, partial-record
+// skipping, refill windows smaller than a line, and agreement with the
+// whole-trace reader.
+#include "core/swf/reader.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <vector>
 
-#include "core/swf/reader.hpp"
 #include "core/swf/writer.hpp"
 #include "util/rng.hpp"
 #include "workload/model.hpp"
@@ -33,17 +35,25 @@ std::string record_line(std::int64_t job, std::int64_t submit,
   return r.to_line();
 }
 
-std::unique_ptr<std::istream> stream_of(const std::string& text) {
-  return std::make_unique<std::istringstream>(text);
+ReaderOptions window(std::size_t bytes) {
+  ReaderOptions options;
+  options.chunk_bytes = bytes;
+  return options;
 }
 
-std::vector<JobRecord> drain(StreamReader& reader) {
+TraceReader reader_of(const std::string& text,
+                      const ReaderOptions& options = {}) {
+  return TraceReader(std::make_unique<std::istringstream>(text), "test",
+                     options);
+}
+
+std::vector<JobRecord> drain(TraceReader& reader) {
   std::vector<JobRecord> records;
   while (auto r = reader.next()) records.push_back(*r);
   return records;
 }
 
-TEST(StreamReader, ParsesRecordsAndHeader) {
+TEST(TraceReader, ParsesRecordsAndHeader) {
   const std::string text =
       "; Computer: Test Machine\n"
       "; MaxNodes: 64\n"
@@ -51,7 +61,7 @@ TEST(StreamReader, ParsesRecordsAndHeader) {
       "; free-form comment without a label\n"
       "\n" +
       record_line(1, 0) + "\n" + record_line(2, 10) + "\n";
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   EXPECT_EQ(reader.header().computer, "Test Machine");
   EXPECT_EQ(reader.header().max_nodes, 64);
   ASSERT_EQ(reader.header().notes.size(), 1u);
@@ -63,39 +73,52 @@ TEST(StreamReader, ParsesRecordsAndHeader) {
   EXPECT_EQ(records[1].submit_time, 10);
   EXPECT_TRUE(reader.ok());
   EXPECT_EQ(reader.records_returned(), 2u);
+  EXPECT_EQ(reader.lines_read(), 7u);
 }
 
-TEST(StreamReader, HeaderCompleteBeforeFirstNext) {
+TEST(TraceReader, HeaderCompleteBeforeFirstNext) {
   // The engine sizes the machine from MaxNodes before pulling any job;
   // the header must be fully parsed at construction.
   const std::string text =
       "; MaxNodes: 512\n; MaxRuntime: 777\n" + record_line(1, 0) + "\n";
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   EXPECT_EQ(reader.header().max_nodes, 512);
   EXPECT_EQ(reader.header().max_runtime, 777);
 }
 
-TEST(StreamReader, CommentsAfterRecordsAreNotHeaderDirectives) {
+TEST(TraceReader, HeaderLongerThanOneWindowIsCompleteBeforeFirstNext) {
+  std::string text;
+  for (int i = 0; i < 40; ++i) {
+    text += "; Note: header line " + std::to_string(i) + "\n";
+  }
+  text += "; MaxNodes: 96\n" + record_line(1, 0) + "\n";
+  auto reader = reader_of(text, window(16));
+  EXPECT_EQ(reader.header().notes.size(), 40u);
+  EXPECT_EQ(reader.header().max_nodes, 96);
+  EXPECT_EQ(reader.records_returned(), 0u);
+  EXPECT_EQ(drain(reader).size(), 1u);
+}
+
+TEST(TraceReader, CommentsAfterRecordsAreNotHeaderDirectives) {
   const std::string text = "; MaxNodes: 64\n" + record_line(1, 0) +
                            "\n; MaxNodes: 9999\n" + record_line(2, 5) + "\n";
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   const auto records = drain(reader);
   EXPECT_EQ(records.size(), 2u);
-  // Matches read_swf: a late "directive" is preserved as a comment, not
-  // absorbed.
+  // A late "directive" is preserved as a comment, not absorbed.
   EXPECT_EQ(reader.header().max_nodes, 64);
   ASSERT_EQ(reader.header().extra_comments.size(), 1u);
   EXPECT_EQ(reader.header().extra_comments[0], " MaxNodes: 9999");
 }
 
-TEST(StreamReader, MalformedLinesReportLineNumbersAndAreSkipped) {
+TEST(TraceReader, MalformedLinesReportLineNumbersAndAreSkipped) {
   const std::string text = "; MaxNodes: 8\n" +          // line 1
                            record_line(1, 0) + "\n" +   // line 2
                            "1 2 3\n" +                  // line 3: too few
                            record_line(2, 5) + "\n" +   // line 4
                            "a b c d e f g h i j k l m n o p q r\n" +  // 5
                            record_line(3, 9) + "\n";    // line 6
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   const auto records = drain(reader);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_FALSE(reader.ok());
@@ -109,67 +132,65 @@ TEST(StreamReader, MalformedLinesReportLineNumbersAndAreSkipped) {
             std::string::npos);
 }
 
-TEST(StreamReader, StatusOutOfRangeIsMalformed) {
-  // Field 11 (status = 7) out of range.
-  StreamReader reader(
-      stream_of("1 0 0 100 4 -1 -1 4 100 -1 7 -1 -1 -1 -1 -1 -1 -1\n"),
-      "test");
+TEST(TraceReader, StatusOutOfRangeIsMalformed) {
+  auto reader =
+      reader_of("1 0 0 100 4 -1 -1 4 100 -1 7 -1 -1 -1 -1 -1 -1 -1\n");
   EXPECT_EQ(drain(reader).size(), 0u);
   EXPECT_EQ(reader.error_count(), 1u);
 }
 
-TEST(StreamReader, StrictModeStopsAtFirstError) {
+TEST(TraceReader, StrictModeStopsAtFirstError) {
   const std::string text = record_line(1, 0) + "\nbad line\n" +
                            record_line(2, 5) + "\n";
-  StreamReaderOptions options;
-  options.strict = true;
-  StreamReader reader(stream_of(text), "test", options);
-  const auto records = drain(reader);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(reader.error_count(), 1u);
-  EXPECT_EQ(reader.errors()[0].line, 2u);
+  for (const std::size_t bytes : {std::size_t(0), std::size_t(7)}) {
+    ReaderOptions options = window(bytes);
+    options.strict = true;
+    auto reader = reader_of(text, options);
+    const auto records = drain(reader);
+    ASSERT_EQ(records.size(), 1u) << "window " << bytes;
+    EXPECT_EQ(reader.error_count(), 1u);
+    EXPECT_EQ(reader.errors()[0].line, 2u);
+    EXPECT_EQ(reader.lines_read(), 2u);
+  }
 }
 
-TEST(StreamReader, ExtraFieldsTolerantModeMatchesReader) {
-  const std::string line18 = record_line(1, 0);
-  const std::string text = line18 + " 42 43\n";
-  StreamReader strict_reader(stream_of(text), "test");
+TEST(TraceReader, ExtraFieldsTolerantMode) {
+  const std::string text = record_line(1, 0) + " 42 43\n";
+  auto strict_reader = reader_of(text);
   EXPECT_EQ(drain(strict_reader).size(), 0u);
   EXPECT_EQ(strict_reader.error_count(), 1u);
 
-  StreamReaderOptions options;
+  ReaderOptions options;
   options.allow_extra_fields = true;
-  StreamReader tolerant(stream_of(text), "test", options);
+  auto tolerant = reader_of(text, options);
   EXPECT_EQ(drain(tolerant).size(), 1u);
   EXPECT_TRUE(tolerant.ok());
 }
 
-TEST(StreamReader, TruncatedFinalLineStillParses) {
+TEST(TraceReader, TruncatedFinalLineStillParses) {
   // No trailing newline: the final record must not be lost.
   const std::string text = record_line(1, 0) + "\n" + record_line(2, 7);
-  StreamReaderOptions options;
-  options.chunk_bytes = 16;  // force many chunk-boundary crossings
-  StreamReader reader(stream_of(text), "test", options);
+  auto reader = reader_of(text, window(16));
   const auto records = drain(reader);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[1].submit_time, 7);
   EXPECT_TRUE(reader.ok());
 }
 
-TEST(StreamReader, TruncatedMidRecordFinalLineIsAnError) {
+TEST(TraceReader, TruncatedMidRecordFinalLineIsAnError) {
   // A record chopped mid-line (e.g. an interrupted download).
   const std::string full = record_line(2, 7);
   const std::string text =
       record_line(1, 0) + "\n" + full.substr(0, full.size() / 2);
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   const auto records = drain(reader);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(reader.error_count(), 1u);
   EXPECT_EQ(reader.errors()[0].line, 2u);
 }
 
-TEST(StreamReader, MalformedUnterminatedFinalLineVariants) {
-  // The truncated final line (no trailing newline) must go through the
+TEST(TraceReader, MalformedUnterminatedFinalLineVariants) {
+  // The truncated final line (no trailing newline) goes through the
   // same malformed-line accounting as any interior line, whatever the
   // kind of damage.
   struct Case {
@@ -195,7 +216,7 @@ TEST(StreamReader, MalformedUnterminatedFinalLineVariants) {
   for (const auto& c : cases) {
     const std::string text =
         record_line(1, 0) + "\n" + record_line(2, 7) + "\n" + c.last_line;
-    StreamReader reader(stream_of(text), "test");
+    auto reader = reader_of(text);
     const auto records = drain(reader);
     EXPECT_EQ(records.size(), 2u) << c.name;
     EXPECT_EQ(reader.error_count(), 1u) << c.name;
@@ -204,11 +225,11 @@ TEST(StreamReader, MalformedUnterminatedFinalLineVariants) {
   }
 }
 
-TEST(StreamReader, MalformedFinalLineStrictModeStillReportsIt) {
+TEST(TraceReader, MalformedFinalLineStrictModeStillReportsIt) {
   const std::string text = record_line(1, 0) + "\n" + "garbage final";
-  StreamReaderOptions options;
+  ReaderOptions options;
   options.strict = true;
-  StreamReader reader(stream_of(text), "test", options);
+  auto reader = reader_of(text, options);
   const auto records = drain(reader);
   EXPECT_EQ(records.size(), 1u);
   EXPECT_EQ(reader.error_count(), 1u);
@@ -216,47 +237,37 @@ TEST(StreamReader, MalformedFinalLineStrictModeStillReportsIt) {
   EXPECT_FALSE(reader.ok());
 }
 
-TEST(StreamReader, MalformedFinalLineAcrossChunkBoundary) {
-  // A tiny chunk size forces the unterminated, malformed tail to span
-  // several chunk reads before end-of-input resolves it.
-  const std::string text = record_line(1, 0) + "\n" +
+TEST(TraceReader, LinesLongerThanTheWindowGrowIt) {
+  // An 8-byte window is shorter than every line here, so each line is
+  // assembled over several refills, the unterminated malformed tail
+  // included.
+  const std::string huge(3000, '9');
+  const std::string text = record_line(1, 0) + "\n" + huge + "\n" +
+                           record_line(2, 5) + "\n" +
                            "trailing garbage that is quite long indeed";
-  StreamReaderOptions options;
-  options.chunk_bytes = 8;
-  StreamReader reader(stream_of(text), "test", options);
-  EXPECT_EQ(drain(reader).size(), 1u);
-  EXPECT_EQ(reader.error_count(), 1u);
+  auto reader = reader_of(text, window(8));
+  EXPECT_EQ(drain(reader).size(), 2u);
+  EXPECT_EQ(reader.error_count(), 2u);
+  ASSERT_EQ(reader.errors().size(), 2u);
   EXPECT_EQ(reader.errors()[0].line, 2u);
+  EXPECT_EQ(reader.errors()[1].line, 4u);
+  EXPECT_EQ(reader.lines_read(), 4u);
 }
 
-TEST(StreamReader, MalformedFinalLineInPrefetchMode) {
-  const std::string text =
-      record_line(1, 0) + "\n" + record_line(2, 7) + "\n" + "broken tail";
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 2;
-  StreamReader reader(stream_of(text), "test", options);
-  const auto records = drain(reader);
-  EXPECT_EQ(records.size(), 2u);
-  EXPECT_EQ(reader.error_count(), 1u);
-  ASSERT_EQ(reader.errors().size(), 1u);
-  EXPECT_EQ(reader.errors()[0].line, 3u);
-}
-
-TEST(StreamReader, CrlfFinalLineWithoutNewlineParses) {
+TEST(TraceReader, CrlfFinalLineWithoutNewlineParses) {
   // Windows line endings with a bare-CR tail: the final record keeps
-  // its trailing \r and must still parse (the shared record parser
-  // tolerates trailing whitespace).
+  // its trailing \r and must still parse (the record grammar tolerates
+  // trailing whitespace).
   const std::string text =
       record_line(1, 0) + "\r\n" + record_line(2, 7) + "\r";
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   const auto records = drain(reader);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[1].submit_time, 7);
   EXPECT_TRUE(reader.ok());
 }
 
-TEST(StreamReader, PartialExecutionLinesAreSkippedWithCounter) {
+TEST(TraceReader, PartialExecutionLinesAreSkippedWithCounter) {
   JobRecord partial;
   partial.job_number = 1;
   partial.submit_time = 0;
@@ -267,41 +278,50 @@ TEST(StreamReader, PartialExecutionLinesAreSkippedWithCounter) {
   const std::string text =
       record_line(1, 0) + "\n" + partial.to_line() + "\n" +
       record_line(2, 5) + "\n";
-  StreamReader reader(stream_of(text), "test");
+  auto reader = reader_of(text);
   EXPECT_EQ(drain(reader).size(), 2u);
   EXPECT_EQ(reader.partials_skipped(), 1u);
   EXPECT_TRUE(reader.ok());
 }
 
-TEST(StreamReader, EmptyAndHeaderOnlyInputs) {
-  StreamReader empty(stream_of(""), "test");
+TEST(TraceReader, EmptyAndHeaderOnlyInputs) {
+  auto empty = reader_of("");
   EXPECT_FALSE(empty.next().has_value());
   EXPECT_TRUE(empty.ok());
+  EXPECT_EQ(empty.lines_read(), 0u);
 
-  StreamReader header_only(stream_of("; MaxNodes: 4\n; Note: n\n"), "test");
+  auto header_only = reader_of("; MaxNodes: 4\n; Note: n\n");
   EXPECT_FALSE(header_only.next().has_value());
   EXPECT_EQ(header_only.header().max_nodes, 4);
   EXPECT_TRUE(header_only.ok());
 }
 
-TEST(StreamReader, MissingFileReportsOpenFailure) {
-  StreamReader reader("/nonexistent/path/to/trace.swf");
+TEST(TraceReader, MissingFileReportsOpenFailure) {
+  TraceReader reader("/nonexistent/path/to/trace.swf");
   EXPECT_TRUE(reader.open_failed());
   EXPECT_FALSE(reader.ok());
   EXPECT_FALSE(reader.next().has_value());
   ASSERT_EQ(reader.errors().size(), 1u);
   EXPECT_EQ(reader.errors()[0].line, 0u);
+  EXPECT_EQ(reader.errors()[0].message,
+            "cannot open file: /nonexistent/path/to/trace.swf");
+
+  TraceReader null_stream(nullptr, "null");
+  EXPECT_TRUE(null_stream.open_failed());
+  EXPECT_FALSE(null_stream.next().has_value());
 }
 
-TEST(StreamReader, ErrorStorageIsBoundedButCountExact) {
+TEST(TraceReader, ErrorStorageIsBoundedButCountExact) {
   std::string text;
-  for (int i = 0; i < 10; ++i) text += "broken\n";
-  StreamReaderOptions options;
-  options.max_stored_errors = 4;
-  StreamReader reader(stream_of(text), "test", options);
+  for (int i = 0; i < 200; ++i) text += "broken\n";
+  auto reader = reader_of(text, window(64));
   drain(reader);
-  EXPECT_EQ(reader.errors().size(), 4u);
-  EXPECT_EQ(reader.error_count(), 10u);
+  ASSERT_EQ(reader.errors().size(), kMaxStoredErrors);
+  EXPECT_EQ(reader.error_count(), 200u);
+  // The stored ones are the first, in line order.
+  for (std::size_t i = 0; i < kMaxStoredErrors; ++i) {
+    EXPECT_EQ(reader.errors()[i].line, i + 1);
+  }
 }
 
 std::string model_trace_text(std::size_t jobs) {
@@ -313,66 +333,28 @@ std::string model_trace_text(std::size_t jobs) {
   return write_swf_string(trace);
 }
 
-TEST(StreamReader, MatchesInMemoryReaderOnModelTrace) {
+TEST(TraceReader, MatchesWholeTraceReadOnModelTrace) {
   const auto text = model_trace_text(500);
   const auto expected = read_swf_string(text);
   ASSERT_TRUE(expected.ok());
 
-  StreamReaderOptions options;
-  options.chunk_bytes = 97;  // deliberately tiny and unaligned
-  StreamReader reader(stream_of(text), "test", options);
-  const auto records = drain(reader);
-  ASSERT_EQ(records.size(), expected.trace.records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i], expected.trace.records[i]) << "record " << i;
-  }
+  auto reader = reader_of(text, window(97));  // tiny and unaligned
+  EXPECT_EQ(drain(reader), expected.trace.records);
   EXPECT_EQ(reader.header(), expected.trace.header);
 }
 
-TEST(StreamReader, PrefetchModeIsRecordIdentical) {
-  const auto text = model_trace_text(1000);
-  StreamReader sync_reader(stream_of(text), "test");
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 7;  // force many queue handoffs
-  options.prefetch_depth = 2;
-  StreamReader prefetch_reader(stream_of(text), "test", options);
-
-  const auto a = drain(sync_reader);
-  const auto b = drain(prefetch_reader);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "record " << i;
+TEST(TraceReader, ReadsFromPath) {
+  const auto text = model_trace_text(300);
+  const std::string path = ::testing::TempDir() + "/trace_reader_path.swf";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
   }
-  EXPECT_EQ(prefetch_reader.error_count(), 0u);
-  EXPECT_EQ(prefetch_reader.lines_read(), sync_reader.lines_read());
-}
-
-TEST(StreamReader, PrefetchReportsErrorsWithCorrectLines) {
-  const std::string text = record_line(1, 0) + "\nbad\n" +
-                           record_line(2, 5) + "\nworse line here\n";
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 1;
-  StreamReader reader(stream_of(text), "test", options);
-  EXPECT_EQ(drain(reader).size(), 2u);
-  EXPECT_EQ(reader.error_count(), 2u);
-  ASSERT_EQ(reader.errors().size(), 2u);
-  EXPECT_EQ(reader.errors()[0].line, 2u);
-  EXPECT_EQ(reader.errors()[1].line, 4u);
-}
-
-TEST(StreamReader, PrefetchDestructionWithoutDrainingJoinsCleanly) {
-  // Abandoning a prefetching reader mid-stream must not hang or leak
-  // (the CI sanitizer job watches the leak part).
-  const auto text = model_trace_text(2000);
-  StreamReaderOptions options;
-  options.prefetch = true;
-  options.prefetch_batch = 16;
-  auto reader =
-      std::make_unique<StreamReader>(stream_of(text), "test", options);
-  ASSERT_TRUE(reader->next().has_value());
-  reader.reset();  // destructor must stop the producer thread
+  TraceReader reader(path);
+  EXPECT_EQ(reader.label(), "trace:" + path);
+  EXPECT_EQ(drain(reader), read_swf_file(path).trace.records);
+  EXPECT_TRUE(reader.ok());
+  std::remove(path.c_str());
 }
 
 TEST(TraceSource, YieldsOnlySummaryRecordsInOrder) {

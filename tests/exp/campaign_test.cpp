@@ -644,6 +644,23 @@ TEST(SpecParser, ParsesStreamAndLookaheadOptions) {
   EXPECT_EQ(spec.workloads[1].lookahead, 4096u);
 }
 
+TEST(SpecParser, ThreadsIsTheOnlyIngestOption) {
+  // One reader remains: parser= is an unknown workload option, while
+  // threads= still sets the whole-trace parser workers.
+  EXPECT_THROW(parse_campaign_spec_string(
+                   "workload = trace:/tmp/x.swf parser=fast\n"
+                   "scheduler = fcfs\n"),
+               std::invalid_argument);
+  const auto spec = parse_campaign_spec_string(
+      "workload = trace:/tmp/x.swf threads=4\n"
+      "scheduler = fcfs\n");
+  EXPECT_EQ(spec.workloads.front().threads, 4);
+  EXPECT_THROW(parse_campaign_spec_string(
+                   "workload = lublin99 threads=4\n"
+                   "scheduler = fcfs\n"),
+               std::invalid_argument);
+}
+
 TEST(SpecParser, RejectsInvalidStreamCombinations) {
   // Rescaling needs the whole trace.
   EXPECT_THROW(parse_campaign_spec_string(

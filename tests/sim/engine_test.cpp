@@ -204,7 +204,9 @@ TEST(Engine, RunUntilAdvancesClockWithoutEvents) {
 TEST(Engine, CompletionObserverFires) {
   Engine e(EngineConfig{.nodes = 4}, sched::make_scheduler("fcfs"));
   int count = 0;
-  e.set_completion_observer([&](const CompletedJob&) { ++count; });
+  FunctionObserver observer;
+  observer.job_complete = [&](const CompletedJob&) { ++count; };
+  e.add_observer(observer);
   e.load_trace(tiny_trace());
   e.run();
   EXPECT_EQ(count, 3);
@@ -270,7 +272,8 @@ TEST(Engine, ObserverMaySubmitJobsDuringCompletion) {
   // regression).
   Engine e(EngineConfig{.nodes = 4}, sched::make_scheduler("fcfs"));
   int chained = 0;
-  e.set_completion_observer([&](const CompletedJob& done) {
+  FunctionObserver observer;
+  observer.job_complete = [&](const CompletedJob& done) {
     if (chained < 50) {
       ++chained;
       SimJob follow;
@@ -280,7 +283,8 @@ TEST(Engine, ObserverMaySubmitJobsDuringCompletion) {
       follow.procs = 1;
       e.submit_job(follow);
     }
-  });
+  };
+  e.add_observer(observer);
   SimJob first;
   first.submit = 0;
   first.runtime = 5;

@@ -143,45 +143,34 @@ TEST(SimulationSpec, AutoNodesSpelledAuto) {
   EXPECT_EQ(pinned.nodes, 64);
 }
 
-TEST(SimulationSpec, ParserKeysRoundTrip) {
-  // Defaults stay silent in the canonical form.
-  EXPECT_EQ(SimulationSpec{}.to_string().find("parser="), std::string::npos);
+TEST(SimulationSpec, ThreadsKeyRoundTrips) {
+  // The default stays silent in the canonical form.
   EXPECT_EQ(SimulationSpec{}.to_string().find("threads="), std::string::npos);
-
-  const auto spec = SimulationSpec{}.with_parser("fast", 8);
-  EXPECT_EQ(spec.parser, "fast");
-  EXPECT_EQ(spec.threads, 8);
-  EXPECT_NO_THROW(spec.validate());
-  const std::string text = spec.to_string();
-  EXPECT_NE(text.find("parser=fast"), std::string::npos) << text;
-  EXPECT_NE(text.find("threads=8"), std::string::npos) << text;
-  const auto parsed = SimulationSpec::parse(text);
-  EXPECT_EQ(parsed.parser, "fast");
+  const auto parsed = SimulationSpec::parse("scheduler=easy threads=8");
   EXPECT_EQ(parsed.threads, 8);
-  EXPECT_EQ(parsed.to_string(), text);
-
-  // The bare fast parser (threads=1 implied) round-trips too.
-  const auto single = SimulationSpec::parse("scheduler=easy parser=fast");
-  EXPECT_EQ(single.parser, "fast");
-  EXPECT_EQ(single.threads, 1);
+  const std::string text = parsed.to_string();
+  EXPECT_NE(text.find("threads=8"), std::string::npos) << text;
+  EXPECT_EQ(SimulationSpec::parse(text).to_string(), text);
+  // Any thread count is valid on its own; there is no backend to pick.
+  SimulationSpec threaded;
+  threaded.threads = 4;
+  EXPECT_NO_THROW(threaded.validate());
 }
 
-TEST(SimulationSpec, ValidateRejectsParserNonsense) {
-  SimulationSpec bad_parser;
-  bad_parser.parser = "turbo";
-  EXPECT_THROW(bad_parser.validate(), std::invalid_argument);
-  SimulationSpec bad_threads;
-  bad_threads.threads = 0;
-  EXPECT_THROW(bad_threads.validate(), std::invalid_argument);
-  // threads > 1 needs the parallel backend; the stream parser is
-  // single-threaded.
-  SimulationSpec stream_threads;
-  stream_threads.threads = 4;
-  EXPECT_THROW(stream_threads.validate(), std::invalid_argument);
-  EXPECT_THROW(SimulationSpec::parse("scheduler=easy parser=turbo"),
+TEST(SimulationSpec, ParserIsNotAKey) {
+  // One reader remains: parser= is rejected like any unknown key.
+  EXPECT_THROW(SimulationSpec::parse("scheduler=easy parser=fast"),
                std::invalid_argument);
   EXPECT_THROW(SimulationSpec::parse("scheduler=easy threads=0"),
                std::invalid_argument);
+  SimulationSpec bad_threads;
+  bad_threads.threads = 0;
+  EXPECT_THROW(bad_threads.validate(), std::invalid_argument);
+  // with_parser only forwards the thread count, and still rejects names
+  // that never were backends.
+  EXPECT_EQ(SimulationSpec{}.with_parser("fast", 8).threads, 8);
+  EXPECT_EQ(SimulationSpec{}.with_parser("stream").threads, 1);
+  EXPECT_THROW(SimulationSpec{}.with_parser("turbo"), std::invalid_argument);
 }
 
 TEST(SimulationSpec, BuilderChains) {

@@ -7,7 +7,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/swf/stream_reader.hpp"
+#include "core/swf/reader.hpp"
 #include "core/swf/writer.hpp"
 #include "sched/registry.hpp"
 #include "sim/replay.hpp"
@@ -55,7 +55,7 @@ std::string replay_stream_csv(const swf::Trace& trace,
                               std::size_t lookahead, bool bounded_memory) {
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
+  swf::TraceReader source(std::move(in), "test");
 
   auto spec = SimulationSpec{}.with_scheduler(scheduler).with_lookahead(
       lookahead);
@@ -86,7 +86,7 @@ TEST(StreamReplay, BoundedMemoryModeKeepsDecisionsAndStats) {
 
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
+  swf::TraceReader source(std::move(in), "test");
   std::string csv;
   auto observer = csv_into(csv);
   const auto result = replay(
@@ -182,7 +182,7 @@ TEST(StreamReplay, ClosedLoopMatchesBatchWhenWindowCoversDependency) {
 
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
+  swf::TraceReader source(std::move(in), "test");
   // Window covers the whole trace.
   const auto stream = replay(
       source,
@@ -232,7 +232,7 @@ TEST(StreamReplay, ClosedLoopLatePullResolvesViaResidentPredecessor) {
 
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
+  swf::TraceReader source(std::move(in), "test");
   const auto result = replay(
       source,
       SimulationSpec{}.with_scheduler("fcfs").closed().with_lookahead(1));
@@ -284,7 +284,7 @@ TEST(StreamReplay, EagerLoadDefersForwardReferencedDependents) {
 
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
+  swf::TraceReader source(std::move(in), "test");
   const auto stream = replay(
       source,
       SimulationSpec{}.with_scheduler("fcfs").closed().with_lookahead(1));
@@ -356,7 +356,7 @@ TEST(StreamReplay, OutOfOrderRecordsAreClampedNotLost) {
   trace.records[2].submit_time = 1;
   const auto text = swf::write_swf_string(trace);
   auto in = std::make_unique<std::istringstream>(text);
-  swf::StreamReader source(std::move(in), "test");
+  swf::TraceReader source(std::move(in), "test");
   // Lookahead 1 forces the straggler to be pulled late.
   const auto result = replay(
       source, SimulationSpec{}.with_scheduler("fcfs").with_lookahead(1));
