@@ -1,42 +1,34 @@
 #include "sim/machine.hpp"
 
-#include <algorithm>
-#include <functional>
-#include <numeric>
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "sim/snapshot/codec.hpp"
 
 namespace pjsb::sim {
 
-Machine::Machine(std::int64_t total_nodes)
-    : owner_(std::size_t(total_nodes), kFree),
-      free_heap_(std::size_t(total_nodes)),
-      in_free_heap_(std::size_t(total_nodes), 1),
-      free_(total_nodes) {
-  if (total_nodes <= 0) {
-    throw std::invalid_argument("Machine: need at least one node");
+Machine::Machine(std::int64_t total_nodes) {
+  if (total_nodes < 1 || total_nodes > kMaxSpecNodes) {
+    throw std::invalid_argument(
+        "Machine: node count " + std::to_string(total_nodes) +
+        " outside [1, " + std::to_string(kMaxSpecNodes) + "]");
   }
-  // 0..N-1 ascending is already a valid min-heap.
-  std::iota(free_heap_.begin(), free_heap_.end(), std::int64_t(0));
+  owner_.assign(std::size_t(total_nodes), kFree);
+  rebuild_free_set();
 }
 
-void Machine::push_free(std::int64_t node) {
-  auto& flag = in_free_heap_[std::size_t(node)];
-  if (flag) return;
-  flag = 1;
-  free_heap_.push_back(node);
-  std::push_heap(free_heap_.begin(), free_heap_.end(), std::greater<>());
-}
-
-std::int64_t Machine::pop_free() {
-  while (true) {
-    std::pop_heap(free_heap_.begin(), free_heap_.end(), std::greater<>());
-    const std::int64_t node = free_heap_.back();
-    free_heap_.pop_back();
-    in_free_heap_[std::size_t(node)] = 0;
-    if (owner_[std::size_t(node)] == kFree) return node;
-    // Stale entry: the node went down while listed; drop and continue.
+void Machine::rebuild_free_set() {
+  free_bits_.assign((owner_.size() + 63) / 64, 0);
+  free_ = 0;
+  down_ = 0;
+  for (std::size_t n = 0; n < owner_.size(); ++n) {
+    if (owner_[n] == kFree) {
+      flip_free(std::int64_t(n));
+      ++free_;
+    } else if (owner_[n] == kDown) {
+      ++down_;
+    }
   }
 }
 
@@ -46,10 +38,15 @@ std::optional<std::vector<std::int64_t>> Machine::allocate(
   if (count > free_) return std::nullopt;
   std::vector<std::int64_t> nodes;
   nodes.reserve(std::size_t(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::int64_t node = pop_free();
-    owner_[std::size_t(node)] = job_id;
-    nodes.push_back(node);
+  std::int64_t wanted = count;
+  for (std::size_t w = 0; wanted > 0; ++w) {
+    std::uint64_t& word = free_bits_[w];
+    for (; word != 0 && wanted > 0; --wanted) {
+      const std::size_t node = (w << 6) | std::size_t(std::countr_zero(word));
+      word &= word - 1;  // clear the lowest set bit
+      owner_[node] = job_id;
+      nodes.push_back(std::int64_t(node));
+    }
   }
   free_ -= count;
   return nodes;
@@ -65,7 +62,7 @@ void Machine::release(std::int64_t job_id,
     }
     o = kFree;
     ++free_;
-    push_free(n);
+    flip_free(n);
   }
 }
 
@@ -73,8 +70,10 @@ std::int64_t Machine::take_down(std::int64_t node) {
   auto& o = owner_.at(std::size_t(node));
   const std::int64_t prev = o;
   if (prev == kDown) return kDown;
-  // A free node keeps its (now stale) heap entry; pop_free discards it.
-  if (prev == kFree) --free_;
+  if (prev == kFree) {
+    --free_;
+    flip_free(node);
+  }
   o = kDown;
   ++down_;
   return prev;
@@ -86,7 +85,7 @@ void Machine::bring_up(std::int64_t node) {
   o = kFree;
   --down_;
   ++free_;
-  push_free(node);
+  flip_free(node);
 }
 
 std::int64_t Machine::owner(std::int64_t node) const {
@@ -99,25 +98,17 @@ void Machine::save_state(snapshot::Writer& w) const {
 }
 
 void Machine::load_state(snapshot::Reader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != owner_.size()) {
+  if (r.u64() != owner_.size()) {
     throw std::runtime_error("Machine::load_state: node count mismatch");
   }
-  free_ = 0;
-  down_ = 0;
-  free_heap_.clear();
-  in_free_heap_.assign(owner_.size(), 0);
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    owner_[i] = r.i64();
-    if (owner_[i] == kFree) {
-      ++free_;
-      free_heap_.push_back(std::int64_t(i));
-      in_free_heap_[i] = 1;
-    } else if (owner_[i] == kDown) {
-      ++down_;
+  for (auto& o : owner_) {
+    o = r.i64();
+    if (o < kDown) {
+      throw std::runtime_error("Machine::load_state: bad owner code " +
+                               std::to_string(o));
     }
   }
-  // Ascending node ids are already a valid min-heap.
+  rebuild_free_set();
 }
 
 }  // namespace pjsb::sim

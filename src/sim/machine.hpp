@@ -4,11 +4,13 @@
 // outages hit specific components — "which nodes went down" — and kill
 // exactly the jobs running there, per section 2.2 of the paper.
 //
-// Allocation draws from a free-list kept as a min-heap of node ids, so
-// starting a job costs O(count log N) instead of scanning every node,
-// while preserving the exact first-fit (lowest-id-first) placement of
-// the naive scan — outage victim selection stays reproducible across
-// implementations.
+// The free set is a bitmap of 64-node words. Allocation is exact first
+// fit — the lowest-numbered free nodes, in increasing order — found by
+// skipping empty words and taking set bits with countr_zero, so starting
+// a job costs O(count + nodes/64); releases, outages and repairs flip
+// single bits. Placement is a pure function of the per-node owners, so
+// outage victim selection stays reproducible across implementations and
+// snapshot restores.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +29,16 @@ namespace pjsb::sim {
 inline constexpr std::int64_t kFree = -1;
 inline constexpr std::int64_t kDown = -2;
 
+/// Upper bound on the machine size, enforced by Machine itself so every
+/// way of sizing one (spec keys, trace MaxNodes headers, snapshot
+/// configs) is bounded: generous for any real system while keeping
+/// per-node state allocations sane.
+inline constexpr std::int64_t kMaxSpecNodes = 1 << 22;  // ~4M nodes
+
 class Machine {
  public:
+  /// Throws std::invalid_argument unless 1 <= total_nodes <=
+  /// kMaxSpecNodes.
   explicit Machine(std::int64_t total_nodes);
 
   std::int64_t total_nodes() const { return std::int64_t(owner_.size()); }
@@ -64,27 +74,25 @@ class Machine {
   /// Owner of a node (job id, kFree, or kDown).
   std::int64_t owner(std::int64_t node) const;
 
-  /// Serialize per-node ownership. Only owner_ is written: the free
-  /// list is rebuilt canonically on load, which is allocation-
-  /// equivalent — pop_free always returns the lowest-numbered free
-  /// node regardless of stale heap entries.
+  /// Serialize per-node ownership. Only owner_ is written; load_state
+  /// rebuilds the bitmap and counters from it and throws
+  /// std::runtime_error on a node count mismatch or an owner code below
+  /// kDown.
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 
  private:
-  /// Add `node` to the free-list heap unless it already has an entry.
-  void push_free(std::int64_t node);
-  /// Pop the lowest-numbered genuinely free node. Entries going stale
-  /// (node taken down while listed) are discarded lazily. Requires
-  /// free_ > 0.
-  std::int64_t pop_free();
+  /// Recompute free_bits_, free_ and down_ from owner_.
+  void rebuild_free_set();
+  /// Toggle `node`'s free bit.
+  void flip_free(std::int64_t node) {
+    free_bits_[std::size_t(node) >> 6] ^= std::uint64_t(1) << (node & 63);
+  }
 
   std::vector<std::int64_t> owner_;
-  /// Min-heap of candidate free node ids (std::greater comparator).
-  /// Lazy deletion: an entry may be stale; in_free_heap_ guarantees at
-  /// most one entry per node, and pop_free() validates against owner_.
-  std::vector<std::int64_t> free_heap_;
-  std::vector<std::uint8_t> in_free_heap_;
+  /// Bit n & 63 of word n >> 6 is set iff node n is free; bits past the
+  /// last node stay 0.
+  std::vector<std::uint64_t> free_bits_;
   std::int64_t free_ = 0;
   std::int64_t down_ = 0;
 };

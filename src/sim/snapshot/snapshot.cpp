@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,10 @@ void write_config(Writer& w, const EngineConfig& c) {
 EngineConfig read_config(Reader& r) {
   EngineConfig c;
   c.nodes = r.i64();
+  if (c.nodes < 1 || c.nodes > kMaxSpecNodes) {
+    throw std::runtime_error("snapshot: machine size " +
+                             std::to_string(c.nodes) + " out of range");
+  }
   c.deliver_announcements = r.boolean();
   c.closed_loop = r.boolean();
   c.requeue_killed_jobs = r.boolean();
@@ -84,7 +89,8 @@ void write_job(Writer& w, const SimJob& j) {
   for (std::int64_t n : j.nodes) w.i64(n);
 }
 
-SimJob read_job(Reader& r) {
+/// `machine_nodes` bounds the node ids of the job's allocation.
+SimJob read_job(Reader& r, std::int64_t machine_nodes) {
   SimJob j;
   j.id = r.i64();
   j.submit = r.i64();
@@ -108,8 +114,18 @@ SimJob read_job(Reader& r) {
   j.restarts = int(r.i64());
   j.completed_work = r.i64();
   const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 8) {
+    throw std::runtime_error("snapshot: node list longer than the data left");
+  }
   j.nodes.reserve(std::size_t(n));
-  for (std::uint64_t i = 0; i < n; ++i) j.nodes.push_back(r.i64());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::int64_t node = r.i64();
+    if (node < 0 || node >= machine_nodes) {
+      throw std::runtime_error("snapshot: node id " + std::to_string(node) +
+                               " outside the machine");
+    }
+    j.nodes.push_back(node);
+  }
   return j;
 }
 
@@ -331,9 +347,9 @@ void Engine::load_snapshot(snapshot::Reader& r) {
         EventOrder{}, std::move(events));
   }
 
-  const auto read_slot = [&r]() {
+  const auto read_slot = [&r, this]() {
     JobSlot slot;
-    slot.job = read_job(r);
+    slot.job = read_job(r, machine_.total_nodes());
     slot.end_version = r.i64();
     slot.overrun_end = r.boolean();
     return slot;

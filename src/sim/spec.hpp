@@ -21,13 +21,9 @@
 #include <string>
 
 #include "sim/fault/fault.hpp"
+#include "sim/machine.hpp"
 
 namespace pjsb::sim {
-
-/// Upper bound on the simulated machine size: generous for any real
-/// system while keeping per-node state allocations sane when a spec
-/// fat-fingers `nodes=`.
-inline constexpr std::int64_t kMaxSpecNodes = 1 << 22;  // ~4M nodes
 
 struct SimulationSpec {
   /// Scheduler spec string for sched::Registry ("easy",

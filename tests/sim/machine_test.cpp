@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "sim/snapshot/codec.hpp"
+#include "util/rng.hpp"
+
 namespace pjsb::sim {
 namespace {
 
@@ -13,6 +23,20 @@ TEST(Machine, InitialState) {
   EXPECT_EQ(m.down_nodes(), 0);
   EXPECT_EQ(m.up_nodes(), 16);
   EXPECT_THROW(Machine(0), std::invalid_argument);
+}
+
+TEST(Machine, RejectsSizesOutsideTheBound) {
+  // The bound is checked before any per-node state is sized, so a bad
+  // size is a named invalid_argument, never a length_error or bad_alloc.
+  EXPECT_THROW(Machine(kMaxSpecNodes + 1), std::invalid_argument);
+  try {
+    Machine(-1);
+    FAIL() << "Machine(-1) accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kMaxSpecNodes)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Machine, AllocateAndRelease) {
@@ -91,7 +115,7 @@ TEST(Machine, AllocationSkipsDownNodes) {
 }
 
 TEST(Machine, AllocationIsFirstFitLowestIds) {
-  // The free list must hand out the lowest-numbered free nodes in
+  // The allocator must hand out the lowest-numbered free nodes in
   // increasing order — outage victim selection depends on placement, so
   // this ordering is part of the reproducibility contract.
   Machine m(8);
@@ -140,9 +164,9 @@ TEST(Machine, ReleaseAfterPartialOutage) {
   EXPECT_EQ(*again, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(Machine, ChurnKeepsFreeListConsistent) {
-  // Exercise the lazy-deletion free list: allocate/release/outage churn
-  // must never double-allocate a node or lose one.
+TEST(Machine, ChurnKeepsFreeSetConsistent) {
+  // Allocate/release/outage churn must never double-allocate a node or
+  // lose one.
   Machine m(16);
   std::vector<std::vector<std::int64_t>> held;
   std::int64_t next_job = 1;
@@ -174,6 +198,117 @@ TEST(Machine, ChurnKeepsFreeListConsistent) {
       for (const auto n : held[h]) {
         EXPECT_GE(m.owner(n), 0) << "node " << n << " lost its owner";
       }
+    }
+  }
+}
+
+/// The allocator's specification: linear first fit over an owner array,
+/// with the same counters and kDown rules as Machine.
+struct ReferenceMachine {
+  std::vector<std::int64_t> owner;
+  std::int64_t free = 0;
+  std::int64_t down = 0;
+
+  explicit ReferenceMachine(std::int64_t n)
+      : owner(std::size_t(n), kFree), free(n) {}
+
+  std::optional<std::vector<std::int64_t>> allocate(std::int64_t job,
+                                                    std::int64_t count) {
+    if (count > free) return std::nullopt;
+    std::vector<std::int64_t> nodes;
+    for (std::size_t n = 0; std::int64_t(nodes.size()) < count; ++n) {
+      if (owner[n] != kFree) continue;
+      owner[n] = job;
+      nodes.push_back(std::int64_t(n));
+    }
+    free -= count;
+    return nodes;
+  }
+  void release(std::int64_t job, const std::vector<std::int64_t>& nodes) {
+    for (const std::int64_t n : nodes) {
+      if (owner[std::size_t(n)] != job) continue;  // went down meanwhile
+      owner[std::size_t(n)] = kFree;
+      ++free;
+    }
+  }
+  std::int64_t take_down(std::int64_t n) {
+    const std::int64_t prev = owner[std::size_t(n)];
+    if (prev == kDown) return kDown;
+    if (prev == kFree) --free;
+    owner[std::size_t(n)] = kDown;
+    ++down;
+    return prev;
+  }
+  void bring_up(std::int64_t n) {
+    owner[std::size_t(n)] = kFree;
+    --down;
+    ++free;
+  }
+};
+
+std::vector<std::int64_t> owners(const Machine& m) {
+  std::vector<std::int64_t> out;
+  for (std::int64_t n = 0; n < m.total_nodes(); ++n) out.push_back(m.owner(n));
+  return out;
+}
+
+TEST(Machine, MatchesLinearFirstFitUnderRandomChurn) {
+  // Seeded allocate/release/take_down/bring_up churn against the
+  // reference, with a save_state/load_state round trip every so often.
+  // The sizes straddle the 64-node word boundaries of the free bitmap.
+  for (const std::int64_t size : {1, 63, 64, 65, 127, 128, 1000, 1024}) {
+    SCOPED_TRACE("machine of " + std::to_string(size) + " nodes");
+    util::Rng rng(20261017 + std::uint64_t(size));
+    Machine m(size);
+    ReferenceMachine ref(size);
+    std::map<std::int64_t, std::vector<std::int64_t>> held;  // job -> nodes
+    std::int64_t next_job = 1;
+    const auto release = [&](auto it) {
+      m.release(it->first, it->second);
+      ref.release(it->first, it->second);
+      held.erase(it);
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const double roll = rng.uniform();
+      if (roll < 0.4) {
+        // Mostly fitting requests, some one past the free count.
+        const std::int64_t count =
+            rng.bernoulli(0.1) ? ref.free + 1
+                               : rng.uniform_int(1, std::max<std::int64_t>(
+                                                        1, size / 4));
+        const std::int64_t job = next_job++;
+        const auto got = m.allocate(job, count);
+        ASSERT_EQ(got, ref.allocate(job, count)) << "op " << op;
+        if (got) held.emplace(job, *got);
+      } else if (roll < 0.7) {
+        if (held.empty()) continue;
+        release(std::next(held.begin(), rng.uniform_int(
+                                            0, std::int64_t(held.size()) - 1)));
+      } else if (roll < 0.85) {
+        const std::int64_t node = rng.uniform_int(0, size - 1);
+        const std::int64_t victim = m.take_down(node);
+        ASSERT_EQ(victim, ref.take_down(node)) << "op " << op;
+        // The engine kills the victim, which releases its surviving nodes.
+        if (victim >= 0) release(held.find(victim));
+      } else if (ref.down > 0) {
+        std::int64_t node = rng.uniform_int(0, size - 1);
+        while (ref.owner[std::size_t(node)] != kDown) node = (node + 1) % size;
+        m.bring_up(node);
+        ref.bring_up(node);
+      }
+      if (op % 250 == 249) {
+        snapshot::Writer w;
+        m.save_state(w);
+        Machine restored(size);
+        snapshot::Reader r(w.bytes());
+        restored.load_state(r);
+        r.expect_done();
+        m = restored;
+      }
+      ASSERT_EQ(owners(m), ref.owner) << "op " << op;
+      ASSERT_EQ(m.free_nodes(), ref.free) << "op " << op;
+      ASSERT_EQ(m.down_nodes(), ref.down) << "op " << op;
+      ASSERT_EQ(m.busy_nodes(), size - ref.free - ref.down) << "op " << op;
     }
   }
 }

@@ -10,10 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "core/swf/reader.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault/fault.hpp"
 #include "sim/replay.hpp"
+#include "sim/snapshot/codec.hpp"
 #include "sim/snapshot/snapshot.hpp"
 #include "validate/decisions.hpp"
 #include "validate/fuzzer.hpp"
@@ -152,6 +154,62 @@ TEST(Snapshot, RejectsCorruptHeaderAndTruncation) {
   auto trailing = bytes;
   trailing.push_back('\0');
   EXPECT_THROW((void)Engine::restore(trailing), std::runtime_error);
+}
+
+/// `bytes` with the 8-byte word at offset `at` replaced by `value`.
+std::string with_word(std::string bytes, std::size_t at, std::int64_t value) {
+  snapshot::Writer w;
+  w.i64(value);
+  return bytes.replace(at, 8, w.bytes());
+}
+
+TEST(Snapshot, RejectsCorruptAllocationState) {
+  // A real snapshot: data/contention.swf frozen at t=26000 under
+  // conservative. Counts and ids in its allocation state are corrupted
+  // one word at a time; each restore must fail with runtime_error
+  // before allocating anything sized by the bad word.
+  const auto loaded = swf::read_swf_file(std::string(PJSB_SOURCE_DIR) +
+                                         "/data/contention.swf");
+  ASSERT_TRUE(loaded.errors.empty());
+  auto donor = make_engine(loaded.trace,
+                           SimulationSpec{}.with_scheduler("conservative"));
+  donor->load_trace(loaded.trace);
+  donor->run_until(26000);
+  const std::string bytes = donor->snapshot();
+
+  // The machine's ownership section (node count, then one owner per
+  // node) and a running job's node list (count, then its ids).
+  snapshot::Writer owners;
+  donor->machine().save_state(owners);
+  const std::size_t owners_at = bytes.rfind(owners.bytes());
+  ASSERT_NE(owners_at, std::string::npos);
+  const SimJob* running = nullptr;
+  for (std::int64_t n = 0; n < kNodes && !running; ++n) {
+    const std::int64_t owner = donor->machine().owner(n);
+    if (owner >= 0) running = donor->find_job(owner);
+  }
+  ASSERT_NE(running, nullptr) << "no job running at t=26000";
+  snapshot::Writer list;
+  list.u64(running->nodes.size());
+  for (const std::int64_t n : running->nodes) list.i64(n);
+  const std::size_t count_at = bytes.find(list.bytes());
+  ASSERT_NE(count_at, std::string::npos);
+  ASSERT_EQ(Engine::restore(bytes)->snapshot(), bytes);
+
+  const auto rejects = [](const std::string& corrupt, const char* what) {
+    EXPECT_THROW((void)Engine::restore(corrupt), std::runtime_error) << what;
+  };
+  rejects(with_word(bytes, count_at, std::int64_t(1) << 40),
+          "node count 2^40");
+  rejects(with_word(bytes, count_at, std::int64_t(1) << 62),
+          "node count 2^62");
+  rejects(with_word(bytes, count_at + 8, kNodes), "node id past the machine");
+  rejects(with_word(bytes, count_at + 8, -1), "negative node id");
+  rejects(with_word(bytes, owners_at + 8, kDown - 1), "owner code below kDown");
+  // The config echo (after the 8-byte magic and 4-byte version) sizes
+  // the machine.
+  rejects(with_word(bytes, 12, -1), "machine size -1");
+  rejects(with_word(bytes, 12, kMaxSpecNodes + 1), "machine size past bound");
 }
 
 TEST(Snapshot, StreamingSnapshotDemandsItsSourceBack) {
