@@ -1,8 +1,5 @@
 #include "serve/client.hpp"
 
-#include <sys/socket.h>
-
-#include <cerrno>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +7,7 @@
 
 namespace pjsb::serve {
 
-Client::Client(int fd) : fd_(fd) {}
+Client::Client(int fd) : fd_(fd), reader_(fd) {}
 
 Client Client::connect_unix(const std::string& path) {
   std::string error;
@@ -29,14 +26,13 @@ Client Client::connect_tcp(int port) {
 Client::~Client() { net::close_fd(fd_); }
 
 Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      buffer_(std::move(other.buffer_)) {}
+    : fd_(std::exchange(other.fd_, -1)), reader_(std::move(other.reader_)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     net::close_fd(fd_);
     fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
+    reader_ = std::move(other.reader_);
   }
   return *this;
 }
@@ -46,28 +42,18 @@ Response Client::request_line(const std::string& line) {
   if (!net::send_all(fd_, line + "\n")) {
     throw std::runtime_error("serve client: send failed");
   }
-  // Read one newline-terminated response.
-  while (true) {
-    const auto nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string raw = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (!raw.empty() && raw.back() == '\r') raw.pop_back();
-      std::string error;
-      const auto response = parse_response(raw, &error);
-      if (!response) {
-        throw std::runtime_error("serve client: bad response: " + error);
-      }
-      return *response;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      throw std::runtime_error("serve client: connection closed");
-    }
-    buffer_.append(chunk, std::size_t(n));
+  const auto raw = reader_.read_line();
+  if (!raw) {
+    throw std::runtime_error(reader_.too_long()
+                                 ? "serve client: response line too long"
+                                 : "serve client: connection closed");
   }
+  std::string error;
+  const auto response = parse_response(*raw, &error);
+  if (!response) {
+    throw std::runtime_error("serve client: bad response: " + error);
+  }
+  return *response;
 }
 
 Response Client::request(const Request& request) {

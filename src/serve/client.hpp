@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 
+#include "serve/net.hpp"
 #include "serve/protocol.hpp"
 
 namespace pjsb::serve {
@@ -60,7 +61,7 @@ class Client {
   explicit Client(int fd);
 
   int fd_ = -1;
-  std::string buffer_;  ///< unread bytes past the last response line
+  net::LineReader reader_;
 };
 
 }  // namespace pjsb::serve

@@ -2,11 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace pjsb::serve::net {
@@ -140,15 +142,41 @@ void shutdown_read(int fd) {
   if (fd >= 0) ::shutdown(fd, SHUT_RD);
 }
 
-std::optional<std::string> LineReader::read_line() {
+void finish_and_drain(int fd, int timeout_ms) {
+  if (fd < 0) return;
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  char chunk[4096];
   while (true) {
-    const auto nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) return;
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, int(left)) <= 0) return;
+    if (::recv(fd, chunk, sizeof(chunk), 0) <= 0) return;
+  }
+}
+
+std::optional<std::string> LineReader::read_line() {
+  while (!too_long_) {
+    // Only bytes appended since the last call are searched.
+    const auto nl = buffer_.find('\n', scanned_);
+    if (nl != std::string::npos && nl <= kMaxLineBytes) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
+      scanned_ = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
+    if (nl != std::string::npos || buffer_.size() > kMaxLineBytes) {
+      too_long_ = true;
+      break;
+    }
+    scanned_ = buffer_.size();
     if (eof_) return std::nullopt;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -158,11 +186,13 @@ std::optional<std::string> LineReader::read_line() {
       return std::nullopt;
     }
     if (n == 0) {
+      // A final line without '\n' is dropped: requests end in '\n'.
       eof_ = true;
-      continue;  // flush a final unterminated line? no: require '\n'
+      continue;
     }
     buffer_.append(chunk, std::size_t(n));
   }
+  return std::nullopt;
 }
 
 }  // namespace pjsb::serve::net

@@ -5,6 +5,7 @@
 // callers decide whether a failed connection is fatal.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,19 +36,38 @@ void shutdown_fd(int fd);
 /// the session that requested SHUTDOWN still receives its OK).
 void shutdown_read(int fd);
 
+/// Lingering close, first half: shutdown(SHUT_WR) so the peer reads
+/// everything sent so far and then EOF, then read and drop its input
+/// until it closes, errors, or `timeout_ms` pass. Closing a TCP socket
+/// with unread input resets the connection, which can destroy a reply
+/// the peer has not read yet. The caller still closes the fd.
+void finish_and_drain(int fd, int timeout_ms);
+
+/// Longest protocol line, not counting its '\n'. Longer ones are
+/// refused, so one connection buffers at most this much plus one recv.
+inline constexpr std::size_t kMaxLineBytes = std::size_t(64) << 10;
+
 /// Buffered newline-delimited reader over a blocking fd.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
   /// Next line without its '\n' (a trailing '\r' is stripped too).
-  /// Nullopt on EOF or error with no complete line buffered.
+  /// Nullopt on EOF or error with no complete line buffered, and once
+  /// the next line runs past kMaxLineBytes (too_long() then holds and
+  /// the reader returns nullopt from then on).
   std::optional<std::string> read_line();
+
+  /// True when read_line gave up on a line longer than kMaxLineBytes.
+  bool too_long() const { return too_long_; }
 
  private:
   int fd_;
   std::string buffer_;
+  /// Bytes at the front of buffer_ already searched for '\n'.
+  std::size_t scanned_ = 0;
   bool eof_ = false;
+  bool too_long_ = false;
 };
 
 }  // namespace pjsb::serve::net

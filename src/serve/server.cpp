@@ -6,6 +6,7 @@
 
 #include <csignal>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "serve/net.hpp"
@@ -32,17 +33,73 @@ void install_signal_handlers() {
   ::sigaction(SIGINT, &action, nullptr);
 }
 
+/// How long an over-long line's connection is drained before closing.
+constexpr int kLingerMs = 1000;
+
 }  // namespace
 
+/// One engine's terminated jobs by id. The engine thread records,
+/// session threads look up; a mutex guards the map.
+class Server::TerminatedJobs {
+ public:
+  /// `job`: a sim::SimJob or sim::CompletedJob.
+  template <typename Job>
+  void record(const Job& job, std::uint64_t epoch) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    entries_[job.id] = {job.submit, job.procs, job.start, job.end, epoch};
+  }
+
+  /// The terminated job as the tier of `epoch` reports it: the fields
+  /// WhatIfService::query_job gives a finished job. Nullopt when `id`
+  /// is unknown or still live in that tier.
+  std::optional<sim::WhatIfJobStatus> find(std::int64_t id,
+                                           std::uint64_t epoch) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(id);
+    if (it == entries_.end() || it->second.epoch > epoch) {
+      return std::nullopt;
+    }
+    sim::WhatIfJobStatus status;
+    status.id = id;
+    status.state = sim::JobStateName::kFinished;
+    status.submit = it->second.submit;
+    status.procs = it->second.procs;
+    status.start = it->second.start;
+    status.end = it->second.end;
+    return status;
+  }
+
+ private:
+  struct Entry {
+    std::int64_t submit = 0;
+    std::int64_t procs = 0;
+    std::int64_t start = -1;
+    std::int64_t end = -1;
+    /// First epoch whose tier no longer holds the job live.
+    std::uint64_t epoch = 0;
+  };
+  mutable std::mutex mutex_;
+  std::unordered_map<std::int64_t, Entry> entries_;
+};
+
 Server::Server(ServerConfig config, std::unique_ptr<sim::Engine> engine)
-    : config_(std::move(config)), engine_(std::move(engine)) {
-  if (!engine_) throw std::invalid_argument("Server: null engine");
-  if (engine_->needs_job_source()) {
+    : config_(std::move(config)) {
+  if (!engine) throw std::invalid_argument("Server: null engine");
+  if (engine->needs_job_source()) {
     throw std::invalid_argument(
         "Server: engine needs a resumed job source; the daemon serves "
         "self-contained states only");
   }
-  engine_->add_observer(recorder_);
+  // A termination reaches the index before the tier that lacks the job
+  // is published, stamped with that tier's epoch. Engine thread only.
+  terminated_feed_.job_complete = [this](const sim::CompletedJob& job) {
+    terminated_->record(job, epoch_ + 1);
+  };
+  terminated_feed_.job_drop = [this](std::int64_t, const sim::SimJob& job,
+                                     sim::DropReason) {
+    terminated_->record(job, epoch_ + 1);
+  };
+  attach_engine(std::move(engine));
 }
 
 Server::~Server() {
@@ -190,7 +247,8 @@ Response Server::shutdown() {
 Response Server::query(std::int64_t job_id) {
   const auto t = tier();
   if (!t) return error_response(kErrState, "not serving yet");
-  const auto status = t->service->query_job(job_id);
+  auto status = t->service->query_job(job_id);
+  if (!status) status = t->terminated->find(job_id, t->epoch);
   if (!status) return error_response(kErrNotFound, "unknown job id");
   Response r = ok_response()
                    .with("id", status->id)
@@ -234,6 +292,7 @@ Response Server::status() {
       .with("killed", t->killed)
       .with("dropped", t->dropped)
       .with("decisions", std::int64_t(t->decisions))
+      .with("tier_bytes", std::int64_t(t->service->bytes().size()))
       .with("sessions", active_sessions_.load())
       .with("draining", draining_.load() ? 1 : 0)
       .with("mode", config_.time_scale > 0 ? "wall" : "logical");
@@ -394,8 +453,7 @@ Response Server::apply_resume(const std::string& path) {
         "snapshot needs a resumed job source; the daemon serves "
         "self-contained states only");
   }
-  engine_ = std::move(restored);
-  engine_->add_observer(recorder_);
+  attach_engine(std::move(restored));
   horizon_ = engine_->now();
   sim_origin_ = engine_->now();
   wall_origin_ = Clock::now();
@@ -433,6 +491,18 @@ Response Server::apply_shutdown() {
   return ok_response().with("bye", 1);
 }
 
+void Server::attach_engine(std::unique_ptr<sim::Engine> engine) {
+  engine_ = std::move(engine);
+  terminated_ = std::make_shared<TerminatedJobs>();
+  engine_->for_each_job([this](const sim::SimJob& job) {
+    if (job.state == sim::JobState::kFinished) {
+      terminated_->record(job, epoch_ + 1);
+    }
+  });
+  engine_->add_observer(recorder_);
+  engine_->add_observer(terminated_feed_);
+}
+
 bool Server::advance() {
   if (drained_.load()) return false;
   std::int64_t target = horizon_;
@@ -456,7 +526,8 @@ bool Server::advance() {
 void Server::publish() {
   auto next = std::make_shared<Tier>();
   next->service =
-      std::make_shared<sim::WhatIfService>(engine_->snapshot());
+      std::make_shared<sim::WhatIfService>(engine_->live_snapshot());
+  next->terminated = terminated_;
   const auto stats = engine_->stats();
   next->time = engine_->now();
   next->queued = engine_->queued_jobs();
@@ -511,7 +582,16 @@ void Server::serve_connection(int fd, std::int64_t session_id) {
   net::LineReader reader(fd);
   while (!stopping_.load()) {
     const auto line = reader.read_line();
-    if (!line) break;
+    if (!line) {
+      if (reader.too_long()) {
+        // Refuse the line instead of buffering it, then hang up.
+        net::send_all(fd, serialize_response(error_response(
+                              kErrBadRequest, "line too long")) +
+                              "\n");
+        net::finish_and_drain(fd, kLingerMs);
+      }
+      break;
+    }
     const std::string response = session.handle_line(*line) + "\n";
     if (!net::send_all(fd, response)) break;
     if (session.closed()) break;

@@ -1,16 +1,17 @@
 // The scheduling daemon: one authoritative engine thread, many
 // sessions, a read-mostly what-if query tier.
 //
-// Architecture (ISSUE 9 / ROADMAP open item 3):
+// Architecture:
 //
 //   accept thread ──> connection threads ──> Session FSM
 //                           │ mutations                │ queries
 //                           v                          v
 //        bounded MPSC command queue          epoch-stamped query tier
-//                           │                (shared_ptr<WhatIfService>
-//                           v                 + status snapshot)
-//                  engine thread: apply commands, advance sim time,
-//                  republish the tier after every mutation epoch
+//                           │                (WhatIfService over a live
+//                           v                 snapshot + status counters
+//                  engine thread: apply        + terminated-job index)
+//                  commands, advance sim
+//                  time, republish the tier after every mutation epoch
 //
 // Mutating verbs (SUBMIT, KILL, SNAPSHOT, RESUME, DRAIN, SHUTDOWN)
 // become commands on a bounded MPSC queue consumed by the single
@@ -18,9 +19,25 @@
 // so a session that submits a trace's jobs in arrival order yields a
 // decision stream byte-identical to an offline sim::replay of that
 // trace. Read verbs (QUERY, WHATIF, STATUS) never touch the engine:
-// they run against the latest published epoch — an immutable snapshot
-// handed to a thread-safe WhatIfService — so a what-if barrage cannot
-// perturb the live schedule, and scales across connections.
+// they run against the latest published epoch — an immutable tier —
+// so a what-if barrage cannot perturb the live schedule, and scales
+// across connections.
+//
+// Each tier holds a thread-safe WhatIfService over
+// Engine::live_snapshot() (pending, queued and running jobs only), so a
+// publish costs O(live jobs), not O(every job ever submitted). QUERY
+// for an id the tier lacks falls back to a per-engine index of
+// terminated jobs ({submit, procs, start, end}), fed on the engine
+// thread by on_job_complete / on_job_drop and seeded from the
+// already-terminated jobs when an engine is attached (construction,
+// RESUME). Each entry carries the first epoch whose tier lacks the job,
+// so a QUERY against an older tier ignores it and every answer is exact
+// for its epoch; tiers published before a RESUME keep their own
+// engine's index. Mutation replies resolve only after the new tier is
+// published (read-your-writes).
+//
+// Protocol lines are capped at net::kMaxLineBytes: a longer one gets
+// `ERR bad-request line too long` and the connection is closed.
 //
 // Time: with time_scale == 0 (logical time, the default) the clock
 // only advances under submitted work — events up to (latest submit
@@ -33,7 +50,8 @@
 // Lifecycle: SIGTERM/SIGINT (with ServerConfig::handle_signals) or
 // SHUTDOWN drain-then-stop; decisions_path and snapshot_on_shutdown
 // are written on the way out, and a snapshot written there can seed a
-// new daemon (swf_tool serve --resume) or the RESUME verb.
+// new daemon (swf_tool serve --resume) or the RESUME verb. Both carry
+// the full engine state (Engine::snapshot()), not the live tier's.
 #pragma once
 
 #include <atomic>
@@ -52,6 +70,7 @@
 
 #include "serve/session.hpp"
 #include "sim/engine.hpp"
+#include "sim/observer.hpp"
 #include "sim/snapshot/whatif.hpp"
 #include "validate/decisions.hpp"
 
@@ -138,11 +157,17 @@ class Server final : public ServerCore {
     std::promise<Response> reply;
   };
 
-  /// One published epoch: an immutable service over the engine state
-  /// plus the status fields sessions report without engine access.
+  /// Terminated jobs of one engine, for QUERYs the live tier cannot
+  /// answer (defined in server.cpp).
+  class TerminatedJobs;
+
+  /// One published epoch: an immutable service over the engine's live
+  /// state, the index of the jobs it left out, plus the status fields
+  /// sessions report without engine access.
   struct Tier {
     std::uint64_t epoch = 0;
     std::shared_ptr<sim::WhatIfService> service;
+    std::shared_ptr<const TerminatedJobs> terminated;
     std::int64_t time = 0;
     std::size_t queued = 0;
     std::size_t running = 0;
@@ -163,10 +188,13 @@ class Server final : public ServerCore {
   Response apply_resume(const std::string& path);
   Response apply_drain();
   Response apply_shutdown();
+  /// Make `engine` the authoritative one: a fresh terminated-job index
+  /// seeded from its already-terminated jobs, and the observers.
+  void attach_engine(std::unique_ptr<sim::Engine> engine);
   /// Process due events (logical horizon or wall-mapped time). True
   /// when any event ran.
   bool advance();
-  /// Re-snapshot the engine into a fresh query tier.
+  /// Live-snapshot the engine into a fresh query tier.
   void publish();
   void write_decisions() const;
   std::shared_ptr<const Tier> tier() const;
@@ -177,6 +205,10 @@ class Server final : public ServerCore {
   ServerConfig config_;
   std::unique_ptr<sim::Engine> engine_;  ///< engine thread only
   validate::DecisionRecorder recorder_;  ///< attached to engine_
+  /// engine_'s terminated jobs (shared with the tiers cut from it) and
+  /// the observer that feeds it. Engine thread only.
+  std::shared_ptr<TerminatedJobs> terminated_;
+  sim::FunctionObserver terminated_feed_;
   /// Logical-time horizon: events up to this time may run (latest
   /// submit - 1, or +inf once drained). Engine thread only.
   std::int64_t horizon_ = 0;

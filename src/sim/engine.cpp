@@ -755,15 +755,15 @@ void Engine::handle_reservation_start(std::int64_t res_id) {
   const auto it = reservations_.find(res_id);
   if (it == reservations_.end()) return;
   const auto& res = it->second;
-  if (res.job_id) {
-    auto& j = slot_at(*res.job_id).job;
-    if (j.state == JobState::kQueued) {
-      // The scheduler blocked this window, so the allocation succeeds
-      // unless an outage shrank the machine; in that case the job stays
-      // queued and the scheduler starts it when capacity returns.
-      annotate_start(StartProvenance::kReservation, res.start);
-      start_job(*res.job_id);
-    }
+  // The attached job may have terminated (and, in recycle_slots mode,
+  // lost its slot) before its window opened.
+  const JobSlot* slot = res.job_id ? find_slot(*res.job_id) : nullptr;
+  if (slot && slot->job.state == JobState::kQueued) {
+    // The scheduler blocked this window, so the allocation succeeds
+    // unless an outage shrank the machine; in that case the job stays
+    // queued and the scheduler starts it when capacity returns.
+    annotate_start(StartProvenance::kReservation, res.start);
+    start_job(*res.job_id);
   }
   scheduler_dirty_ = true;
 }

@@ -140,6 +140,18 @@ class Engine final : public sched::SchedulerContext {
   /// submitted (or its slot was recycled in recycle_slots mode).
   const SimJob* find_job(std::int64_t id) const;
 
+  /// Call `visit(const SimJob&)` on every job the engine holds, in no
+  /// particular order: pending, queued and running jobs, plus
+  /// terminated ones whose slots were not recycled. Legal between
+  /// steps; `visit` must not submit or cancel jobs.
+  template <typename Visit>
+  void for_each_job(Visit&& visit) const {
+    for (const JobSlot& slot : jobs_dense_) {
+      if (slot.job.id != 0) visit(slot.job);
+    }
+    for (const auto& entry : jobs_overflow_) visit(entry.second.job);
+  }
+
   /// Cancel a job at now(), on explicit external request (the daemon's
   /// KILL verb). A queued job is dropped (DropReason::kCancelled); a
   /// running job is killed (KillReason::kPreempt) and force-dropped
@@ -202,6 +214,18 @@ class Engine final : public sched::SchedulerContext {
   /// listener, completion callback) are not serialized; re-attach them
   /// after restore().
   std::string snapshot() const;
+
+  /// snapshot() of only what the rest of the run depends on: the state
+  /// as a `retain_completed=0 recycle_slots=1` engine would hold it —
+  /// that config echo, an empty dense vector, every non-terminated job
+  /// in the overflow section (sorted by id), no terminated jobs and no
+  /// completed archive. restore() of it is an O(live jobs) clone that
+  /// decides, answers what-if queries and keeps stats() exactly like
+  /// the donor, but whose find_job() no longer sees terminated jobs.
+  /// Throws std::logic_error while a job source is attached or awaiting
+  /// resume: a record pulled later may name a terminated predecessor or
+  /// reuse a terminated id, which only the full state answers.
+  std::string live_snapshot() const;
 
   /// Reconstruct an engine from snapshot() bytes: the scheduler is
   /// rebuilt from its registry spec (name()), then every state section
@@ -337,6 +361,8 @@ class Engine final : public sched::SchedulerContext {
   /// carries none of its own.
   void apply_recovery_defaults(SimJob& j) const;
   void account_capacity_to(std::int64_t t);
+  /// snapshot() (live == false) and live_snapshot() (live == true).
+  std::string write_snapshot(bool live) const;
   /// Restore every state section from a positioned snapshot reader
   /// (the header was already consumed by restore()).
   void load_snapshot(snapshot::Reader& r);

@@ -149,10 +149,28 @@ void read_header(Reader& r) {
 
 }  // namespace
 
-std::string Engine::snapshot() const {
+std::string Engine::snapshot() const { return write_snapshot(false); }
+
+std::string Engine::live_snapshot() const {
+  if (source_ != nullptr || source_pending_resume_) {
+    throw std::logic_error(
+        "live_snapshot: a job source is attached; only the full "
+        "snapshot() carries what later records may refer to");
+  }
+  return write_snapshot(true);
+}
+
+std::string Engine::write_snapshot(bool live) const {
   Writer w;
   write_header(w);
-  write_config(w, config_);
+  // A live snapshot is the state of a recycle_slots engine: restoring
+  // it keeps the clone O(live jobs) from here on too.
+  EngineConfig config = config_;
+  if (live) {
+    config.retain_completed = false;
+    config.recycle_slots = true;
+  }
+  write_config(w, config);
   w.str(scheduler_->name());
 
   // Scalars.
@@ -199,7 +217,11 @@ std::string Engine::snapshot() const {
 
   // Dense job storage: the vector's size (growth history feeds the
   // dense-vs-overflow placement rule) plus only the occupied slots.
-  {
+  // Live: empty, as recycle_slots mode keeps every job in the map.
+  if (live) {
+    w.u64(0);
+    w.u64(0);
+  } else {
     w.u64(jobs_dense_.size());
     std::uint64_t occupied = 0;
     for (const JobSlot& slot : jobs_dense_) {
@@ -213,16 +235,30 @@ std::string Engine::snapshot() const {
     }
   }
 
-  // Overflow map, sorted by id (hash order is not deterministic).
+  // Overflow map, sorted by id (hash order is not deterministic). Live:
+  // every non-terminated slot, dense ones included.
   {
-    std::vector<std::int64_t> ids;
-    ids.reserve(jobs_overflow_.size());
-    for (const auto& [id, slot] : jobs_overflow_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (std::int64_t id : ids) {
+    const auto wanted = [live](const JobSlot& slot) {
+      return !live || slot.job.state != JobState::kFinished;
+    };
+    std::vector<std::pair<std::int64_t, const JobSlot*>> slots;
+    if (live) {
+      for (std::size_t i = 0; i < jobs_dense_.size(); ++i) {
+        const JobSlot& slot = jobs_dense_[i];
+        if (slot.job.id != 0 && wanted(slot)) {
+          slots.emplace_back(std::int64_t(i), &slot);
+        }
+      }
+    }
+    for (const auto& [id, slot] : jobs_overflow_) {
+      if (wanted(slot)) slots.emplace_back(id, &slot);
+    }
+    std::sort(slots.begin(), slots.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    w.u64(slots.size());
+    for (const auto& [id, slot] : slots) {
       w.i64(id);
-      write_slot(jobs_overflow_.at(id));
+      write_slot(*slot);
     }
   }
 
@@ -268,9 +304,11 @@ std::string Engine::snapshot() const {
     if (res.job_id) w.i64(*res.job_id);
   }
 
-  // Completed-job archive.
-  w.u64(completed_.size());
-  for (const auto& c : completed_) {
+  // Completed-job archive (live: empty, as under retain_completed=0).
+  const std::vector<CompletedJob> none;
+  const std::vector<CompletedJob>& archive = live ? none : completed_;
+  w.u64(archive.size());
+  for (const auto& c : archive) {
     w.i64(c.id);
     w.i64(c.submit);
     w.i64(c.start);

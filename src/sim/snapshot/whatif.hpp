@@ -86,7 +86,9 @@ struct WhatIfJobStatus {
 
 class WhatIfService {
  public:
-  /// Take ownership of snapshot bytes (Engine::snapshot() output).
+  /// Take ownership of snapshot bytes (Engine::snapshot() or
+  /// live_snapshot() output; both answer every query alike, except
+  /// that query_job knows no terminated jobs in a live snapshot).
   /// Restores one warm clone eagerly so a bad snapshot fails here, not
   /// on the first query. Throws std::invalid_argument if the snapshot
   /// needs a resumed job source — a what-if clone cannot re-attach one,

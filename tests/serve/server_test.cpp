@@ -7,8 +7,12 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -19,9 +23,11 @@
 #include "core/swf/reader.hpp"
 #include "sched/registry.hpp"
 #include "serve/client.hpp"
+#include "serve/net.hpp"
 #include "sim/job.hpp"
 #include "sim/replay.hpp"
 #include "sim/snapshot/snapshot.hpp"
+#include "sim/snapshot/whatif.hpp"
 #include "sim/spec.hpp"
 
 namespace pjsb::serve {
@@ -59,6 +65,70 @@ Response submit_record(Client& client, const swf::JobRecord& record) {
   const auto job = sim::SimJob::from_record(record);
   return client.submit(job.procs, job.estimate, job.submit, job.runtime,
                        job.id, job.user_id);
+}
+
+/// The job the daemon admits for what submit_record sends (the field
+/// mapping of Server::apply_submit).
+sim::SimJob daemon_job(const swf::JobRecord& record) {
+  const auto from = sim::SimJob::from_record(record);
+  sim::SimJob job;
+  job.id = from.id;
+  job.submit = from.submit;
+  job.estimate = from.estimate;
+  job.runtime = from.runtime;
+  job.walltime = from.estimate;
+  job.procs = from.procs;
+  job.user_id = from.user_id;
+  return job;
+}
+
+/// An engine fed the daemon's requests and held at the daemon's
+/// logical horizon (latest submit - 1), so its full snapshot is the
+/// state every reply was published from.
+struct Twin {
+  std::unique_ptr<sim::Engine> engine;
+  std::int64_t horizon = 0;
+
+  void submit(const swf::JobRecord& record) {
+    const auto job = daemon_job(record);
+    engine->submit_job(job);
+    horizon = std::max(horizon, job.submit - 1);
+    engine->run_until(horizon);
+  }
+  bool kill(std::int64_t id) {
+    const bool cancelled = engine->cancel_job(id);
+    engine->run_until(horizon);
+    return cancelled;
+  }
+};
+
+/// QUERY `id` on the daemon must equal, field for field (the epoch
+/// aside), what a full-snapshot service over the same state answers.
+void expect_query_matches(Client& client, sim::WhatIfService& full,
+                          std::int64_t id) {
+  const auto answer = client.query(id);
+  const auto expected = full.query_job(id);
+  if (!expected) {
+    EXPECT_FALSE(answer.ok) << "job " << id;
+    EXPECT_EQ(answer.code, kErrNotFound) << "job " << id;
+    return;
+  }
+  ASSERT_TRUE(answer.ok) << "job " << id << ": " << answer.message;
+  Response want = ok_response();
+  want.with("id", expected->id)
+      .with("state", sim::to_string(expected->state))
+      .with("submit", expected->submit)
+      .with("procs", expected->procs);
+  if (expected->start) want.with("start", *expected->start);
+  if (expected->end) want.with("end", *expected->end);
+  if (expected->predicted_start) {
+    want.with("predicted_start", *expected->predicted_start);
+  }
+  auto got = answer.fields;
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.back().first, "epoch");
+  got.pop_back();
+  EXPECT_EQ(got, want.fields) << "job " << id;
 }
 
 TEST(ServeServer, LiveReplayMatchesCommittedGolden) {
@@ -226,6 +296,124 @@ TEST(ServeServer, SnapshotAndResumeVerbs) {
   const auto status = client.status();
   ASSERT_TRUE(status.ok);
   EXPECT_EQ(status.field_i64("time"), frozen_time);
+
+  // Jobs that finished before the snapshot answer from the resumed
+  // engine's terminated-job index, live ones from the tier; both as
+  // the full snapshot would.
+  sim::WhatIfService full(sim::snapshot::read_file(snap_path));
+  bool saw_finished = false;
+  bool saw_live = false;
+  for (std::int64_t id = 1; id <= 10; ++id) {
+    const sim::SimJob* job = restored->find_job(id);
+    ASSERT_NE(job, nullptr) << "job " << id;
+    const bool finished = job->state == sim::JobState::kFinished;
+    (finished ? saw_finished : saw_live) = true;
+    expect_query_matches(client, full, id);
+    if (finished) {
+      const auto answer = client.query(id);
+      EXPECT_EQ(answer.field("state"), "finished");
+      EXPECT_EQ(answer.field_i64("start"), job->start);
+      EXPECT_EQ(answer.field_i64("end"), job->end);
+    }
+  }
+  EXPECT_TRUE(saw_finished);
+  EXPECT_TRUE(saw_live);
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
+TEST(ServeServer, QueryMatchesAFullSnapshotTwinThroughKills) {
+  // The tier holds live jobs only; terminated ones answer from the
+  // index. Every QUERY, for every id at several points of a live
+  // replay with KILLs mixed in, must read exactly like a full-snapshot
+  // service over the same state: state, times, predicted_start and
+  // not-found.
+  Server server(ServerConfig{}, make_engine("conservative", 32));
+  server.start();
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  Twin twin{make_engine("conservative", 32)};
+
+  const auto trace = contention();
+  std::vector<std::int64_t> ids;
+  const auto query_everything = [&] {
+    sim::WhatIfService full(twin.engine->snapshot());
+    for (const std::int64_t id : ids) {
+      expect_query_matches(client, full, id);
+    }
+    expect_query_matches(client, full, 424242);
+  };
+  std::int64_t kills = 0;
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    const auto response = submit_record(client, trace.records[i]);
+    ASSERT_TRUE(response.ok) << response.message;
+    twin.submit(trace.records[i]);
+    ids.push_back(*response.field_i64("id"));
+    if (i % 7 == 6) {
+      // Cancel an earlier job; refusals (pending, terminated) match too.
+      const std::int64_t victim = ids[i - 3];
+      const bool cancelled = twin.kill(victim);
+      const auto killed = client.kill(victim);
+      EXPECT_EQ(killed.ok, cancelled) << "job " << victim;
+      kills += cancelled ? 1 : 0;
+    }
+    if (i % 10 == 9) query_everything();
+  }
+  EXPECT_GT(kills, 0);
+  ASSERT_TRUE(client.drain().ok);
+  twin.engine->run();
+  query_everything();
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
+TEST(ServeServer, StatusReportsTheLiveTierSize) {
+  Server server(ServerConfig{}, make_engine("conservative", 32));
+  server.start();
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  Twin twin{make_engine("conservative", 32)};
+  for (const auto& record : contention().records) {
+    ASSERT_TRUE(submit_record(client, record).ok);
+    twin.submit(record);
+  }
+  const auto status = client.status();
+  ASSERT_TRUE(status.ok);
+  const auto tier_bytes = status.field_i64("tier_bytes");
+  ASSERT_TRUE(tier_bytes.has_value());
+  EXPECT_EQ(*tier_bytes, std::int64_t(twin.engine->live_snapshot().size()));
+  EXPECT_LT(*tier_bytes, std::int64_t(twin.engine->snapshot().size()));
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
+TEST(ServeServer, OverlongLineIsRefusedAndTheConnectionClosed) {
+  Server server(ServerConfig{}, make_engine("fcfs", 8));
+  server.start();
+  {
+    // 1 MiB and no newline: the daemon answers after kMaxLineBytes
+    // instead of buffering the rest, then hangs up.
+    std::string error;
+    const int fd = net::connect_tcp(server.port(), &error);
+    ASSERT_GE(fd, 0) << error;
+    // A daemon that buffers instead of refusing would never answer:
+    // time out rather than hang.
+    const timeval limit{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &limit, sizeof(limit));
+    ASSERT_TRUE(net::send_all(fd, std::string(std::size_t(1) << 20, 'x')));
+    net::LineReader reader(fd);
+    const auto reply = reader.read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, "ERR bad-request line too long");
+    EXPECT_FALSE(reader.read_line().has_value());
+    EXPECT_FALSE(reader.too_long());
+    net::close_fd(fd);
+  }
+  // The daemon keeps serving other sessions.
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  EXPECT_TRUE(client.status().ok);
   ASSERT_TRUE(client.shutdown().ok);
   server.wait();
 }
@@ -268,10 +456,12 @@ TEST(ServeServer, ConcurrentQuerySessionsDoNotPerturbTheSchedule) {
   Server server(config, make_engine("conservative", 32));
   server.start();
 
+  constexpr int kReaders = 4;
   std::atomic<bool> done{false};
   std::atomic<std::int64_t> answered{0};
+  std::atomic<int> reading{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       auto reader = Client::connect_tcp(server.port());
       reader.handshake();
@@ -281,11 +471,21 @@ TEST(ServeServer, ConcurrentQuerySessionsDoNotPerturbTheSchedule) {
             reader.whatif(1 + (t * 5 + q) % 16, 60 * (1 + q % 16));
         ASSERT_TRUE(answer.ok) << answer.message;
         ASSERT_TRUE(reader.status().ok);
+        if (q == 0) ++reading;
         ++q;
         ++answered;
       }
     });
   }
+  // The whole replay takes a few milliseconds: start it only once every
+  // reader is answering, so the queries really overlap the submissions.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (reading.load() < kReaders &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(reading.load(), kReaders);
 
   auto writer = Client::connect_tcp(server.port());
   writer.handshake();

@@ -17,6 +17,7 @@
 #include "sim/replay.hpp"
 #include "sim/snapshot/codec.hpp"
 #include "sim/snapshot/snapshot.hpp"
+#include "sim/snapshot/whatif.hpp"
 #include "validate/decisions.hpp"
 #include "validate/fuzzer.hpp"
 
@@ -117,6 +118,128 @@ TEST(Snapshot, ResumeIsByteIdenticalForEveryRegistrySpec) {
       }
     }
   }
+}
+
+/// Decisions and final accounting of a clone restored from `bytes` and
+/// run dry.
+std::string remaining_run(const std::string& bytes) {
+  auto clone = Engine::restore(bytes);
+  validate::DecisionRecorder recorder;
+  clone->add_observer(recorder);
+  clone->run();
+  const auto s = clone->stats();
+  return validate::decisions_to_csv(recorder.decisions()) + "completed=" +
+         std::to_string(s.jobs_completed) +
+         " killed=" + std::to_string(s.jobs_killed) +
+         " dropped=" + std::to_string(s.jobs_dropped) +
+         " makespan=" + std::to_string(s.makespan) +
+         " work=" + std::to_string(s.work_node_seconds) +
+         " wasted=" + std::to_string(s.wasted_node_seconds) +
+         " capacity=" + std::to_string(s.capacity_node_seconds);
+}
+
+TEST(Snapshot, LiveSnapshotDecidesAndAnswersLikeTheFullOne) {
+  // live_snapshot() leaves the terminated jobs out. Whatever the rest
+  // of the run and a what-if query depend on must survive that: for
+  // every spec, plain and crashy, cut at three points of three
+  // workloads, the live and full clones decide and answer alike, and
+  // the live bytes are canonical.
+  const auto specs =
+      validate::enumerate_scheduler_specs(sched::Registry::global());
+  ASSERT_FALSE(specs.empty());
+  std::size_t comparisons = 0;
+  std::size_t answered = 0;
+  for (const std::uint64_t seed : {kSeed, kSeed + 10, kSeed + 20}) {
+    const auto trace = validate::fuzz_workload(seed, kJobs, kNodes);
+    for (const auto& spec_str : specs) {
+      for (const bool faults : {false, true}) {
+        auto spec = SimulationSpec{}.with_scheduler(spec_str);
+        if (faults) spec = crashy(spec);
+        for (const double fraction : {0.25, 0.5, 0.75}) {
+          const auto cut = std::int64_t(double(trace.horizon()) * fraction);
+          const std::string where = spec_str + (faults ? " +faults" : "") +
+                                    " seed " + std::to_string(seed) +
+                                    " t=" + std::to_string(cut);
+          auto donor = make_engine(trace, spec);
+          donor->load_trace(trace);
+          donor->run_until(cut);
+          const std::string full = donor->snapshot();
+          const std::string live = donor->live_snapshot();
+
+          EXPECT_EQ(Engine::restore(live)->snapshot(), live) << where;
+          EXPECT_LE(live.size(), full.size()) << where;
+          EXPECT_EQ(remaining_run(live), remaining_run(full)) << where;
+          // The clone stays O(live jobs): run dry as the recycle_slots
+          // engine its config echo makes it, it keeps no terminated job.
+          auto clone = Engine::restore(live);
+          clone->run();
+          EXPECT_EQ(clone->snapshot(), clone->live_snapshot()) << where;
+          comparisons += 3;
+
+          WhatIfService live_service(live);
+          WhatIfService full_service(full);
+          for (const std::int64_t procs : {1, 5, 17, 32}) {
+            for (const std::int64_t estimate : {60, 3600, 50000}) {
+              for (const std::int64_t offset : {0, 1800}) {
+                for (const bool simulate : {false, true}) {
+                  WhatIfQuery q;
+                  q.procs = procs;
+                  q.estimate = estimate;
+                  q.submit_offset = offset;
+                  q.simulate = simulate;
+                  const auto a = live_service.query(q);
+                  const auto b = full_service.query(q);
+                  EXPECT_EQ(a.start, b.start) << where << " " << procs << "x"
+                                              << estimate << "+" << offset;
+                  EXPECT_EQ(a.wait, b.wait) << where;
+                  EXPECT_EQ(a.simulated, b.simulated) << where;
+                  ++comparisons;
+                  if (b.start) ++answered;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  RecordProperty("comparisons", int(comparisons));
+  EXPECT_GT(answered, comparisons / 2) << "the grid answered too little";
+}
+
+TEST(Snapshot, LiveSnapshotSkipsAReservationWhoseJobTerminated) {
+  // The reservation's job finished before its window opened. The live
+  // clone no longer holds the job and must skip it, as the full one does.
+  Engine engine(spec_engine_config(SimulationSpec{}.with_scheduler("easy"),
+                                   8),
+                sched::make_scheduler("easy"));
+  SimJob job;
+  job.runtime = job.estimate = job.walltime = 100;
+  job.procs = 2;
+  const std::int64_t id = engine.submit_job(job);
+  sched::AdvanceReservation reservation;
+  reservation.start = 1000;
+  reservation.duration = 100;
+  reservation.procs = 2;
+  reservation.job_id = id;
+  ASSERT_TRUE(engine.request_reservation(reservation));
+  engine.run_until(500);
+  ASSERT_EQ(engine.find_job(id)->state, JobState::kFinished);
+  EXPECT_EQ(remaining_run(engine.live_snapshot()),
+            remaining_run(engine.snapshot()));
+}
+
+TEST(Snapshot, LiveSnapshotRefusesAnAttachedSource) {
+  const auto trace = validate::fuzz_workload(kSeed + 4, 40, kNodes);
+  swf::TraceSource source(trace);
+  Engine engine(spec_engine_config(SimulationSpec{}.with_scheduler("easy"),
+                                   kNodes),
+                sched::make_scheduler("easy"));
+  JobSourceOptions options;
+  options.lookahead = 8;
+  engine.set_job_source(source, options);
+  engine.step();
+  EXPECT_THROW((void)engine.live_snapshot(), std::logic_error);
 }
 
 TEST(Snapshot, RoundTripsThroughTheFileCodec) {
