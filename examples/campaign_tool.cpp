@@ -41,8 +41,8 @@ scheduler = sjf
 scheduler = easy
 scheduler = easy reserve_depth=4
 scheduler = conservative
-config = open
-config = closed
+config = label=open
+config = closed_loop=1 label=closed
 replications = 2
 seed = 42
 nodes = 128

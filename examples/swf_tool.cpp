@@ -69,6 +69,7 @@
 // with its physical line number and the tool exits nonzero, so a broken
 // archive file cannot silently shrink an experiment's workload.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -163,6 +164,14 @@ swf::Trace load_or_die(const std::string& path,
 }
 
 using util::peak_rss_mb;
+
+/// A finite number, or nullopt: atof would read "0.7xyz" as 0.7 and
+/// "abc" as 0, and from_chars alone accepts "nan" and "inf".
+std::optional<double> parse_finite(const std::string& text) {
+  const auto value = util::parse_f64(text);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
 
 int cmd_validate(const std::string& path) {
   const auto trace = load_or_die(path);
@@ -615,12 +624,13 @@ int cmd_serve(const std::string& spec_text, int argc, char** argv,
     } else if (flag == "--token") {
       config.auth_token = value;
     } else if (flag == "--time-scale") {
-      config.time_scale = std::atof(value.c_str());
-      if (config.time_scale < 0) {
-        std::cerr << "serve: --time-scale must be >= 0 "
+      const auto scale = parse_finite(value);
+      if (!scale || *scale < 0) {
+        std::cerr << "serve: --time-scale must be a number >= 0 "
                      "(0 = logical time)\n";
         return 2;
       }
+      config.time_scale = *scale;
     } else if (flag == "--decisions") {
       config.decisions_path = value;
     } else if (flag == "--snapshot-on-shutdown") {
@@ -716,12 +726,24 @@ int main(int argc, char** argv) {
         std::cerr << cmd << ": jobs and nodes must be positive integers\n";
         return 2;
       }
-      if (cmd == "generate") {
-        return cmd_generate(argv[2], std::size_t(*jobs), *nodes,
-                            std::atof(argv[5]), argv[6]);
+      // A load must be positive; an interarrival of 0 keeps the model's
+      // default.
+      const bool rate_is_load = cmd == "generate";
+      const auto rate = parse_finite(argv[5]);
+      if (!rate || *rate < 0 || (rate_is_load && *rate == 0)) {
+        std::cerr << cmd
+                  << (rate_is_load
+                          ? ": load must be a positive number\n"
+                          : ": interarrival must be a number >= 0 (0 keeps "
+                            "the model default)\n");
+        return 2;
+      }
+      if (rate_is_load) {
+        return cmd_generate(argv[2], std::size_t(*jobs), *nodes, *rate,
+                            argv[6]);
       }
       return cmd_generate_stream(argv[2], std::uint64_t(*jobs), *nodes,
-                                 std::atof(argv[5]), argv[6]);
+                                 *rate, argv[6]);
     }
     if (cmd == "stream-simulate" && argc >= 4) {
       auto base = sim::SimulationSpec{}.with_scheduler(argv[3])

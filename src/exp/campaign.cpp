@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 
 #include "sched/registry.hpp"
 #include "util/keyval.hpp"
@@ -12,6 +11,30 @@
 #include "util/string_util.hpp"
 
 namespace pjsb::exp {
+
+namespace {
+
+/// Where a SimulationSpec key the campaign sets per cell belongs; a
+/// config that set it would be silently overwritten, so it is rejected.
+std::optional<std::string> owned_key_home(const std::string& key) {
+  if (key == "scheduler" || key == "nodes") {
+    return "comes from the campaign's `" + key + " =` lines";
+  }
+  if (key == "lookahead" || key == "threads") {
+    return "belongs on workload lines";
+  }
+  if (key == "max_jobs") return "belongs on workload lines (jobs=)";
+  if (key == "retain_completed" || key == "recycle_slots") {
+    return "is set by the runner";
+  }
+  if (key == "trace" || key == "timeseries" || key == "sample_every" ||
+      key == "profile") {
+    return "comes from `telemetry = <dir>`";
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::size_t CampaignSpec::cell_count() const {
   return workloads.size() * schedulers.size() * configs.size() *
@@ -31,10 +54,10 @@ void CampaignSpec::validate() const {
   if (replications < 1) {
     throw std::invalid_argument("campaign: replications must be >= 1");
   }
-  if (nodes < 0 || nodes > kMaxNodes) {
+  if (nodes < 0 || nodes > sim::kMaxSpecNodes) {
     throw std::invalid_argument(
-        "campaign: nodes must be in [1, " + std::to_string(kMaxNodes) +
-        "], or 0 (auto)");
+        "campaign: nodes must be in [1, " +
+        std::to_string(sim::kMaxSpecNodes) + "], or 0 (auto)");
   }
   for (const auto& w : workloads) {
     if (w.label.empty()) {
@@ -85,19 +108,12 @@ void CampaignSpec::validate() const {
                                     "' lookahead must be >= 1");
       }
       for (const auto& c : configs) {
-        if (c.outages) {
+        if (c.outages || c.sim.faults != 0) {
           throw std::invalid_argument(
-              "campaign: workload '" + w.label +
-              "' streams but config '" + c.label +
-              "' injects outages — generating a failure stream needs the "
-              "trace horizon up front");
-        }
-        if (c.faults) {
-          throw std::invalid_argument(
-              "campaign: workload '" + w.label +
-              "' streams but config '" + c.label +
-              "' injects faults — generating a crash schedule needs the "
-              "trace horizon up front");
+              "campaign: workload '" + w.label + "' streams but config '" +
+              c.label + "' injects " + (c.outages ? "outages" : "faults") +
+              " — generating an outage or crash stream needs the trace "
+              "horizon up front");
         }
       }
     }
@@ -111,32 +127,31 @@ void CampaignSpec::validate() const {
                                   "' must not contain commas, quotes or "
                                   "newlines");
     }
-    const ConfigSpec defaults;
-    if (!c.faults && (c.mtbf != defaults.mtbf || c.repair != defaults.repair)) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' tunes mtbf/repair without +faults");
+    const std::string where = "campaign: config '" + c.label + "' ";
+    // A campaign-owned key the config set shows up in its to_string()
+    // (which always names the scheduler, set or not).
+    for (const auto& option :
+         util::parse_spec(c.sim.to_string(), /*allow_head=*/false).options) {
+      if (option.key == "scheduler" &&
+          c.sim.scheduler == sim::SimulationSpec{}.scheduler) {
+        continue;
+      }
+      if (const auto home = owned_key_home(option.key)) {
+        throw std::invalid_argument(where + "sets " + option.key +
+                                    "=, which " + *home);
+      }
     }
-    if (c.mtbf < 1 || c.repair < 1) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' needs mtbf/repair >= 1");
+    if (c.sim.faults > 1) {
+      throw std::invalid_argument(
+          where + "sets faults=" + std::to_string(c.sim.faults) +
+          "; a config's faults= is 0 or 1, because every cell derives its "
+          "own crash seed from the cell seed so that all schedulers face "
+          "the same crashes");
     }
-    if (c.checkpoint < 0 || c.dump < 0 || c.read < 0) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' has a negative checkpoint field");
-    }
-    if (c.checkpoint == 0 && (c.dump != 0 || c.read != 0)) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' sets dump/read without a checkpoint "
-                                  "interval");
-    }
-    if (c.retry_limit < 0 || c.backoff < 0 || c.grace < 0) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' has a negative retry/backoff/grace");
-    }
-    if ((c.overrun == sim::fault::OverrunPolicy::kGrace) != (c.grace > 0)) {
-      throw std::invalid_argument("campaign: config '" + c.label +
-                                  "' pairs grace seconds and overrun:grace "
-                                  "inconsistently");
+    try {
+      c.sim.validate();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(where + e.what());
     }
   }
   // Axis entries are identified by label/name in every report table;
@@ -159,30 +174,24 @@ void CampaignSpec::validate() const {
     }
   }
   seen.clear();
-  using ConfigKey =
-      std::tuple<bool, bool, bool, bool, bool, std::int64_t, std::int64_t,
-                 std::int64_t, std::int64_t, std::int64_t, int, std::int64_t,
-                 int, std::int64_t>;
-  std::set<ConfigKey> seen_flags;
+  std::set<std::string> seen_settings;
   for (const auto& c : configs) {
     if (!seen.insert(c.label).second) {
       throw std::invalid_argument("campaign: duplicate config label '" +
                                   c.label + "'");
     }
-    // Dedup on semantics too: "closed+outages" and "outages+closed"
-    // are the same engine configuration under different labels, "blind"
-    // changes nothing without an outage stream to announce, and the
-    // fault distributions only act when +faults is on.
-    if (!seen_flags
-             .insert({c.closed_loop, c.outages,
-                      c.outages ? c.deliver_announcements : true, c.validate,
-                      c.faults, c.faults ? c.mtbf : 0,
-                      c.faults ? c.repair : 0, c.checkpoint, c.dump, c.read,
-                      c.retry_limit, c.backoff, int(c.overrun), c.grace})
+    // Dedup on semantics too: the same settings under two labels would
+    // be one engine configuration counted twice, and announce= changes
+    // nothing without an outage stream to announce.
+    sim::SimulationSpec settings = c.sim;
+    if (!c.outages) settings.deliver_announcements = true;
+    if (!seen_settings
+             .insert(settings.to_string() + (c.outages ? " outages=1" : "") +
+                     (c.validate ? " validate=1" : ""))
              .second) {
       throw std::invalid_argument(
           "campaign: config '" + c.label +
-          "' has the same flags as an earlier config");
+          "' has the same settings as an earlier config");
     }
   }
 }
@@ -304,76 +313,46 @@ WorkloadSpec parse_workload(std::string_view value, std::size_t line) {
   return w;
 }
 
-ConfigSpec parse_config(std::string_view value, std::size_t line) {
+/// Read a `config =` line: the campaign keys here, every other key
+/// handed to SimulationSpec::parse (its keys, its validator). Throws
+/// std::invalid_argument; the caller adds the line number.
+ConfigSpec parse_config(std::string_view value) {
   ConfigSpec c;
-  c.label = std::string(util::trim(value));
-  if (c.label.empty()) fail(line, "empty config");
-  std::optional<bool> loop;  // set by open/closed; contradiction is an error
-  // Valued tokens (`mtbf:86400`) parse through one helper so every
-  // fault/recovery knob shares the same error shape.
-  const auto valued = [&](const std::string& f, const char* name,
-                          std::int64_t min) -> std::optional<std::int64_t> {
-    const std::string prefix = std::string(name) + ":";
-    if (!util::starts_with(f, prefix)) return std::nullopt;
-    const auto n = util::parse_i64(f.substr(prefix.size()));
-    if (!n || *n < min) {
-      fail(line, std::string(name) + ": needs an integer >= " +
-                     std::to_string(min));
-    }
-    return *n;
-  };
-  for (const auto flag : util::split(c.label, '+')) {
-    const std::string f = util::to_lower(util::trim(flag));
-    if (f == "open" || f == "closed") {
-      const bool closed = (f == "closed");
-      if (loop && *loop != closed) {
-        fail(line, "config '" + c.label + "' is both open and closed");
+  c.label = std::string(value);
+  if (c.label.empty()) throw std::invalid_argument("empty config");
+  util::SpecTokens tokens;
+  try {
+    tokens = util::parse_spec(value, /*allow_head=*/false);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(
+        std::string(e.what()) +
+        "; config lines take key=value settings, e.g. `config = "
+        "closed_loop=1 outages=1 announce=0 label=closed`");
+  }
+  std::string sim_text;
+  std::set<std::string> seen;
+  for (const auto& [key, val] : tokens.options) {
+    if (key == "label" || key == "outages" || key == "validate") {
+      if (!seen.insert(key).second) {
+        throw std::invalid_argument(key + " set twice");
       }
-      loop = closed;
-      c.closed_loop = closed;
-    } else if (f == "outages") {
-      c.outages = true;
-    } else if (f == "blind") {
-      c.deliver_announcements = false;
-    } else if (f == "validate") {
-      c.validate = true;
-    } else if (f == "faults") {
-      c.faults = true;
-    } else if (const auto v = valued(f, "mtbf", 1)) {
-      c.mtbf = *v;
-    } else if (const auto v = valued(f, "repair", 1)) {
-      c.repair = *v;
-    } else if (const auto v = valued(f, "checkpoint", 1)) {
-      c.checkpoint = *v;
-    } else if (const auto v = valued(f, "dump", 0)) {
-      c.dump = *v;
-    } else if (const auto v = valued(f, "read", 0)) {
-      c.read = *v;
-    } else if (const auto v = valued(f, "retry", 1)) {
-      c.retry_limit = int(std::min<std::int64_t>(
-          *v, std::numeric_limits<int>::max()));
-    } else if (const auto v = valued(f, "backoff", 1)) {
-      c.backoff = *v;
-    } else if (const auto v = valued(f, "grace", 1)) {
-      c.grace = *v;
-      c.overrun = sim::fault::OverrunPolicy::kGrace;
-    } else if (util::starts_with(f, "overrun:")) {
-      const auto policy =
-          sim::fault::overrun_policy_from_name(f.substr(8));
-      if (!policy) {
-        fail(line, "overrun: must be extend, kill or grace");
+      if (key == "label") {
+        c.label = val;
+        continue;
       }
-      c.overrun = *policy;
+      const auto on = util::parse_bool(val);
+      if (!on) {
+        throw std::invalid_argument(key + " must be 0/1, true/false or "
+                                          "yes/no");
+      }
+      (key == "outages" ? c.outages : c.validate) = *on;
+    } else if (const auto home = owned_key_home(key)) {
+      throw std::invalid_argument(key + "= " + *home);
     } else {
-      fail(line, "unknown config flag '" + f +
-                     "' (valid: open, closed, outages, blind, validate, "
-                     "faults, mtbf:N, repair:N, checkpoint:N, dump:N, "
-                     "read:N, retry:N, backoff:N, overrun:P, grace:N)");
+      sim_text += " " + key + "=" + util::quote_spec_value(val);
     }
   }
-  if (c.overrun == sim::fault::OverrunPolicy::kGrace && c.grace == 0) {
-    fail(line, "overrun:grace needs grace:N (grace 0 is overrun:kill)");
-  }
+  c.sim = sim::SimulationSpec::parse(sim_text);
   return c;
 }
 
@@ -405,7 +384,11 @@ CampaignSpec parse_campaign_spec(std::istream& in) {
       if (value.empty()) fail(line_no, "empty scheduler");
       spec.schedulers.emplace_back(value);
     } else if (key == "config") {
-      spec.configs.push_back(parse_config(value, line_no));
+      try {
+        spec.configs.push_back(parse_config(value));
+      } catch (const std::invalid_argument& e) {
+        fail(line_no, e.what());
+      }
     } else if (key == "replications") {
       // Scalar keys fail loud on re-assignment: last-wins would let a
       // pasted-together spec silently run the wrong experiment.
@@ -420,7 +403,7 @@ CampaignSpec parse_campaign_spec(std::istream& in) {
       if (seen_seed) fail(line_no, "seed set twice");
       seen_seed = true;
       const auto n = util::parse_i64(value);
-      if (!n) fail(line_no, "seed must be an integer");
+      if (!n || *n < 0) fail(line_no, "seed must be a non-negative integer");
       spec.master_seed = std::uint64_t(*n);
     } else if (key == "nodes") {
       if (seen_nodes) fail(line_no, "nodes set twice");

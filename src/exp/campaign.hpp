@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "metrics/aggregate.hpp"
-#include "sim/fault/fault.hpp"
+#include "sim/spec.hpp"
 #include "workload/model.hpp"
 
 namespace pjsb::exp {
@@ -51,42 +51,23 @@ struct WorkloadSpec {
   int threads = 1;
 };
 
-/// One entry on the engine-configuration axis.
+/// One entry on the engine-configuration axis: the cell's
+/// SimulationSpec minus what the campaign sets per cell (scheduler,
+/// machine size, streaming window, telemetry sinks), plus the two
+/// attachments only a campaign makes.
 struct ConfigSpec {
   std::string label = "open";
-  /// Honor trace dependency fields 17/18 (closed-loop feedback).
-  bool closed_loop = false;
+  /// Engine configuration (closed_loop, announce, faults, recovery
+  /// knobs). `faults` is 0 or 1 here: each cell derives its own crash
+  /// seed from the cell seed, so every scheduler faces the same
+  /// crashes and replications sample fresh ones.
+  sim::SimulationSpec sim;
   /// Inject a generated random-failure stream (seeded per cell).
   bool outages = false;
-  /// Deliver outage announcements to the scheduler (outage-aware mode).
-  bool deliver_announcements = true;
   /// Attach the validate::InvariantChecker to every cell replay; any
-  /// violation fails the campaign (spelled `+validate` in spec files).
+  /// violation fails the campaign.
   bool validate = false;
-  /// Inject a seeded per-node crash schedule (sim/fault): `+faults` in
-  /// spec files. The per-cell fault seed derives from the cell seed, so
-  /// every scheduler faces the identical crash stream and replications
-  /// sample fresh ones. MTBF and checkpoint interval are first-class
-  /// sweep axes: put several configs with different `faults:mtbf=` /
-  /// `checkpoint=` values on the config axis.
-  bool faults = false;
-  std::int64_t mtbf = 7 * std::int64_t(86400);    ///< per-node MTBF
-  std::int64_t repair = 4 * std::int64_t(3600);   ///< mean repair time
-  /// Recovery knobs forwarded to the engine (meaningful with faults or
-  /// outages; `checkpoint`/`overrun` also act alone on kill paths).
-  std::int64_t checkpoint = 0;  ///< checkpoint interval (0: none)
-  std::int64_t dump = 0;        ///< per-checkpoint dump cost
-  std::int64_t read = 0;        ///< restart restore cost
-  int retry_limit = 0;          ///< kills before dropping (0: unlimited)
-  std::int64_t backoff = 0;     ///< requeue delay after a kill
-  sim::fault::OverrunPolicy overrun = sim::fault::OverrunPolicy::kExtend;
-  std::int64_t grace = 0;       ///< overrun=grace allowance
 };
-
-/// Upper bound on the simulated machine size: generous for any real
-/// system while keeping per-node state allocations sane when a spec
-/// fat-fingers `nodes =`.
-inline constexpr std::int64_t kMaxNodes = 1 << 22;  // ~4M nodes
 
 /// The declarative description of a full evaluation campaign.
 struct CampaignSpec {
@@ -118,7 +99,9 @@ struct CampaignSpec {
 
   /// Throws std::invalid_argument if the spec cannot be run (empty
   /// axes, unknown scheduler names, model-less workloads without a
-  /// trace path, non-positive replications/nodes).
+  /// trace path, non-positive replications/nodes, a config whose
+  /// SimulationSpec is invalid, sets a campaign-owned key or a
+  /// `faults` other than 0/1).
   void validate() const;
 };
 
@@ -151,27 +134,32 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 ///   workload = trace:logs/kth.swf label=kth
 ///   scheduler = fcfs
 ///   scheduler = easy
-///   config = open
-///   config = closed+outages
+///   config = label=open
+///   config = closed_loop=1 outages=1 announce=0 label=closed+outages+blind
+///   config = faults=1 mtbf=86400 checkpoint=3600 retry_limit=3
 ///   replications = 5
 ///   seed = 42
 ///   nodes = 128
 ///
 /// Workload options: `jobs=N`, `load=F`, `label=S`, `stream=0|1`,
 /// `lookahead=N` (streaming ingestion window) and `threads=N` (parser
-/// workers for a trace file loaded whole). Config flags are
-/// '+'-separated: `open` (default), `closed`, `outages`, `blind`
-/// (outages not announced in advance), `faults` (seeded crash
-/// schedule), plus valued tokens `mtbf:N`, `repair:N`, `checkpoint:N`,
-/// `dump:N`, `read:N`, `retry:N`, `backoff:N`, `overrun:extend|kill|
-/// grace`, `grace:N` — e.g. `config = open+faults+mtbf:86400+
-/// checkpoint:3600+retry:3`. `rank = <metric>` selects the
-/// ranking metric by name (metrics::metric_from_name).
-/// `telemetry = <dir>` turns on per-cell telemetry. Scheduler lines
-/// take full registry spec strings, and workload option lines share the
-/// same key=value tokenizer (util/keyval.hpp). Throws
-/// std::invalid_argument on malformed input; the result is validated
-/// before being returned.
+/// workers for a trace file loaded whole). Config lines are
+/// sim::SimulationSpec keys (`closed_loop=`, `announce=`, `faults=`,
+/// `mtbf=`, `repair=`, `checkpoint=`, `dump=`, `read=`, `retry_limit=`,
+/// `backoff=`, `overrun=`, `grace=`), read and validated by
+/// SimulationSpec::parse, plus three campaign keys: `label=` (default:
+/// the line's text), `outages=0|1` (a generated failure stream) and
+/// `validate=0|1` (invariant checkers on every cell). `faults=` takes
+/// 0 or 1 — the seed is per cell — and keys the campaign sets itself
+/// (scheduler, nodes, lookahead, threads, max_jobs, retain_completed,
+/// recycle_slots, trace, timeseries, sample_every, profile) are
+/// rejected with where they belong. No config line means one default
+/// config labelled `open`. `rank = <metric>` selects the ranking
+/// metric by name (metrics::metric_from_name). `telemetry = <dir>`
+/// turns on per-cell telemetry. Scheduler lines take full registry
+/// spec strings, and every option list shares the same key=value
+/// tokenizer (util/keyval.hpp). Throws std::invalid_argument on
+/// malformed input; the result is validated before being returned.
 CampaignSpec parse_campaign_spec(std::istream& in);
 CampaignSpec parse_campaign_spec_string(const std::string& text);
 

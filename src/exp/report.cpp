@@ -229,26 +229,30 @@ std::string to_json(const CampaignRun& run, const CampaignReport& report) {
   out << "],\n    \"configs\": [";
   for (std::size_t i = 0; i < spec.configs.size(); ++i) {
     const auto& c = spec.configs[i];
+    const sim::SimulationSpec& engine = c.sim;
     if (i) out << ", ";
     out << "{\"label\": \"" << json_escape(c.label)
-        << "\", \"closed_loop\": " << (c.closed_loop ? "true" : "false")
+        << "\", \"closed_loop\": " << (engine.closed_loop ? "true" : "false")
         << ", \"outages\": " << (c.outages ? "true" : "false")
         << ", \"deliver_announcements\": "
-        << (c.deliver_announcements ? "true" : "false")
-        << ", \"faults\": " << (c.faults ? "true" : "false");
-    if (c.faults) {
-      out << ", \"mtbf\": " << c.mtbf << ", \"repair\": " << c.repair;
+        << (engine.deliver_announcements ? "true" : "false")
+        << ", \"faults\": " << (engine.faults != 0 ? "true" : "false");
+    if (engine.faults != 0) {
+      out << ", \"mtbf\": " << engine.mtbf
+          << ", \"repair\": " << engine.repair;
     }
-    if (c.checkpoint > 0) {
-      out << ", \"checkpoint\": " << c.checkpoint << ", \"dump\": " << c.dump
-          << ", \"read\": " << c.read;
+    if (engine.checkpoint > 0) {
+      out << ", \"checkpoint\": " << engine.checkpoint << ", \"dump\": "
+          << engine.dump << ", \"read\": " << engine.read;
     }
-    if (c.retry_limit > 0) out << ", \"retry_limit\": " << c.retry_limit;
-    if (c.backoff > 0) out << ", \"backoff\": " << c.backoff;
-    if (c.overrun != sim::fault::OverrunPolicy::kExtend) {
-      out << ", \"overrun\": \"" << sim::fault::overrun_policy_name(c.overrun)
-          << '"';
-      if (c.grace > 0) out << ", \"grace\": " << c.grace;
+    if (engine.retry_limit > 0) {
+      out << ", \"retry_limit\": " << engine.retry_limit;
+    }
+    if (engine.backoff > 0) out << ", \"backoff\": " << engine.backoff;
+    if (engine.overrun != sim::fault::OverrunPolicy::kExtend) {
+      out << ", \"overrun\": \""
+          << sim::fault::overrun_policy_name(engine.overrun) << '"';
+      if (engine.grace > 0) out << ", \"grace\": " << engine.grace;
     }
     out << "}";
   }

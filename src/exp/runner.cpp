@@ -28,10 +28,10 @@ namespace {
 /// the model-config default, matching sim::replay's behavior.
 std::int64_t effective_nodes(const CampaignSpec& spec,
                              const WorkloadSpec& wspec,
-                             const swf::Trace* preloaded) {
+                             const swf::TraceHeader* header) {
   if (spec.nodes > 0) return spec.nodes;
-  if (!wspec.model && preloaded) {
-    return preloaded->header.max_nodes.value_or(sim::kDefaultNodes);
+  if (!wspec.model && header) {
+    return header->max_nodes.value_or(sim::kDefaultNodes);
   }
   return workload::ModelConfig{}.machine_nodes;
 }
@@ -42,48 +42,50 @@ std::size_t count_summary_jobs(const swf::Trace& trace) {
       [](const swf::JobRecord& r) { return r.is_summary(); }));
 }
 
-/// `validate=1` cells ride an InvariantChecker on the replay; a dirty
-/// run fails the campaign with the first violations spelled out (a
-/// report whose cells broke the simulation's ground rules is worse
-/// than no report).
-validate::CheckerOptions checker_options_for(const std::string& scheduler,
-                                             std::int64_t nodes,
-                                             const ConfigSpec& cspec) {
-  validate::CheckerOptions options;
-  options.nodes = nodes;
-  options.scheduler = scheduler;
-  // Crashes ride the outage mechanism, so they slip promises the same
-  // way scheduled outages do.
-  options.outages = cspec.outages || cspec.faults;
-  return options;
-}
-
-/// Copy a config's recovery knobs onto a simulation spec. The fault
-/// seed itself is per-cell (derived from the cell seed) and set by the
-/// materialized path only; streaming workloads reject fault configs at
-/// validate().
-void apply_recovery(const ConfigSpec& cspec, sim::SimulationSpec& sim_spec) {
-  sim_spec.checkpoint = cspec.checkpoint;
-  sim_spec.dump = cspec.dump;
-  sim_spec.read = cspec.read;
-  sim_spec.retry_limit = cspec.retry_limit;
-  sim_spec.backoff = cspec.backoff;
-  sim_spec.overrun = cspec.overrun;
-  sim_spec.grace = cspec.grace;
-}
-
-[[noreturn]] void throw_validation_failure(
-    const std::string& scheduler, const validate::InvariantChecker& checker) {
-  throw std::runtime_error("campaign: invariant violations under '" +
-                           scheduler + "': " + checker.summary());
-}
-
 /// Deterministic per-cell trace path: keyed by the cell's linear index
 /// only, so the file set is identical at any thread count (the
 /// trace-determinism test diffs these byte-for-byte across runs).
 std::string cell_trace_path(const CampaignSpec& spec, const CellSpec& cell) {
   return spec.telemetry_dir + "/cell_" + std::to_string(cell.index) +
          ".trace.jsonl";
+}
+
+/// Replay one cell's workload, a materialized trace or a streaming
+/// JobSource, under its spec (machine size resolved). The scheduler is
+/// built here so the telemetry observer and, on `validate=1` cells, the
+/// invariant checker can watch it; a dirty run fails the campaign with
+/// the first violations spelled out (a report whose cells broke the
+/// simulation's ground rules is worse than no report).
+template <typename Workload>
+sim::ReplayResult replay_cell(Workload& workload,
+                              const sim::SimulationSpec& sim_spec,
+                              const ConfigSpec& cspec, sim::ReplayHooks hooks,
+                              obs::TelemetryRegistry* telemetry) {
+  auto scheduler = sched::make_scheduler(sim_spec.scheduler);
+  std::optional<obs::TelemetryObserver> telemetry_observer;
+  if (telemetry) {
+    telemetry_observer.emplace(*telemetry);
+    telemetry_observer->watch(*scheduler);
+    hooks.observe(*telemetry_observer);
+  }
+  std::optional<validate::InvariantChecker> checker;
+  if (cspec.validate) {
+    validate::CheckerOptions options;
+    options.nodes = *sim_spec.nodes;
+    options.scheduler = sim_spec.scheduler;
+    // Crashes ride the outage mechanism, so they slip promises the
+    // same way scheduled outages do.
+    options.outages = cspec.outages || sim_spec.faults != 0;
+    checker.emplace(options);
+    checker->watch(*scheduler);
+    hooks.observe(*checker);
+  }
+  auto result = sim::replay(workload, std::move(scheduler), sim_spec, hooks);
+  if (checker && !checker->clean()) {
+    throw std::runtime_error("campaign: invariant violations under '" +
+                             sim_spec.scheduler + "': " + checker->summary());
+  }
+  return result;
 }
 
 /// Run one streaming cell: build the per-cell JobSource (TraceReader
@@ -100,60 +102,20 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
                                   const CellSpec& cell,
                                   const WorkloadSpec& wspec,
                                   const ConfigSpec& cspec,
+                                  sim::SimulationSpec sim_spec,
                                   obs::TelemetryRegistry* telemetry) {
-  sim::SimulationSpec sim_spec;
-  sim_spec.scheduler = spec.schedulers.at(cell.scheduler);
-  sim_spec.closed_loop = cspec.closed_loop;
-  sim_spec.deliver_announcements = cspec.deliver_announcements;
   sim_spec.lookahead = wspec.lookahead;
   sim_spec.recycle_slots = true;
-  apply_recovery(cspec, sim_spec);
-  if (telemetry) sim_spec.with_trace(cell_trace_path(spec, cell));
-  // Node resolution is replay()'s: the source header's MaxNodes (the
-  // generator writes machine_nodes there) or kDefaultNodes, unless the
-  // spec pins a size.
-  if (spec.nodes > 0) sim_spec.nodes = spec.nodes;
-
-  const auto replay_source = [&](swf::JobSource& source) {
-    if (!cspec.validate && !telemetry) return sim::replay(source, sim_spec);
-    // Both the invariant checker and the telemetry observer need the
-    // scheduler instance in hand (to watch its profile), so these
-    // paths build it themselves instead of letting replay() resolve
-    // the spec string.
-    auto scheduler = sched::make_scheduler(sim_spec.scheduler);
-    sim::ReplayHooks hooks;
-    std::optional<obs::TelemetryObserver> telemetry_observer;
-    if (telemetry) {
-      telemetry_observer.emplace(*telemetry);
-      telemetry_observer->watch(*scheduler);
-      hooks.observe(*telemetry_observer);
-    }
-    std::optional<validate::InvariantChecker> checker;
-    if (cspec.validate) {
-      const std::int64_t nodes = sim_spec.nodes.value_or(
-          source.header().max_nodes.value_or(sim::kDefaultNodes));
-      checker.emplace(checker_options_for(sim_spec.scheduler, nodes, cspec));
-      checker->watch(*scheduler);
-      hooks.observe(*checker);
-    }
-    auto result = sim::replay(source, std::move(scheduler), sim_spec, hooks);
-    if (checker && !checker->clean()) {
-      throw_validation_failure(sim_spec.scheduler, *checker);
-    }
-    return result;
-  };
-
   if (wspec.model) {
+    sim_spec.nodes = effective_nodes(spec, wspec, nullptr);
     workload::GeneratorSpec gen;
     gen.kind = *wspec.model;
     gen.config.jobs = wspec.jobs;
-    gen.config.machine_nodes = spec.nodes > 0
-                                   ? spec.nodes
-                                   : workload::ModelConfig{}.machine_nodes;
+    gen.config.machine_nodes = *sim_spec.nodes;
     gen.seed = cell.seed;
     gen.max_jobs = wspec.jobs;
     workload::ModelJobSource source(gen);
-    return replay_source(source);
+    return replay_cell(source, sim_spec, cspec, {}, telemetry);
   }
 
   swf::TraceReader source(wspec.trace_path);
@@ -161,7 +123,8 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
     throw std::runtime_error("campaign: cannot open trace '" +
                              wspec.trace_path + "'");
   }
-  auto result = replay_source(source);
+  sim_spec.nodes = effective_nodes(spec, wspec, &source.header());
+  auto result = replay_cell(source, sim_spec, cspec, {}, telemetry);
   // Malformed lines are fatal, exactly like the preload path: a report
   // over a silently shrunken workload is worse than failing.
   if (source.error_count() > 0 || result.source_pulled == 0) {
@@ -216,7 +179,7 @@ std::vector<PreloadedWorkload> preload_traces(const CampaignSpec& spec) {
     }
     traces[i].trace = std::move(result.trace);
     if (w.load > 0.0) {
-      const auto nodes = effective_nodes(spec, w, &traces[i].trace);
+      const auto nodes = effective_nodes(spec, w, &traces[i].trace.header);
       // scale_to_load silently returns degenerate traces unchanged; a
       // report claiming a load the run never had would be worse than
       // failing here.
@@ -240,116 +203,82 @@ CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
   const auto t0 = std::chrono::steady_clock::now();
   const auto& wspec = spec.workloads.at(cell.workload);
   const auto& cspec = spec.configs.at(cell.config);
-  util::Rng rng(cell.seed);
   // One registry per cell: summaries must not bleed across cells, and
   // a per-cell instance keeps the increments contention-free.
-  const bool want_telemetry = !spec.telemetry_dir.empty();
   obs::TelemetryRegistry telemetry;
-
-  if (wspec.stream) {
-    const auto replay_result = run_stream_cell(
-        spec, cell, wspec, cspec, want_telemetry ? &telemetry : nullptr);
-    CellResult result;
-    result.cell = cell;
-    result.metrics =
-        metrics::compute_report(replay_result.completed, replay_result.stats);
-    result.workload_jobs = std::size_t(replay_result.source_pulled);
-    result.telemetry = telemetry.summary();
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return result;
-  }
-
-  // 1. Workload: regenerate (and rescale) from the cell seed, or use
-  // the shared preloaded trace, which is already rescaled — no per-cell
-  // copy of trace-file workloads. Cells sharing a (workload,
-  // replication) seed regenerate identical synthetic traces rather
-  // than sharing a cached one: generation is cheap next to simulation,
-  // and this keeps worker memory bounded for large campaigns.
-  swf::Trace generated;
-  const swf::Trace* trace;
-  std::int64_t nodes;
-  std::size_t summary_jobs;
-  if (wspec.model) {
-    nodes = effective_nodes(spec, wspec, nullptr);
-    workload::ModelConfig mconfig;
-    mconfig.jobs = wspec.jobs;
-    mconfig.machine_nodes = nodes;
-    generated = workload::generate(*wspec.model, mconfig, rng);
-    if (wspec.load > 0.0) {
-      if (workload::offered_load(generated, nodes) <= 0.0) {
-        throw std::runtime_error("campaign: workload '" + wspec.label +
-                                 "' has degenerate offered load and cannot "
-                                 "be rescaled");
-      }
-      generated = workload::scale_to_load(generated, wspec.load, nodes);
-    }
-    trace = &generated;
-    summary_jobs = count_summary_jobs(generated);
-  } else {
-    const auto& loaded = preloaded.at(cell.workload);
-    trace = &loaded.trace;
-    summary_jobs = loaded.summary_jobs;
-    nodes = effective_nodes(spec, wspec, trace);
-  }
-
-  // 2. Engine configuration, including a per-cell outage stream (a
-  // runtime attachment, so it rides in the hooks, not the spec).
-  sim::SimulationSpec sim_spec;
+  obs::TelemetryRegistry* const telemetry_sink =
+      spec.telemetry_dir.empty() ? nullptr : &telemetry;
+  // The cell's spec is its config's plus what the campaign owns: the
+  // scheduler, the machine size, the fault seed and the trace sink.
+  sim::SimulationSpec sim_spec = cspec.sim;
   sim_spec.scheduler = spec.schedulers.at(cell.scheduler);
-  sim_spec.nodes = nodes;
-  sim_spec.closed_loop = cspec.closed_loop;
-  sim_spec.deliver_announcements = cspec.deliver_announcements;
-  apply_recovery(cspec, sim_spec);
-  if (cspec.faults) {
-    // Per-cell crash stream: pure function of the cell seed, so every
-    // scheduler/config faces the same crashes (common random numbers)
-    // and replications sample fresh ones — at any thread count.
-    const std::uint64_t fault_seed = util::derive_seed(cell.seed, 0xFA);
-    sim_spec.faults = fault_seed != 0 ? fault_seed : 1;
-    sim_spec.mtbf = cspec.mtbf;
-    sim_spec.repair = cspec.repair;
-  }
-  sim::ReplayHooks hooks;
-  outage::OutageLog outages;
-  if (cspec.outages) {
-    outages = outage::generate_failures(outage::FailureModelParams{},
-                                        trace->horizon(), nodes, rng);
-    hooks.with_outages(outages);
-  }
+  if (telemetry_sink) sim_spec.trace = cell_trace_path(spec, cell);
 
-  // 3. Replay and aggregate (validate cells ride an invariant checker,
-  // telemetry cells a registry observer + per-cell trace sink).
-  if (want_telemetry) sim_spec.with_trace(cell_trace_path(spec, cell));
   sim::ReplayResult replay_result;
-  if (cspec.validate || want_telemetry) {
-    auto scheduler = sched::make_scheduler(sim_spec.scheduler);
-    std::optional<obs::TelemetryObserver> telemetry_observer;
-    if (want_telemetry) {
-      telemetry_observer.emplace(telemetry);
-      telemetry_observer->watch(*scheduler);
-      hooks.observe(*telemetry_observer);
-    }
-    std::optional<validate::InvariantChecker> checker;
-    if (cspec.validate) {
-      checker.emplace(checker_options_for(sim_spec.scheduler, nodes, cspec));
-      checker->watch(*scheduler);
-      hooks.observe(*checker);
-    }
-    replay_result = sim::replay(*trace, std::move(scheduler), sim_spec, hooks);
-    if (checker && !checker->clean()) {
-      throw_validation_failure(sim_spec.scheduler, *checker);
-    }
+  std::size_t workload_jobs = 0;
+  if (wspec.stream) {
+    replay_result =
+        run_stream_cell(spec, cell, wspec, cspec, sim_spec, telemetry_sink);
+    workload_jobs = std::size_t(replay_result.source_pulled);
   } else {
-    replay_result = sim::replay(*trace, sim_spec, hooks);
+    // 1. Workload: regenerate (and rescale) from the cell seed, or use
+    // the shared preloaded trace, which is already rescaled — no
+    // per-cell copy of trace-file workloads. Cells sharing a (workload,
+    // replication) seed regenerate identical synthetic traces rather
+    // than sharing a cached one: generation is cheap next to
+    // simulation, and this keeps worker memory bounded for large
+    // campaigns.
+    util::Rng rng(cell.seed);
+    const auto& loaded = preloaded.at(cell.workload);
+    const std::int64_t nodes =
+        effective_nodes(spec, wspec, &loaded.trace.header);
+    swf::Trace generated;
+    const swf::Trace* trace = &loaded.trace;
+    workload_jobs = loaded.summary_jobs;
+    if (wspec.model) {
+      workload::ModelConfig mconfig;
+      mconfig.jobs = wspec.jobs;
+      mconfig.machine_nodes = nodes;
+      generated = workload::generate(*wspec.model, mconfig, rng);
+      if (wspec.load > 0.0) {
+        if (workload::offered_load(generated, nodes) <= 0.0) {
+          throw std::runtime_error("campaign: workload '" + wspec.label +
+                                   "' has degenerate offered load and "
+                                   "cannot be rescaled");
+        }
+        generated = workload::scale_to_load(generated, wspec.load, nodes);
+      }
+      trace = &generated;
+      workload_jobs = count_summary_jobs(generated);
+    }
+
+    // 2. Per-cell randomness: the crash seed and the outage stream (a
+    // runtime attachment, so it rides in the hooks, not the spec). Both
+    // are pure functions of the cell seed, so every scheduler/config
+    // faces the same crashes and failures (common random numbers) and
+    // replications sample fresh ones — at any thread count.
+    sim_spec.nodes = nodes;
+    if (sim_spec.faults != 0) {
+      const std::uint64_t fault_seed = util::derive_seed(cell.seed, 0xFA);
+      sim_spec.faults = fault_seed != 0 ? fault_seed : 1;
+    }
+    sim::ReplayHooks hooks;
+    outage::OutageLog outages;
+    if (cspec.outages) {
+      outages = outage::generate_failures(outage::FailureModelParams{},
+                                          trace->horizon(), nodes, rng);
+      hooks.with_outages(outages);
+    }
+
+    // 3. Replay.
+    replay_result = replay_cell(*trace, sim_spec, cspec, hooks, telemetry_sink);
   }
 
   CellResult result;
   result.cell = cell;
   result.metrics =
       metrics::compute_report(replay_result.completed, replay_result.stats);
-  result.workload_jobs = summary_jobs;
+  result.workload_jobs = workload_jobs;
   result.telemetry = telemetry.summary();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -386,7 +315,7 @@ CampaignRun run_campaign(const CampaignSpec& spec,
   const auto seed_independent = [&](const CellSpec& cell) {
     return !spec.workloads[cell.workload].model &&
            !spec.configs[cell.config].outages &&
-           !spec.configs[cell.config].faults;
+           spec.configs[cell.config].sim.faults == 0;
   };
   std::vector<std::size_t> work;
   work.reserve(cells.size());

@@ -45,18 +45,8 @@ SimulationSpec& SimulationSpec::with_nodes(std::int64_t n) {
   return *this;
 }
 
-SimulationSpec& SimulationSpec::auto_nodes() {
-  nodes.reset();
-  return *this;
-}
-
 SimulationSpec& SimulationSpec::closed(bool on) {
   closed_loop = on;
-  return *this;
-}
-
-SimulationSpec& SimulationSpec::announce_outages(bool on) {
-  deliver_announcements = on;
   return *this;
 }
 
@@ -99,38 +89,6 @@ SimulationSpec& SimulationSpec::with_timeseries(std::string path,
 
 SimulationSpec& SimulationSpec::with_profile(std::string path) {
   profile = std::move(path);
-  return *this;
-}
-
-SimulationSpec& SimulationSpec::with_faults(std::uint64_t seed,
-                                            std::int64_t mtbf_seconds,
-                                            std::int64_t repair_seconds) {
-  faults = seed;
-  mtbf = mtbf_seconds;
-  repair = repair_seconds;
-  return *this;
-}
-
-SimulationSpec& SimulationSpec::with_checkpointing(std::int64_t interval,
-                                                   std::int64_t dump_seconds,
-                                                   std::int64_t read_seconds) {
-  checkpoint = interval;
-  dump = dump_seconds;
-  read = read_seconds;
-  return *this;
-}
-
-SimulationSpec& SimulationSpec::with_retry(int limit,
-                                           std::int64_t backoff_seconds) {
-  retry_limit = limit;
-  backoff = backoff_seconds;
-  return *this;
-}
-
-SimulationSpec& SimulationSpec::with_overrun(fault::OverrunPolicy policy,
-                                             std::int64_t grace_seconds) {
-  overrun = policy;
-  grace = grace_seconds;
   return *this;
 }
 

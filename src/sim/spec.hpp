@@ -88,9 +88,7 @@ struct SimulationSpec {
   //   SimulationSpec{}.with_scheduler("easy").closed().with_nodes(256)
   SimulationSpec& with_scheduler(std::string spec);
   SimulationSpec& with_nodes(std::int64_t n);
-  SimulationSpec& auto_nodes();
   SimulationSpec& closed(bool on = true);
-  SimulationSpec& announce_outages(bool on);
   SimulationSpec& with_lookahead(std::size_t n);
   SimulationSpec& with_max_jobs(std::uint64_t n);
   /// Sets threads = n_threads. There is one parser; `backend` must
@@ -101,15 +99,6 @@ struct SimulationSpec {
   SimulationSpec& with_timeseries(std::string path,
                                   std::int64_t every = 0);
   SimulationSpec& with_profile(std::string path);
-  SimulationSpec& with_faults(std::uint64_t seed,
-                              std::int64_t mtbf_seconds = 7 * 86400,
-                              std::int64_t repair_seconds = 4 * 3600);
-  SimulationSpec& with_checkpointing(std::int64_t interval,
-                                     std::int64_t dump_seconds = 0,
-                                     std::int64_t read_seconds = 0);
-  SimulationSpec& with_retry(int limit, std::int64_t backoff_seconds = 0);
-  SimulationSpec& with_overrun(fault::OverrunPolicy policy,
-                               std::int64_t grace_seconds = 0);
 
   /// The fault model this spec describes (enabled() false when
   /// faults == 0).

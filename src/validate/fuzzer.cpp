@@ -169,27 +169,14 @@ outage::OutageLog fuzz_outages(std::uint64_t seed, std::int64_t nodes,
 
 namespace {
 
-/// A randomized fault-injection plan: the spec-surface fields the
-/// faults variant copies onto its SimulationSpec. One per workload, so
-/// every policy faces the identical crash schedule.
-struct FaultPlan {
-  std::uint64_t seed = 1;
-  std::int64_t mtbf = 0;
-  std::int64_t repair = 0;
-  std::int64_t checkpoint = 0;
-  std::int64_t dump = 0;
-  std::int64_t read = 0;
-  int retry_limit = 0;
-  std::int64_t backoff = 0;
-  sim::fault::OverrunPolicy overrun = sim::fault::OverrunPolicy::kExtend;
-  std::int64_t grace = 0;
-};
-
-FaultPlan fuzz_fault_plan(std::uint64_t seed, std::int64_t nodes,
-                          std::int64_t horizon) {
+/// A randomized fault-injection spec: a seeded crash schedule plus a
+/// randomized recovery config. One per workload, so every policy faces
+/// the identical crash schedule.
+sim::SimulationSpec fuzz_fault_plan(std::uint64_t seed, std::int64_t nodes,
+                                    std::int64_t horizon) {
   util::Rng rng(seed);
-  FaultPlan plan;
-  plan.seed = seed != 0 ? seed : 1;
+  sim::SimulationSpec plan;
+  plan.faults = seed != 0 ? seed : 1;
   // Aim for a handful of crashes across the whole machine: the
   // expected count over the horizon is nodes * horizon / mtbf.
   const std::int64_t span = std::max<std::int64_t>(horizon, 1000);
@@ -213,8 +200,10 @@ FaultPlan fuzz_fault_plan(std::uint64_t seed, std::int64_t nodes,
   return plan;
 }
 
-void fuzz_one(const std::string& spec_string, const swf::Trace& trace,
-              const outage::OutageLog* outages, const FaultPlan* faults,
+/// One checked replay of `trace` under `spec` (the variant's base
+/// spec: default, or a fault plan) with `spec_string` as scheduler.
+void fuzz_one(const std::string& spec_string, sim::SimulationSpec spec,
+              const swf::Trace& trace, const outage::OutageLog* outages,
               int workload, std::uint64_t workload_seed,
               const FuzzOptions& options, bool stream, const char* variant,
               FuzzReport& report) {
@@ -226,25 +215,12 @@ void fuzz_one(const std::string& spec_string, const swf::Trace& trace,
     CheckerOptions checker_options;
     checker_options.nodes = options.nodes;
     checker_options.scheduler = spec_string;
-    checker_options.outages = outages != nullptr || faults != nullptr;
+    checker_options.outages = outages != nullptr || spec.faults != 0;
     InvariantChecker checker(checker_options);
     checker.watch(*scheduler);
 
-    sim::SimulationSpec spec;
     spec.scheduler = spec_string;
     spec.nodes = options.nodes;
-    if (faults) {
-      spec.faults = faults->seed;
-      spec.mtbf = faults->mtbf;
-      spec.repair = faults->repair;
-      spec.checkpoint = faults->checkpoint;
-      spec.dump = faults->dump;
-      spec.read = faults->read;
-      spec.retry_limit = faults->retry_limit;
-      spec.backoff = faults->backoff;
-      spec.overrun = faults->overrun;
-      spec.grace = faults->grace;
-    }
     sim::ReplayHooks hooks;
     hooks.observe(checker);
     if (outages) hooks.with_outages(*outages);
@@ -288,7 +264,7 @@ FuzzReport run_fuzzer(const FuzzOptions& options) {
                                                std::uint64_t(w) + 1000),
                              options.nodes, trace.horizon());
     }
-    FaultPlan fault_plan;
+    sim::SimulationSpec fault_plan;
     if (options.fault_runs) {
       fault_plan = fuzz_fault_plan(util::derive_seed(options.seed,
                                                      std::uint64_t(w) + 2000),
@@ -296,19 +272,19 @@ FuzzReport run_fuzzer(const FuzzOptions& options) {
     }
 
     for (const auto& spec : specs) {
-      fuzz_one(spec, trace, nullptr, nullptr, w, workload_seed, options,
+      fuzz_one(spec, {}, trace, nullptr, w, workload_seed, options,
                /*stream=*/false, "materialized", report);
       if (options.outage_runs) {
-        fuzz_one(spec, trace, &outages, nullptr, w, workload_seed, options,
+        fuzz_one(spec, {}, trace, &outages, w, workload_seed, options,
                  /*stream=*/false, "outages", report);
       }
       if (options.stream_runs) {
-        fuzz_one(spec, trace, nullptr, nullptr, w, workload_seed, options,
+        fuzz_one(spec, {}, trace, nullptr, w, workload_seed, options,
                  /*stream=*/true, "stream", report);
       }
       if (options.fault_runs) {
-        fuzz_one(spec, trace, nullptr, &fault_plan, w, workload_seed,
-                 options, /*stream=*/false, "faults", report);
+        fuzz_one(spec, fault_plan, trace, nullptr, w, workload_seed, options,
+                 /*stream=*/false, "faults", report);
       }
     }
   }

@@ -11,9 +11,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/swf/reader.hpp"
 #include "core/swf/writer.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "sim/replay.hpp"
 #include "util/rng.hpp"
 
 namespace pjsb::exp {
@@ -104,17 +106,18 @@ TEST(CampaignSpec, ValidateRejectsDuplicateAxisEntries) {
   // Same engine configuration under a different label is still a dup.
   EXPECT_THROW(parse_campaign_spec_string(
                    "workload = lublin99\nscheduler = fcfs\n"
-                   "config = closed+outages\nconfig = outages+closed\n"),
+                   "config = closed_loop=1 outages=1\n"
+                   "config = outages=1 closed_loop=1\n"),
                std::invalid_argument);
-  // "blind" is a no-op without outages, so these simulate identically.
+  // announce=0 is a no-op without outages, so these simulate identically.
   EXPECT_THROW(parse_campaign_spec_string(
                    "workload = lublin99\nscheduler = fcfs\n"
-                   "config = open\nconfig = open+blind\n"),
+                   "config = label=open\nconfig = announce=0\n"),
                std::invalid_argument);
   // With outages, blind genuinely differs.
   EXPECT_NO_THROW(parse_campaign_spec_string(
       "workload = lublin99\nscheduler = fcfs\n"
-      "config = outages\nconfig = outages+blind\n"));
+      "config = outages=1\nconfig = outages=1 announce=0\n"));
 }
 
 TEST(CampaignSpec, ParseRejectsJobsOnTraceWorkloads) {
@@ -167,7 +170,7 @@ workload = lublin99 jobs=500 load=0.7
 workload = trace:logs/kth.swf label=kth
 scheduler = fcfs
 scheduler = gang8
-config = closed+outages+blind
+config = closed_loop=1 outages=1 announce=0
 replications = 3
 seed = 99
 nodes = 256
@@ -183,9 +186,11 @@ nodes = 256
   ASSERT_EQ(spec.schedulers.size(), 2u);
   EXPECT_EQ(spec.schedulers[1], "gang8");
   ASSERT_EQ(spec.configs.size(), 1u);
-  EXPECT_TRUE(spec.configs[0].closed_loop);
+  // The label defaults to the line's text.
+  EXPECT_EQ(spec.configs[0].label, "closed_loop=1 outages=1 announce=0");
+  EXPECT_TRUE(spec.configs[0].sim.closed_loop);
   EXPECT_TRUE(spec.configs[0].outages);
-  EXPECT_FALSE(spec.configs[0].deliver_announcements);
+  EXPECT_FALSE(spec.configs[0].sim.deliver_announcements);
   EXPECT_EQ(spec.replications, 3);
   EXPECT_EQ(spec.master_seed, 99u);
   EXPECT_EQ(spec.nodes, 256);
@@ -349,7 +354,7 @@ TEST(CampaignSpec, ParseDefaultsToOneOpenConfig) {
       "workload = jann97 jobs=10\nscheduler = fcfs\n");
   ASSERT_EQ(spec.configs.size(), 1u);
   EXPECT_EQ(spec.configs[0].label, "open");
-  EXPECT_FALSE(spec.configs[0].closed_loop);
+  EXPECT_FALSE(spec.configs[0].sim.closed_loop);
   EXPECT_FALSE(spec.configs[0].outages);
 }
 
@@ -366,14 +371,19 @@ TEST(CampaignSpec, ParseRejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_campaign_spec_string("turbo = on\n"),
                std::invalid_argument);
-  // Contradictory loop flags must not silently resolve last-wins.
+  // Repeated config keys must not silently resolve last-wins, whether
+  // SimulationSpec keys or campaign keys.
   EXPECT_THROW(parse_campaign_spec_string(
                    "workload = lublin99\nscheduler = fcfs\n"
-                   "config = closed+open\n"),
+                   "config = closed_loop=1 closed_loop=0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_campaign_spec_string(
+                   "workload = lublin99\nscheduler = fcfs\n"
+                   "config = outages=1 outages=1\n"),
                std::invalid_argument);
   EXPECT_NO_THROW(parse_campaign_spec_string(
       "workload = lublin99\nscheduler = fcfs\n"
-      "config = open+outages+open\n"));
+      "config = closed_loop=0 outages=1\n"));
   // Valid grammar but empty axes must fail validation.
   EXPECT_THROW(parse_campaign_spec_string("scheduler = fcfs\n"),
                std::invalid_argument);
@@ -382,6 +392,14 @@ TEST(CampaignSpec, ParseRejectsMalformedInput) {
                    "workload = lublin99\nscheduler = fcfs\n"
                    "seed = 42\nseed = 7\n"),
                std::invalid_argument);
+  // A negative seed is an error, not a wrapped 64-bit value.
+  EXPECT_THROW(parse_campaign_spec_string(
+                   "workload = lublin99\nscheduler = fcfs\nseed = -5\n"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_campaign_spec_string(
+                "workload = lublin99\nscheduler = fcfs\nseed = 0\n")
+                .master_seed,
+            0u);
 }
 
 TEST(Runner, ReplicationsDifferButSameSeedReproduces) {
@@ -671,7 +689,7 @@ TEST(SpecParser, RejectsInvalidStreamCombinations) {
   EXPECT_THROW(parse_campaign_spec_string(
                    "workload = lublin99 stream=1\n"
                    "scheduler = fcfs\n"
-                   "config = open+outages\n"),
+                   "config = outages=1\n"),
                std::invalid_argument);
   // downey97 cannot stream.
   EXPECT_THROW(parse_campaign_spec_string(
@@ -759,9 +777,10 @@ TEST(SpecParser, ParsesValidateConfigFlag) {
   const auto spec = parse_campaign_spec_string(
       "workload = lublin99 jobs=40\n"
       "scheduler = easy\n"
-      "config = open\n"
-      "config = open+validate\n");
+      "config = label=open\n"
+      "config = validate=1 label=open+validate\n");
   ASSERT_EQ(spec.configs.size(), 2u);
+  EXPECT_EQ(spec.configs[1].label, "open+validate");
   EXPECT_FALSE(spec.configs[0].validate);
   EXPECT_TRUE(spec.configs[1].validate);
   // `validate` is a distinct engine configuration, not a duplicate of
@@ -878,16 +897,18 @@ TEST(Runner, ValidateWithOutagesStaysClean) {
 // -- fault / recovery configuration ----------------------------------
 
 TEST(SpecParser, ParsesFaultConfigTokens) {
+  // Config lines are SimulationSpec keys: the same names swf_tool flags
+  // and serve specs use.
   const auto spec = parse_campaign_spec_string(
       "workload = lublin99 jobs=40\n"
       "scheduler = fcfs\n"
-      "config = open+faults+mtbf:9000+repair:600+checkpoint:300"
-      "+dump:20+read:40+retry:3+backoff:60\n"
-      "config = open+faults+overrun:kill\n"
-      "config = open+faults+grace:120\n");
+      "config = faults=1 mtbf=9000 repair=600 checkpoint=300 dump=20 "
+      "read=40 retry_limit=3 backoff=60\n"
+      "config = faults=1 overrun=kill\n"
+      "config = faults=1 overrun=grace grace=120 label=grace\n");
   ASSERT_EQ(spec.configs.size(), 3u);
-  const auto& c = spec.configs[0];
-  EXPECT_TRUE(c.faults);
+  const auto& c = spec.configs[0].sim;
+  EXPECT_EQ(c.faults, 1u);
   EXPECT_EQ(c.mtbf, 9000);
   EXPECT_EQ(c.repair, 600);
   EXPECT_EQ(c.checkpoint, 300);
@@ -896,56 +917,106 @@ TEST(SpecParser, ParsesFaultConfigTokens) {
   EXPECT_EQ(c.retry_limit, 3);
   EXPECT_EQ(c.backoff, 60);
   EXPECT_EQ(c.overrun, sim::fault::OverrunPolicy::kExtend);
-  EXPECT_EQ(spec.configs[1].overrun, sim::fault::OverrunPolicy::kKill);
-  // grace:N implies overrun:grace.
-  EXPECT_EQ(spec.configs[2].overrun, sim::fault::OverrunPolicy::kGrace);
-  EXPECT_EQ(spec.configs[2].grace, 120);
+  EXPECT_EQ(spec.configs[1].sim.overrun, sim::fault::OverrunPolicy::kKill);
+  EXPECT_EQ(spec.configs[2].label, "grace");
+  EXPECT_EQ(spec.configs[2].sim.overrun, sim::fault::OverrunPolicy::kGrace);
+  EXPECT_EQ(spec.configs[2].sim.grace, 120);
 }
 
 TEST(SpecParser, RejectsFaultNonsense) {
   const std::string head = "workload = lublin99 jobs=40\nscheduler = fcfs\n";
+  const auto message = [&](const std::string& config) -> std::string {
+    try {
+      parse_campaign_spec_string(head + "config = " + config + "\n");
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "config = " << config << " was accepted";
+    return "";
+  };
   // Crash schedules need the trace horizon: streaming is incompatible.
   EXPECT_THROW(parse_campaign_spec_string(
                    "workload = lublin99 jobs=40 stream=1\n"
-                   "scheduler = fcfs\nconfig = open+faults\n"),
+                   "scheduler = fcfs\nconfig = faults=1\n"),
                std::invalid_argument);
-  // mtbf/repair only act with +faults.
-  EXPECT_THROW(parse_campaign_spec_string(head + "config = open+mtbf:9000\n"),
-               std::invalid_argument);
+  // mtbf/repair only act with faults=1.
+  message("mtbf=9000");
   // dump/read without a checkpoint interval are dead knobs.
-  EXPECT_THROW(parse_campaign_spec_string(head + "config = open+dump:20\n"),
-               std::invalid_argument);
-  // overrun:grace without a grace allowance (and vice versa).
-  EXPECT_THROW(
-      parse_campaign_spec_string(head + "config = open+overrun:grace\n"),
-      std::invalid_argument);
+  message("dump=20");
+  // overrun=grace without a grace allowance, and grace without
+  // overrun=grace in either order (the old grammar ran
+  // `overrun:kill+grace:120` silently as overrun=grace).
+  message("overrun=grace");
+  EXPECT_NE(message("faults=1 overrun=kill grace=120").find("grace"),
+            std::string::npos);
+  EXPECT_NE(message("faults=1 grace=120 overrun=kill").find("grace"),
+            std::string::npos);
   // Unknown overrun policy.
-  EXPECT_THROW(
-      parse_campaign_spec_string(head + "config = open+overrun:forgiving\n"),
-      std::invalid_argument);
+  message("overrun=forgiving");
   // Malformed values.
-  EXPECT_THROW(parse_campaign_spec_string(head + "config = open+mtbf:zero\n"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      parse_campaign_spec_string(head + "config = open+faults+mtbf:0\n"),
-      std::invalid_argument);
+  message("faults=1 mtbf=zero");
+  message("faults=1 mtbf=0");
+  // faults= is an on/off switch: the seed is derived per cell.
+  EXPECT_NE(message("faults=7").find("crash seed"), std::string::npos);
+  // Keys the campaign sets itself, each rejected with where it belongs.
+  for (const auto& [config, home] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"scheduler=easy", "scheduler ="},
+           {"nodes=64", "nodes ="},
+           {"lookahead=16", "workload lines"},
+           {"threads=4", "workload lines"},
+           {"max_jobs=10", "workload lines"},
+           {"retain_completed=0", "runner"},
+           {"recycle_slots=1", "runner"},
+           {"trace=/tmp/x.jsonl", "telemetry ="},
+           {"timeseries=/tmp/x.csv", "telemetry ="},
+           {"sample_every=60", "telemetry ="},
+           {"profile=/tmp/x.json", "telemetry ="}}) {
+    EXPECT_NE(message(config).find(home), std::string::npos) << config;
+  }
+  // The '+' grammar is gone; a bare token points at key=value.
+  EXPECT_NE(message("open+faults").find("key=value"), std::string::npos);
+  EXPECT_NE(message("closed").find("key=value"), std::string::npos);
+}
+
+TEST(CampaignSpec, ValidateRejectsOwnedKeysAndFaultSeeds) {
+  // Programmatic configs go through the same checks as config lines.
+  auto spec = small_spec();
+  spec.configs[0].sim.scheduler = "easy";
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[0].sim.nodes = 64;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[0].sim.lookahead = 16;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[0].sim.trace = "/tmp/cell.jsonl";
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[0].sim.faults = 7;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[0].sim.grace = 120;  // the spec's own validator runs too
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[0].sim.faults = 1;
+  EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(CampaignSpec, FaultFlagsDeduplicateOnSemantics) {
   auto spec = small_spec();
   ConfigSpec a;
-  a.label = "open+faults+checkpoint:300";
-  a.faults = true;
-  a.checkpoint = 300;
-  ConfigSpec b;  // same engine configuration, different label spelling
-  b.label = "faults+open+checkpoint:300";
-  b.faults = true;
-  b.checkpoint = 300;
+  a.label = "faults=1 checkpoint=300";
+  a.sim.faults = 1;
+  a.sim.checkpoint = 300;
+  ConfigSpec b = a;  // same engine configuration, different label
+  b.label = "checkpoint=300 faults=1";
   spec.configs = {a, b};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   // Different checkpoint intervals are a legitimate sweep axis.
-  b.label = "open+faults+checkpoint:600";
-  b.checkpoint = 600;
+  b.label = "faults=1 checkpoint=600";
+  b.sim.checkpoint = 600;
   spec.configs = {a, b};
   EXPECT_NO_THROW(spec.validate());
   // Two default configs under different labels are still one cell.
@@ -954,6 +1025,71 @@ TEST(CampaignSpec, FaultFlagsDeduplicateOnSemantics) {
   relabeled.label = "open2";
   spec.configs = {plain, relabeled};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+void expect_same_report(const metrics::MetricsReport& a,
+                        const metrics::MetricsReport& b) {
+  EXPECT_EQ(a.jobs, b.jobs);
+  EXPECT_EQ(a.mean_wait, b.mean_wait);
+  EXPECT_EQ(a.median_wait, b.median_wait);
+  EXPECT_EQ(a.p95_wait, b.p95_wait);
+  EXPECT_EQ(a.mean_response, b.mean_response);
+  EXPECT_EQ(a.median_response, b.median_response);
+  EXPECT_EQ(a.mean_slowdown, b.mean_slowdown);
+  EXPECT_EQ(a.mean_bounded_slowdown, b.mean_bounded_slowdown);
+  EXPECT_EQ(a.utilization, b.utilization);
+  EXPECT_EQ(a.throughput_per_hour, b.throughput_per_hour);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.mean_restarts, b.mean_restarts);
+  EXPECT_EQ(a.wasted_fraction, b.wasted_fraction);
+  EXPECT_EQ(a.jobs_killed, b.jobs_killed);
+  EXPECT_EQ(a.jobs_dropped, b.jobs_dropped);
+}
+
+// A config line means exactly its SimulationSpec: a trace-workload cell
+// reports what a direct replay under the same keys (plus the campaign's
+// scheduler and machine size) reports.
+TEST(Runner, ConfigLineIsItsSimulationSpec) {
+  util::Rng rng(17);
+  workload::ModelConfig mconfig;
+  mconfig.jobs = 120;
+  mconfig.machine_nodes = 32;
+  auto trace =
+      workload::generate(workload::ModelKind::kLublin99, mconfig, rng);
+  // Give the config something to act on: some jobs outrun their
+  // requested walltime (overrun=kill) and some wait on a predecessor
+  // (closed_loop=1).
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    auto& r = trace.records[i];
+    if (i % 4 == 0) {
+      r.requested_time = std::max<std::int64_t>(1, r.run_time / 2);
+    }
+    if (i % 5 == 1) {
+      r.preceding_job = trace.records[i - 1].job_number;
+      r.think_time = 30;
+    }
+  }
+  const std::string path = testing::TempDir() + "campaign_config_spec.swf";
+  ASSERT_TRUE(swf::write_swf_file(path, trace));
+
+  const auto spec = parse_campaign_spec_string(
+      "workload = trace:" + path + "\nscheduler = easy\nnodes = 32\n"
+      "config = closed_loop=1 checkpoint=300 retry_limit=2 overrun=kill\n");
+  const auto run = run_campaign(spec, {.threads = 1});
+  ASSERT_EQ(run.cells.size(), 1u);
+
+  const auto loaded = swf::read_swf_file(path);
+  ASSERT_TRUE(loaded.ok());
+  const auto direct = sim::replay(
+      loaded.trace,
+      sim::SimulationSpec::parse("scheduler=easy nodes=32 closed_loop=1 "
+                                 "checkpoint=300 retry_limit=2 "
+                                 "overrun=kill"));
+  const auto expected =
+      metrics::compute_report(direct.completed, direct.stats);
+  EXPECT_GT(expected.jobs_killed, 0) << "no job outran its walltime";
+  expect_same_report(run.cells[0].metrics, expected);
+  std::remove(path.c_str());
 }
 
 // The fault-injection acceptance criterion: same seed + fault spec,
@@ -967,17 +1103,12 @@ TEST(Runner, FaultCampaignDeterministicAcrossThreadCounts) {
   spec.workloads = {w};
   spec.schedulers = {"fcfs", "easy", "conservative"};
   ConfigSpec faulty;
-  faulty.label = "open+faults+mtbf:30000+repair:900+checkpoint:600"
-                 "+dump:10+read:20+retry:4";
-  faulty.faults = true;
-  faulty.mtbf = 30000;
-  faulty.repair = 900;
-  faulty.checkpoint = 600;
-  faulty.dump = 10;
-  faulty.read = 20;
-  faulty.retry_limit = 4;
+  faulty.label = "faults";
+  faulty.sim = sim::SimulationSpec::parse(
+      "faults=1 mtbf=30000 repair=900 checkpoint=600 dump=10 read=20 "
+      "retry_limit=4");
   ConfigSpec validated = faulty;
-  validated.label = faulty.label + "+validate";
+  validated.label = "faults+validate";
   validated.validate = true;
   spec.configs = {faulty, validated};
   spec.replications = 2;

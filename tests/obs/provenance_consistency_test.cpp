@@ -90,8 +90,7 @@ void check_provenance(const swf::Trace& trace,
   QueueTracker tracker;
   sim::ReplayHooks hooks;
   hooks.observe(tracker);
-  const auto spec =
-      sim::SimulationSpec{}.with_scheduler(scheduler_spec).auto_nodes();
+  const auto spec = sim::SimulationSpec{}.with_scheduler(scheduler_spec);
   sim::replay(trace, spec, hooks);
 
   ASSERT_FALSE(tracker.decisions().empty());

@@ -120,16 +120,16 @@ TEST(Backfill, AnnouncedOutageDrainsSchedule) {
   o.components = {0, 1, 2, 3};
   log.records.push_back(o);
 
+  auto spec = spec_for("easy");
   const auto result =
-      sim::replay(t, spec_for("easy").announce_outages(true),
-                  sim::ReplayHooks{}.with_outages(log));
+      sim::replay(t, spec, sim::ReplayHooks{}.with_outages(log));
   const auto& c = find(result, 1);
   EXPECT_EQ(c.start, 200);  // drained around the window
   EXPECT_EQ(c.restarts, 0);
 
+  spec.deliver_announcements = false;
   const auto blind_result =
-      sim::replay(t, spec_for("easy").announce_outages(false),
-                  sim::ReplayHooks{}.with_outages(log));
+      sim::replay(t, spec, sim::ReplayHooks{}.with_outages(log));
   const auto& cb = find(blind_result, 1);
   EXPECT_GE(cb.restarts, 1);  // started into the outage and was killed
 }

@@ -32,9 +32,14 @@ constexpr std::int64_t kNodes = 32;
 /// MTBF so the small fuzz workload actually sees crashes, plus
 /// checkpointing and a retry limit so the recovery paths serialize.
 SimulationSpec crashy(SimulationSpec spec) {
-  return spec.with_faults(7, /*mtbf=*/9000, /*repair=*/600)
-      .with_checkpointing(300, 20, 40)
-      .with_retry(3);
+  spec.faults = 7;
+  spec.mtbf = 9000;
+  spec.repair = 600;
+  spec.checkpoint = 300;
+  spec.dump = 20;
+  spec.read = 40;
+  spec.retry_limit = 3;
+  return spec;
 }
 
 /// Build the engine exactly as replay() would (same config mapping,
