@@ -1,4 +1,5 @@
-// swf_tool — the archive maintainer's multitool.
+// swf_tool — pjsb's command-line tool: archive upkeep, replays,
+// snapshots, the scheduling daemon and its client, and campaigns.
 //
 // Subcommands:
 //   validate <file.swf>              check the consistency rules
@@ -49,12 +50,40 @@
 //                                    SUBMIT/KILL/QUERY/WHATIF sessions
 //                                    over a Unix or loopback TCP socket
 //                                    (README "Scheduling daemon")
+//   client <mode> ... (--socket <path> | --port <n>) [--token <t>]
+//                                    talk to a running daemon; modes:
+//     replay <file.swf> [--whatif-every <n>] [--query-every <n>] [--drain]
+//                                    live-submit every record in file
+//                                    order, normalized as
+//                                    sim::SimJob::from_record does, so
+//                                    the daemon's decision stream equals
+//                                    an offline replay's byte for byte;
+//                                    WHATIF/QUERY reads interleave every
+//                                    n submissions, --drain runs the
+//                                    backlog dry afterwards
+//     cmd <raw request line ...>     send one protocol line (quote it if
+//                                    it carries protocol --flags)
+//     barrage <threads> <queries>    concurrent WHATIF load; prints qps
+//     status | drain | shutdown      one-shot lifecycle verbs
+//   campaign <spec-file>|--demo [--threads <n>] [--out <prefix>]
+//            [--rank <metric>] [--quiet]
+//                                    run an evaluation campaign
+//                                    (src/exp/campaign.hpp grammar) and
+//                                    write <prefix>_cells.csv,
+//                                    <prefix>_summary.csv, <prefix>.json;
+//                                    --demo runs the built-in campaign
 //   schedulers                       print the policy registry catalogue
 //
+// Every subcommand reads its arguments the same way (class Flags):
+// positional arguments first, then `--key value` flags with '-' read
+// as '_'. Only --bless, --simulate, --drain, --quiet and --demo take no
+// value. Unknown and repeated flags and malformed numbers are usage
+// errors (exit 2), raised before any file is read or socket opened.
+//
 // validate (golden mode), simulate, stream-simulate and snapshot take
-// trailing spec-flags: any SimulationSpec key as `--key value`, with
-// '-' for '_' (`--retry-limit 3` is `retry_limit=3`). The spec parser
-// validates them, so the flags and the spec grammar cannot drift apart.
+// trailing spec-flags: any SimulationSpec key as `--key value`
+// (`--retry-limit 3` is `retry_limit=3`). The spec parser validates
+// them, so the flags and the spec grammar cannot drift apart.
 // Examples: --trace <path> --timeseries <path> --sample-every <s>
 // --profile <path> (README "Observability"), --threads <n> (README
 // "Ingest pipeline"), --faults <seed> --mtbf <s> --checkpoint <s>
@@ -69,25 +98,36 @@
 // with its physical line number and the tool exits nonzero, so a broken
 // archive file cannot silently shrink an experiment's workload.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/swf/anonymize.hpp"
 #include "core/swf/convert.hpp"
 #include "core/swf/reader.hpp"
 #include "core/swf/validator.hpp"
 #include "core/swf/writer.hpp"
+#include "exp/campaign.hpp"
+#include "exp/report.hpp"
+#include "exp/runner.hpp"
 #include "metrics/aggregate.hpp"
 #include "metrics/online.hpp"
 #include "obs/trace_read.hpp"
 #include "sched/registry.hpp"
+#include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sim/fault/fault.hpp"
+#include "sim/job.hpp"
 #include "sim/replay.hpp"
 #include "sim/snapshot/snapshot.hpp"
 #include "sim/snapshot/whatif.hpp"
@@ -106,6 +146,10 @@
 namespace {
 
 using namespace pjsb;
+
+constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kIntLimit = std::numeric_limits<int>::max();
 
 int usage() {
   std::cerr <<
@@ -135,15 +179,163 @@ int usage() {
       "  serve <sim-spec> [--socket <path> | --port <n>] [--token <t>]\n"
       "        [--time-scale <x>] [--decisions <csv>]\n"
       "        [--snapshot-on-shutdown <snap>] [--resume <snap>]\n"
+      "  client <mode> (--socket <path> | --port <n>) [--token <t>], "
+      "mode one of:\n"
+      "        replay <file.swf> [--whatif-every <n>] [--query-every <n>] "
+      "[--drain]\n"
+      "        cmd <raw request line ...>\n"
+      "        barrage <threads> <queries-per-thread>\n"
+      "        status | drain | shutdown\n"
+      "  campaign <spec-file>|--demo [--threads <n>] [--out <prefix>] "
+      "[--rank <metric>] [--quiet]\n"
       "  schedulers\n"
+      "arguments: positionals first, then --key value flags, '-' for '_'\n"
       "scheduler-spec is a registry spec string, e.g. \"easy\" or\n"
       "\"easy reserve_depth=2\" (run `swf_tool schedulers` for the "
       "catalogue)\n"
-      "spec-flags: any simulation-spec key as --key value, '-' for '_',\n"
+      "spec-flags: any simulation-spec key as --key value,\n"
       "  e.g. --trace <path> --sample-every <s> --threads <n>\n"
       "  --faults <seed> --mtbf <s> --checkpoint <s> --retry-limit <n>\n";
   return 2;
 }
+
+/// A malformed command line; main reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// `text` as an integer in [lo, hi], or a UsageError naming `what`:
+/// atoi would read "4x" as 4 and "abc" as 0, and a mangled seed would
+/// then silently fuzz the wrong stream.
+std::int64_t parse_int(const std::string& text, const std::string& what,
+                       std::int64_t lo, std::int64_t hi = kIntMax) {
+  const auto n = util::parse_i64(text);
+  if (n && *n >= lo && *n <= hi) return *n;
+  std::string bound;
+  if (lo > kIntMin) {
+    bound = hi < kIntMax ? " in [" + std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]"
+                         : " >= " + std::to_string(lo);
+  }
+  throw UsageError(what + " must be an integer" + bound + ", not '" + text +
+                   "'");
+}
+
+/// A finite number, or nullopt: atof would read "0.7xyz" as 0.7 and
+/// "abc" as 0, and from_chars alone accepts "nan" and "inf".
+std::optional<double> parse_finite(const std::string& text) {
+  const auto value = util::parse_f64(text);
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
+
+/// One subcommand's arguments: positionals first, then `--key value`
+/// flags with '-' read as '_'. The constructor rejects malformed and
+/// repeated flags and a flag missing its value; the accessors consume
+/// flags by key (spelled with '_'); whatever no accessor consumed
+/// becomes SimulationSpec keys (spec()) or a usage error (done()).
+/// Errors name the flag as the user typed it.
+class Flags {
+ public:
+  Flags(int argc, char** argv, int first) {
+    int i = first;
+    for (; i < argc && argv[i][0] != '-'; ++i) positional_.push_back(argv[i]);
+    while (i < argc) {
+      Flag flag{argv[i++]};
+      if (flag.typed[0] != '-') {
+        throw UsageError("argument '" + flag.typed + "' after the flags");
+      }
+      // Values are quoted into spec text, so only the key could inject
+      // text there: it must be a bare name (`--trace=x y` is rejected).
+      flag.key = flag.typed.rfind("--", 0) == 0 ? flag.typed.substr(2) : "";
+      std::replace(flag.key.begin(), flag.key.end(), '-', '_');
+      if (flag.key.empty() ||
+          flag.key.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") !=
+              std::string::npos) {
+        throw UsageError("unknown flag " + flag.typed);
+      }
+      for (const Flag& seen : flags_) {
+        if (seen.key == flag.key) {
+          throw UsageError(flag.typed + " given twice");
+        }
+      }
+      if (!is_switch(flag.key)) {
+        if (i >= argc) throw UsageError(flag.typed + " needs a value");
+        flag.value = argv[i++];
+      }
+      flags_.push_back(std::move(flag));
+    }
+  }
+
+  const std::vector<std::string>& positional() const { return positional_; }
+
+  /// A value-less flag: true when given.
+  bool take_switch(const std::string& key) { return take_flag(key) != nullptr; }
+
+  std::optional<std::string> take(const std::string& key) {
+    const Flag* flag = take_flag(key);
+    if (!flag) return std::nullopt;
+    return flag->value;
+  }
+
+  std::optional<std::int64_t> take_int(const std::string& key,
+                                       std::int64_t lo,
+                                       std::int64_t hi = kIntMax) {
+    const Flag* flag = take_flag(key);
+    if (!flag) return std::nullopt;
+    return parse_int(flag->value, flag->typed, lo, hi);
+  }
+
+  /// `base` plus every flag not yet consumed, as SimulationSpec keys;
+  /// SimulationSpec::parse is their only validator.
+  sim::SimulationSpec spec(const sim::SimulationSpec& base) {
+    std::string text = base.to_string();
+    try {
+      for (Flag& flag : flags_) {
+        if (flag.taken) continue;
+        if (is_switch(flag.key)) throw UsageError("unknown flag " + flag.typed);
+        flag.taken = true;
+        text += " " + flag.key + "=" + util::quote_spec_value(flag.value);
+      }
+      return sim::SimulationSpec::parse(text);
+    } catch (const std::invalid_argument& e) {
+      throw UsageError(e.what());
+    }
+  }
+
+  /// Rejects every flag no accessor consumed.
+  void done() const {
+    for (const Flag& flag : flags_) {
+      if (!flag.taken) throw UsageError("unknown flag " + flag.typed);
+    }
+  }
+
+ private:
+  struct Flag {
+    std::string typed;
+    std::string key;
+    std::string value;
+    bool taken = false;
+  };
+
+  static bool is_switch(const std::string& key) {
+    return key == "bless" || key == "simulate" || key == "drain" ||
+           key == "quiet" || key == "demo";
+  }
+
+  const Flag* take_flag(const std::string& key) {
+    for (Flag& flag : flags_) {
+      if (flag.key == key) {
+        flag.taken = true;
+        return &flag;
+      }
+    }
+    return nullptr;
+  }
+
+  std::vector<std::string> positional_;
+  std::vector<Flag> flags_;
+};
 
 /// Load a trace or exit. Malformed records are fatal — each is reported
 /// as `path:line: message` and the tool exits 1, rather than silently
@@ -165,57 +357,11 @@ swf::Trace load_or_die(const std::string& path,
 
 using util::peak_rss_mb;
 
-/// A finite number, or nullopt: atof would read "0.7xyz" as 0.7 and
-/// "abc" as 0, and from_chars alone accepts "nan" and "inf".
-std::optional<double> parse_finite(const std::string& text) {
-  const auto value = util::parse_f64(text);
-  if (!value || !std::isfinite(*value)) return std::nullopt;
-  return value;
-}
-
 int cmd_validate(const std::string& path) {
   const auto trace = load_or_die(path);
   const auto report = swf::validate(trace);
   std::cout << report.to_string();
   return report.clean() ? 0 : 1;
-}
-
-/// Build the run's spec from `base` plus trailing spec-flags
-/// argv[first..): `--key value` is the SimulationSpec key with '-' for
-/// '_', and SimulationSpec::parse is the only validator. `--bless` is
-/// the one valueless flag, accepted only when `bless` is given. Returns
-/// nullopt with a message on stderr for a malformed flag list or spec.
-std::optional<sim::SimulationSpec> spec_with_flags(
-    const sim::SimulationSpec& base, int argc, char** argv, int first,
-    bool* bless = nullptr) {
-  std::string text = base.to_string();
-  for (int i = first; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--bless" && bless) {
-      *bless = true;
-      continue;
-    }
-    // Values are quoted, so only the key could inject text into the
-    // spec: it must be a bare name (`--trace=x y` is rejected).
-    std::string key = flag.rfind("--", 0) == 0 ? flag.substr(2) : "";
-    std::replace(key.begin(), key.end(), '-', '_');
-    if (key.empty() || key.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") !=
-                           std::string::npos) {
-      std::cerr << "unknown flag " << flag << "\n";
-      return std::nullopt;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << flag << " needs a value\n";
-      return std::nullopt;
-    }
-    text += " " + key + "=" + util::quote_spec_value(argv[++i]);
-  }
-  try {
-    return sim::SimulationSpec::parse(text);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << e.what() << "\n";
-    return std::nullopt;
-  }
 }
 
 /// Golden-trace mode: replay the trace under `scheduler` with every
@@ -315,18 +461,14 @@ int cmd_anonymize(const std::string& in, const std::string& out) {
 
 int cmd_generate(const std::string& model, std::size_t jobs,
                  std::int64_t nodes, double load, const std::string& out) {
-  workload::ModelKind kind;
-  if (model == "feitelson96") kind = workload::ModelKind::kFeitelson96;
-  else if (model == "jann97") kind = workload::ModelKind::kJann97;
-  else if (model == "lublin99") kind = workload::ModelKind::kLublin99;
-  else if (model == "downey97") kind = workload::ModelKind::kDowney97;
-  else return usage();
+  const auto kind = workload::model_kind_from_name(model);
+  if (!kind) return usage();
 
   util::Rng rng(12345);
   workload::ModelConfig config;
   config.jobs = jobs;
   config.machine_nodes = nodes;
-  auto trace = workload::generate(kind, config, rng);
+  auto trace = workload::generate(*kind, config, rng);
   trace = workload::scale_to_load(trace, load, nodes);
   if (!swf::write_swf_file(out, trace)) return 1;
   std::cout << "wrote " << jobs << " " << model << " jobs at load " << load
@@ -599,60 +741,40 @@ int cmd_whatif(const std::string& snap_path, std::int64_t procs,
 /// The scheduling daemon (README "Scheduling daemon"): build an engine
 /// from a SimulationSpec string (or restore one from a snapshot), bind
 /// the endpoint, and serve sessions until SHUTDOWN / SIGTERM / SIGINT.
-int cmd_serve(const std::string& spec_text, int argc, char** argv,
-              int first) {
+/// Neither --socket nor --port serves an ephemeral loopback TCP port.
+int cmd_serve(const std::string& spec_text, Flags& args) {
   serve::ServerConfig config;
   config.handle_signals = true;
-  std::string resume_path;
-  for (int i = first; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (i + 1 >= argc) {
-      std::cerr << "serve: " << flag << " needs a value\n";
-      return 2;
-    }
-    const std::string value = argv[++i];
-    if (flag == "--socket") {
-      config.socket_path = value;
-    } else if (flag == "--port") {
-      const auto n = util::parse_i64(value);
-      if (!n || *n < 0 || *n > 65535) {
-        std::cerr << "serve: --port must be in [0, 65535] "
-                     "(0 = ephemeral)\n";
-        return 2;
-      }
-      config.tcp_port = int(*n);
-    } else if (flag == "--token") {
-      config.auth_token = value;
-    } else if (flag == "--time-scale") {
-      const auto scale = parse_finite(value);
-      if (!scale || *scale < 0) {
-        std::cerr << "serve: --time-scale must be a number >= 0 "
-                     "(0 = logical time)\n";
-        return 2;
-      }
-      config.time_scale = *scale;
-    } else if (flag == "--decisions") {
-      config.decisions_path = value;
-    } else if (flag == "--snapshot-on-shutdown") {
-      config.snapshot_on_shutdown = value;
-    } else if (flag == "--resume") {
-      resume_path = value;
-    } else {
-      std::cerr << "serve: unknown flag " << flag << "\n";
-      return 2;
-    }
+  const auto socket = args.take("socket");
+  const auto port = args.take_int("port", 0, 65535);
+  if (socket && port) {
+    throw UsageError("--socket and --port are exclusive");
   }
+  config.socket_path = socket.value_or("");
+  config.tcp_port = int(port.value_or(0));
+  config.auth_token = args.take("token").value_or("");
+  if (const auto text = args.take("time_scale")) {
+    const auto scale = parse_finite(*text);
+    if (!scale || *scale < 0) {
+      throw UsageError("--time-scale must be a number >= 0 (0 = logical "
+                       "time)");
+    }
+    config.time_scale = *scale;
+  }
+  config.decisions_path = args.take("decisions").value_or("");
+  config.snapshot_on_shutdown =
+      args.take("snapshot_on_shutdown").value_or("");
+  const auto resume_path = args.take("resume");
+  args.done();
 
   std::unique_ptr<sim::Engine> engine;
-  if (!resume_path.empty()) {
-    engine = sim::Engine::restore(sim::snapshot::read_file(resume_path));
+  if (resume_path) {
+    engine = sim::Engine::restore(sim::snapshot::read_file(*resume_path));
   } else if (spec_text.empty()) {
-    std::cerr << "serve: need a sim-spec (e.g. \"scheduler=conservative "
-                 "nodes=32\") or --resume <snap>\n";
-    return 2;
+    throw UsageError("need a sim-spec (e.g. \"scheduler=conservative "
+                     "nodes=32\") or --resume <snap>");
   } else {
-    auto spec = sim::SimulationSpec::parse(spec_text);
-    spec.validate();
+    const auto spec = sim::SimulationSpec::parse(spec_text);
     engine = std::make_unique<sim::Engine>(
         sim::spec_engine_config(spec,
                                 spec.nodes.value_or(sim::kDefaultNodes)),
@@ -662,9 +784,257 @@ int cmd_serve(const std::string& spec_text, int argc, char** argv,
   serve::Server server(std::move(config), std::move(engine));
   server.start();
   if (server.port() > 0) {
-    std::cout << "serving on 127.0.0.1:" << server.port() << "\n";
+    std::cout << "serving on 127.0.0.1:" << server.port() << std::endl;
   }
   server.wait();
+  return 0;
+}
+
+struct Endpoint {
+  std::string socket_path;
+  int port = 0;
+  std::string token;
+};
+
+serve::Client connect(const Endpoint& endpoint) {
+  auto client = endpoint.socket_path.empty()
+                    ? serve::Client::connect_tcp(endpoint.port)
+                    : serve::Client::connect_unix(endpoint.socket_path);
+  client.handshake(endpoint.token, "swf_tool");
+  return client;
+}
+
+int fail(const serve::Response& response, const char* what) {
+  std::cerr << what << ": ERR " << response.code << " "
+            << response.message << "\n";
+  return 1;
+}
+
+/// SWF traces list records in nondecreasing submit order; submitting in
+/// file order is what makes the live stream reproduce the offline event
+/// ordering exactly.
+int client_replay(const Endpoint& endpoint, const std::string& path,
+                  std::int64_t whatif_every, std::int64_t query_every,
+                  bool drain) {
+  auto result = swf::read_swf_file(path);
+  if (!result.errors.empty()) {
+    std::cerr << "replay: " << result.errors.size()
+              << " malformed line(s) in " << path << "\n";
+    return 1;
+  }
+  auto client = connect(endpoint);
+  std::int64_t submitted = 0;
+  std::int64_t last_id = 0;
+  for (const auto& record : result.trace.records) {
+    // Mirror SimJob::from_record so the daemon admits exactly the job
+    // an offline replay would.
+    const auto job = sim::SimJob::from_record(record);
+    const auto response = client.submit(job.procs, job.estimate, job.submit,
+                                        job.runtime, job.id, job.user_id);
+    if (!response.ok) return fail(response, "SUBMIT");
+    ++submitted;
+    last_id = response.field_i64("id").value_or(job.id);
+    if (whatif_every > 0 && submitted % whatif_every == 0) {
+      const auto answer = client.whatif(job.procs, job.estimate);
+      if (!answer.ok) return fail(answer, "WHATIF");
+    }
+    if (query_every > 0 && submitted % query_every == 0) {
+      const auto answer = client.query(last_id);
+      if (!answer.ok) return fail(answer, "QUERY");
+    }
+  }
+  if (drain) {
+    const auto response = client.drain();
+    if (!response.ok) return fail(response, "DRAIN");
+    std::cout << "drained: time="
+              << response.field("time").value_or("?") << " decisions="
+              << response.field("decisions").value_or("?") << "\n";
+  }
+  std::cout << "submitted " << submitted << " job(s) from " << path
+            << "\n";
+  return 0;
+}
+
+int client_barrage(const Endpoint& endpoint, int threads,
+                   std::int64_t queries) {
+  std::atomic<std::int64_t> answered{0};
+  std::atomic<bool> failed{false};
+  const auto begin = std::chrono::steady_clock::now();
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      try {
+        auto client = connect(endpoint);
+        for (std::int64_t q = 0; q < queries; ++q) {
+          // Deterministic shape variety, distinct per thread.
+          const std::int64_t procs = 1 + (t * 7 + q) % 16;
+          const std::int64_t estimate = 60 * (1 + (q % 32));
+          if (!client.whatif(procs, estimate).ok) {
+            failed = true;
+            return;
+          }
+          ++answered;
+        }
+      } catch (const std::exception& e) {
+        std::cerr << "barrage thread " << t << ": " << e.what() << "\n";
+        failed = true;
+      }
+    });
+  }
+  for (auto& thread : pool) thread.join();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    begin)
+          .count();
+  std::cout << "answered " << answered.load() << " what-if queries in "
+            << seconds << "s ("
+            << (seconds > 0 ? double(answered.load()) / seconds : 0.0)
+            << " qps)\n";
+  return failed ? 1 : 0;
+}
+
+/// The daemon's command-line client. Every argument is checked before
+/// the first connection.
+int cmd_client(Flags& args) {
+  const auto& pos = args.positional();
+  const std::string mode = pos.empty() ? "" : pos[0];
+  const auto socket = args.take("socket");
+  const auto port = args.take_int("port", 1, 65535);
+  if (socket.has_value() == port.has_value()) {
+    throw UsageError("needs exactly one of --socket <path> and --port <n>");
+  }
+  const Endpoint endpoint{socket.value_or(""), int(port.value_or(0)),
+                          args.take("token").value_or("")};
+  if (mode == "replay" && pos.size() == 2) {
+    const auto whatif_every = args.take_int("whatif_every", 0).value_or(0);
+    const auto query_every = args.take_int("query_every", 0).value_or(0);
+    const bool drain = args.take_switch("drain");
+    args.done();
+    return client_replay(endpoint, pos[1], whatif_every, query_every, drain);
+  }
+  if (mode == "barrage" && pos.size() == 3) {
+    const auto threads = parse_int(pos[1], "barrage threads", 1, kIntLimit);
+    const auto queries = parse_int(pos[2], "barrage queries", 1);
+    args.done();
+    return client_barrage(endpoint, int(threads), queries);
+  }
+  const bool raw = mode == "cmd" && pos.size() >= 2;
+  if (!raw && !((mode == "status" || mode == "drain" || mode == "shutdown") &&
+                pos.size() == 1)) {
+    throw UsageError("unknown or malformed mode '" + mode + "'");
+  }
+  args.done();
+  std::string line;
+  for (std::size_t i = 1; i < pos.size(); ++i) {
+    line += (i > 1 ? " " : "") + pos[i];
+  }
+  auto client = connect(endpoint);
+  const auto response = raw                ? client.request_line(line)
+                        : mode == "status" ? client.status()
+                        : mode == "drain"  ? client.drain()
+                                           : client.shutdown();
+  std::cout << serve::serialize_response(response) << "\n";
+  return response.ok ? 0 : 1;
+}
+
+/// Built-in demo campaign (2 synthetic workloads x 5 schedulers —
+/// including a parameterized EASY variant — x open/closed loop x 2 seed
+/// replications); also a living example of the spec format.
+constexpr const char* kDemoCampaign = R"(# Built-in demo campaign.
+workload = lublin99 jobs=700 load=0.7
+workload = jann97 jobs=700 load=0.7
+scheduler = fcfs
+scheduler = sjf
+scheduler = easy
+scheduler = easy reserve_depth=4
+scheduler = conservative
+config = label=open
+config = closed_loop=1 label=closed
+replications = 2
+seed = 42
+nodes = 128
+rank = mean-bounded-slowdown
+)";
+
+bool write_text(const std::string& path, const std::string& content) {
+  std::ofstream out(path);
+  out << content;
+  out.flush();
+  if (!out) std::cerr << "cannot write " << path << "\n";
+  return bool(out);
+}
+
+/// A full evaluation campaign from a declarative spec file — the
+/// paper's standardized-comparison workflow in one command. --rank
+/// overrides the spec's `rank =` line.
+int cmd_campaign(Flags& args) {
+  const auto& pos = args.positional();
+  const bool demo = args.take_switch("demo");
+  if (pos.size() != (demo ? 0u : 1u)) {
+    throw UsageError("needs a spec file or --demo, not both");
+  }
+  const int threads = int(args.take_int("threads", 0, kIntLimit).value_or(0));
+  const std::string prefix = args.take("out").value_or("campaign");
+  std::optional<metrics::MetricId> rank;
+  if (const auto name = args.take("rank")) {
+    try {
+      rank = metrics::metric_from_name(*name);
+    } catch (const std::invalid_argument& e) {
+      throw UsageError(std::string("--rank: ") + e.what());
+    }
+  }
+  const bool quiet = args.take_switch("quiet");
+  args.done();
+
+  exp::CampaignSpec spec;
+  if (demo) {
+    spec = exp::parse_campaign_spec_string(kDemoCampaign);
+  } else {
+    std::ifstream in(pos[0]);
+    if (!in) {
+      std::cerr << "cannot open spec file: " << pos[0] << "\n";
+      return 1;
+    }
+    spec = exp::parse_campaign_spec(in);
+  }
+  if (rank) spec.rank_metric = *rank;
+
+  std::cout << "campaign: " << spec.workloads.size() << " workload(s) x "
+            << spec.schedulers.size() << " scheduler(s) x "
+            << spec.configs.size() << " config(s) x " << spec.replications
+            << " replication(s) = " << spec.cell_count() << " cells\n";
+  exp::RunnerOptions options;
+  options.threads = threads;
+  if (!quiet) {
+    // The runner skips replications it can prove identical, so the
+    // progress total can be smaller than the announced cell count.
+    options.progress = [](std::size_t done, std::size_t total) {
+      std::cout << "  simulated cell " << done << "/" << total << " done\n";
+    };
+  }
+  const auto run = exp::run_campaign(spec, options);
+  const auto report = exp::aggregate(run);
+  const std::string cells_path = prefix + "_cells.csv";
+  const std::string summary_path = prefix + "_summary.csv";
+  const std::string json_path = prefix + ".json";
+  if (!write_text(cells_path, exp::cells_csv(run)) ||
+      !write_text(summary_path, exp::summary_csv(run, report)) ||
+      !write_text(json_path, exp::to_json(run, report))) {
+    return 1;
+  }
+  std::cout << "wrote " << cells_path << ", " << summary_path << ", "
+            << json_path << "\n";
+  if (!spec.telemetry_dir.empty()) {
+    // Per-cell traces already landed in the telemetry dir during the
+    // run; the rollup CSV joins them under the same roof. Skipped
+    // deterministic replications share replication 0's trace file, so
+    // the directory can hold fewer files than cells.
+    const std::string telemetry_path = spec.telemetry_dir + "/telemetry.csv";
+    if (!write_text(telemetry_path, exp::telemetry_csv(run))) return 1;
+    std::cout << "wrote " << telemetry_path << " and per-cell traces in "
+              << spec.telemetry_dir << "/\n";
+  }
+  std::cout << "\n" << exp::ranking_table(run, report, spec.rank_metric);
   return 0;
 }
 
@@ -674,181 +1044,107 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "validate" && argc == 3) return cmd_validate(argv[2]);
-    if (cmd == "validate" && argc >= 5) {
-      bool bless = false;
-      const auto spec = spec_with_flags(
-          sim::SimulationSpec{}.with_scheduler(argv[3]), argc, argv, 5,
-          &bless);
-      if (!spec) return 2;
-      return cmd_validate_golden(argv[2], argv[4], *spec, bless);
+    Flags args(argc, argv, 2);
+    const auto& pos = args.positional();
+    const std::size_t n = pos.size();
+    const auto with_scheduler = [&pos](std::size_t i) {
+      return sim::SimulationSpec{}.with_scheduler(pos[i]);
+    };
+    if (cmd == "validate" && n == 3) {
+      const bool bless = args.take_switch("bless");
+      return cmd_validate_golden(pos[0], pos[2], args.spec(with_scheduler(1)),
+                                 bless);
     }
-    if (cmd == "fuzz" && argc >= 3 && std::string(argv[2]) == "parse" &&
-        argc <= 5) {
-      using OptI64 = std::optional<std::int64_t>;
-      const OptI64 seed = argc > 3 ? util::parse_i64(argv[3]) : OptI64(1);
-      const OptI64 cases = argc > 4 ? util::parse_i64(argv[4]) : OptI64(200);
-      if (!seed || !cases || *seed < 0 || *cases <= 0) {
-        std::cerr << "fuzz parse: seed must be a non-negative integer, "
-                     "cases a positive integer\n";
-        return 2;
+    if (cmd == "simulate" && (n == 2 || n == 3)) {
+      return cmd_simulate(pos[0], n == 3 ? pos[2] : "",
+                          args.spec(with_scheduler(1)));
+    }
+    if (cmd == "stream-simulate" && (n == 2 || n == 3)) {
+      auto base = with_scheduler(1).streaming_memory();
+      if (n == 3) {
+        base.with_lookahead(std::size_t(parse_int(pos[2], "lookahead", 1)));
       }
-      return cmd_fuzz_parse(std::uint64_t(*seed), int(*cases));
+      return cmd_stream_simulate(pos[0], args.spec(base));
     }
-    if (cmd == "fuzz" && argc >= 2 && argc <= 5) {
-      // atoll would map a mangled seed ("1e5", truncated paste) to 0
-      // and silently fuzz the wrong stream; insist on clean integers
-      // so a reported reproduction seed reproduces or errors.
-      using OptI64 = std::optional<std::int64_t>;
-      const OptI64 seed = argc > 2 ? util::parse_i64(argv[2]) : OptI64(1);
-      const OptI64 workloads =
-          argc > 3 ? util::parse_i64(argv[3]) : OptI64(3);
-      const OptI64 jobs = argc > 4 ? util::parse_i64(argv[4]) : OptI64(120);
-      if (!seed || !workloads || !jobs || *seed < 0 || *workloads <= 0 ||
-          *jobs <= 0) {
-        std::cerr << "fuzz: seed must be a non-negative integer, "
-                     "workloads/jobs positive integers\n";
-        return 2;
-      }
-      return cmd_fuzz(std::uint64_t(*seed), int(*workloads),
-                      std::size_t(*jobs));
+    if (cmd == "snapshot" && n == 4) {
+      const auto at_time = parse_int(pos[2], "time (sim-seconds)", 0);
+      return cmd_snapshot(pos[0], at_time, pos[3],
+                          args.spec(with_scheduler(1)));
     }
-    if (cmd == "stats" && argc == 3) return cmd_stats(argv[2]);
-    if (cmd == "anonymize" && argc == 4) {
-      return cmd_anonymize(argv[2], argv[3]);
+    if (cmd == "resume" && n == 1) {
+      const auto golden = args.take("golden");
+      args.done();
+      return cmd_resume(pos[0], golden.value_or(""));
     }
-    if ((cmd == "generate" || cmd == "generate-stream") && argc == 7) {
-      // atoll would accept "12abc" and turn a typo'd "-1" into a huge
-      // count; zero nodes would write a trace validate rejects.
-      const auto jobs = util::parse_i64(argv[3]);
-      const auto nodes = util::parse_i64(argv[4]);
-      if (!jobs || !nodes || *jobs < 1 || *nodes < 1) {
-        std::cerr << cmd << ": jobs and nodes must be positive integers\n";
-        return 2;
-      }
+    if (cmd == "whatif" && n == 3) {
+      const auto procs = parse_int(pos[1], "procs", 1);
+      const auto estimate = parse_int(pos[2], "estimate", 1);
+      // Negative offsets clamp to the snapshot time (whatif.hpp).
+      const auto offset = args.take_int("offset", kIntMin).value_or(0);
+      const bool simulate = args.take_switch("simulate");
+      args.done();
+      return cmd_whatif(pos[0], procs, estimate, offset, simulate);
+    }
+    // The sim-spec is positional, but `serve --resume x.snap` has none:
+    // the snapshot carries the full engine configuration.
+    if (cmd == "serve" && n <= 1) return cmd_serve(n ? pos[0] : "", args);
+    if (cmd == "client") return cmd_client(args);
+    if (cmd == "campaign") return cmd_campaign(args);
+    // The remaining subcommands take positionals only.
+    args.done();
+    if (cmd == "validate" && n == 1) return cmd_validate(pos[0]);
+    if (cmd == "fuzz" && n >= 1 && n <= 3 && pos[0] == "parse") {
+      const auto seed = n > 1 ? parse_int(pos[1], "seed", 0) : 1;
+      const auto cases = n > 2 ? parse_int(pos[2], "cases", 1, kIntLimit) : 200;
+      return cmd_fuzz_parse(std::uint64_t(seed), int(cases));
+    }
+    if (cmd == "fuzz" && n <= 3) {
+      const auto seed = n > 0 ? parse_int(pos[0], "seed", 0) : 1;
+      const auto workloads =
+          n > 1 ? parse_int(pos[1], "workloads", 1, kIntLimit) : 3;
+      const auto jobs = n > 2 ? parse_int(pos[2], "jobs", 1) : 120;
+      return cmd_fuzz(std::uint64_t(seed), int(workloads),
+                      std::size_t(jobs));
+    }
+    if (cmd == "stats" && n == 1) return cmd_stats(pos[0]);
+    if (cmd == "anonymize" && n == 2) return cmd_anonymize(pos[0], pos[1]);
+    if ((cmd == "generate" || cmd == "generate-stream") && n == 5) {
+      // Zero nodes would write a trace validate rejects.
+      const auto jobs = parse_int(pos[1], "jobs", 1);
+      const auto nodes = parse_int(pos[2], "nodes", 1);
       // A load must be positive; an interarrival of 0 keeps the model's
       // default.
       const bool rate_is_load = cmd == "generate";
-      const auto rate = parse_finite(argv[5]);
+      const auto rate = parse_finite(pos[3]);
       if (!rate || *rate < 0 || (rate_is_load && *rate == 0)) {
-        std::cerr << cmd
-                  << (rate_is_load
-                          ? ": load must be a positive number\n"
-                          : ": interarrival must be a number >= 0 (0 keeps "
-                            "the model default)\n");
-        return 2;
+        throw UsageError(rate_is_load
+                             ? "load must be a positive number"
+                             : "interarrival must be a number >= 0 (0 keeps "
+                               "the model default)");
       }
       if (rate_is_load) {
-        return cmd_generate(argv[2], std::size_t(*jobs), *nodes, *rate,
-                            argv[6]);
+        return cmd_generate(pos[0], std::size_t(jobs), nodes, *rate, pos[4]);
       }
-      return cmd_generate_stream(argv[2], std::uint64_t(*jobs), *nodes,
-                                 *rate, argv[6]);
+      return cmd_generate_stream(pos[0], std::uint64_t(jobs), nodes, *rate,
+                                 pos[4]);
     }
-    if (cmd == "stream-simulate" && argc >= 4) {
-      auto base = sim::SimulationSpec{}.with_scheduler(argv[3])
-                      .streaming_memory();
-      int next = 4;
-      // The optional lookahead is positional; anything starting with
-      // "--" is a spec-flag instead.
-      if (next < argc && argv[next][0] != '-') {
-        const auto lookahead = util::parse_i64(argv[next++]);
-        if (!lookahead || *lookahead <= 0) {
-          std::cerr << "stream-simulate: lookahead must be positive\n";
-          return 2;
-        }
-        base.with_lookahead(std::size_t(*lookahead));
-      }
-      const auto spec = spec_with_flags(base, argc, argv, next);
-      if (!spec) return 2;
-      return cmd_stream_simulate(argv[2], *spec);
+    if (cmd == "convert-iacct" && n == 3) {
+      return cmd_convert(false, pos[0], pos[1], pos[2]);
     }
-    if (cmd == "convert-iacct" && argc == 5) {
-      return cmd_convert(false, argv[2], argv[3], argv[4]);
+    if (cmd == "convert-nqs" && n == 3) {
+      return cmd_convert(true, pos[0], pos[1], pos[2]);
     }
-    if (cmd == "convert-nqs" && argc == 5) {
-      return cmd_convert(true, argv[2], argv[3], argv[4]);
+    if (cmd == "trace-summary" && (n == 1 || n == 2)) {
+      const auto top_k = n == 2 ? parse_int(pos[1], "top-k", 1) : 10;
+      return cmd_trace_summary(pos[0], std::size_t(top_k));
     }
-    if (cmd == "simulate" && argc >= 4) {
-      std::string rank_metric;
-      int next = 4;
-      if (next < argc && argv[next][0] != '-') rank_metric = argv[next++];
-      const auto spec = spec_with_flags(
-          sim::SimulationSpec{}.with_scheduler(argv[3]), argc, argv, next);
-      if (!spec) return 2;
-      return cmd_simulate(argv[2], rank_metric, *spec);
-    }
-    if (cmd == "trace-summary" && (argc == 3 || argc == 4)) {
-      long long top_k = 10;
-      if (argc == 4) {
-        const auto n = util::parse_i64(argv[3]);
-        if (!n || *n < 1) {
-          std::cerr << "trace-summary: top-k must be a positive integer\n";
-          return 2;
-        }
-        top_k = *n;
-      }
-      return cmd_trace_summary(argv[2], std::size_t(top_k));
-    }
-    if (cmd == "snapshot" && argc >= 6) {
-      const auto at_time = util::parse_i64(argv[4]);
-      if (!at_time || *at_time < 0) {
-        std::cerr << "snapshot: time must be a non-negative integer "
-                     "(sim-seconds)\n";
-        return 2;
-      }
-      const auto spec = spec_with_flags(
-          sim::SimulationSpec{}.with_scheduler(argv[3]), argc, argv, 6);
-      if (!spec) return 2;
-      return cmd_snapshot(argv[2], *at_time, argv[5], *spec);
-    }
-    if (cmd == "resume" && (argc == 3 || argc == 5)) {
-      std::string golden;
-      if (argc == 5) {
-        if (std::string(argv[3]) != "--golden") return usage();
-        golden = argv[4];
-      }
-      return cmd_resume(argv[2], golden);
-    }
-    if (cmd == "whatif" && argc >= 5) {
-      const auto procs = util::parse_i64(argv[3]);
-      const auto estimate = util::parse_i64(argv[4]);
-      if (!procs || *procs < 1 || !estimate || *estimate < 1) {
-        std::cerr << "whatif: procs and estimate must be positive "
-                     "integers\n";
-        return 2;
-      }
-      std::int64_t offset = 0;
-      bool simulate = false;
-      for (int i = 5; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--simulate") {
-          simulate = true;
-        } else if (flag == "--offset" && i + 1 < argc) {
-          const auto n = util::parse_i64(argv[++i]);
-          if (!n) {
-            std::cerr << "--offset must be an integer (sim-seconds)\n";
-            return 2;
-          }
-          offset = *n;
-        } else {
-          std::cerr << "whatif: unknown flag " << flag << "\n";
-          return 2;
-        }
-      }
-      return cmd_whatif(argv[2], *procs, *estimate, offset, simulate);
-    }
-    if (cmd == "serve" && argc >= 3) {
-      // The spec is positional, but `serve --resume x.snap` has no
-      // spec: the snapshot carries the full engine configuration.
-      const bool has_spec = argv[2][0] != '-';
-      return cmd_serve(has_spec ? argv[2] : "", argc, argv,
-                       has_spec ? 3 : 2);
-    }
-    if (cmd == "schedulers" && argc == 2) {
+    if (cmd == "schedulers" && n == 0) {
       std::cout << sched::Registry::global().help();
       return 0;
     }
+  } catch (const UsageError& e) {
+    std::cerr << "swf_tool " << cmd << ": " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

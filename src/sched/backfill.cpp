@@ -192,10 +192,10 @@ void BackfillBase::write_profile(sim::snapshot::Writer& w,
 
 CapacityProfile BackfillBase::read_profile(sim::snapshot::Reader& r) {
   const std::int64_t base = r.i64();
-  const std::uint64_t n = r.u64();
+  const std::size_t n = r.count("profile step", 8 + 8);
   std::vector<std::pair<std::int64_t, std::int64_t>> steps;
-  steps.reserve(std::size_t(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  steps.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t time = r.i64();
     const std::int64_t avail = r.i64();
     steps.emplace_back(time, avail);
@@ -272,12 +272,12 @@ void BackfillBase::save_state(sim::snapshot::Writer& w) const {
 
 void BackfillBase::load_state(sim::snapshot::Reader& r) {
   queue_.clear();
-  std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(r.i64());
+  std::size_t n = r.count("backfill queue", 8);
+  for (std::size_t i = 0; i < n; ++i) queue_.push_back(r.i64());
 
   queued_info_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  n = r.count("backfill queued job", 3 * 8);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t id = r.i64();
     QueuedInfo info;
     info.procs = r.i64();
@@ -286,8 +286,8 @@ void BackfillBase::load_state(sim::snapshot::Reader& r) {
   }
 
   running_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  n = r.count("backfill running job", 4 * 8);
+  for (std::size_t i = 0; i < n; ++i) {
     RunningJob rj;
     rj.id = r.i64();
     rj.expected_end = r.i64();
@@ -297,8 +297,8 @@ void BackfillBase::load_state(sim::snapshot::Reader& r) {
   }
 
   reservations_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  n = r.count("backfill reservation", 4 * 8 + 1);
+  for (std::size_t i = 0; i < n; ++i) {
     AdvanceReservation res;
     res.id = r.i64();
     res.start = r.i64();
@@ -309,8 +309,8 @@ void BackfillBase::load_state(sim::snapshot::Reader& r) {
   }
 
   outages_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  n = r.count("backfill outage", 3 * 8);
+  for (std::size_t i = 0; i < n; ++i) {
     OutageWindow o;
     o.start = r.i64();
     o.end = r.i64();
@@ -322,8 +322,8 @@ void BackfillBase::load_state(sim::snapshot::Reader& r) {
   profile_ = read_profile(r);
 
   expiry_heap_ = {};
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  n = r.count("backfill expiry", 8 + 8);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t end = r.i64();
     const std::int64_t id = r.i64();
     expiry_heap_.push({end, id});

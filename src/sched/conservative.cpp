@@ -284,8 +284,8 @@ void ConservativeScheduler::save_state(sim::snapshot::Writer& w) const {
 void ConservativeScheduler::load_state(sim::snapshot::Reader& r) {
   BackfillBase::load_state(r);
   placed_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  const std::size_t n = r.count("conservative placement", 8 + 8);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t id = r.i64();
     placed_.emplace(id, r.i64());
   }

@@ -47,8 +47,8 @@ void FcfsScheduler::save_state(sim::snapshot::Writer& w) const {
 
 void FcfsScheduler::load_state(sim::snapshot::Reader& r) {
   queue_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(r.i64());
+  const std::size_t n = r.count("fcfs queue", 8);
+  for (std::size_t i = 0; i < n; ++i) queue_.push_back(r.i64());
 }
 
 }  // namespace pjsb::sched

@@ -223,31 +223,36 @@ void GangScheduler::save_state(sim::snapshot::Writer& w) const {
 void GangScheduler::load_state(sim::snapshot::Reader& r) {
   last_sync_ = r.i64();
   queue_.clear();
-  std::uint64_t n = r.u64();
-  queue_.reserve(std::size_t(n));
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(r.i64());
+  std::size_t n = r.count("gang queue", 8);
+  queue_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) queue_.push_back(r.i64());
   jobs_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  n = r.count("gang job", 4 * 8);
+  for (std::size_t i = 0; i < n; ++i) {
     GangJob gj;
     gj.id = r.i64();
     gj.row = int(r.i64());
-    const std::uint64_t cols = r.u64();
-    gj.columns.reserve(std::size_t(cols));
-    for (std::uint64_t c = 0; c < cols; ++c) gj.columns.push_back(r.i64());
+    const std::size_t cols = r.count("gang column", 8);
+    gj.columns.reserve(cols);
+    for (std::size_t c = 0; c < cols; ++c) gj.columns.push_back(r.i64());
     gj.remaining = r.f64();
     jobs_.emplace(gj.id, std::move(gj));
   }
   const bool materialized = r.boolean();
-  const std::uint64_t total = r.u64();
-  node_down_.assign(std::size_t(total), false);
-  for (std::uint64_t i = 0; i < total; ++i) node_down_[std::size_t(i)] = r.boolean();
+  const std::size_t total = r.count("gang node", 1);
+  node_down_.assign(total, false);
+  for (std::size_t i = 0; i < total; ++i) node_down_[i] = r.boolean();
   columns_.clear();
   if (materialized) {
     columns_.assign(std::size_t(slots_),
-                    std::vector<std::int64_t>(std::size_t(total), sim::kFree));
+                    std::vector<std::int64_t>(total, sim::kFree));
     for (const auto& [id, gj] : jobs_) {
       for (std::int64_t node : gj.columns) {
+        if (gj.row < 0 || gj.row >= slots_ || node < 0 ||
+            std::size_t(node) >= total) {
+          throw std::runtime_error("snapshot: gang placement outside the "
+                                   "matrix");
+        }
         columns_[std::size_t(gj.row)][std::size_t(node)] = id;
       }
     }

@@ -122,9 +122,9 @@ void SjfScheduler::save_state(sim::snapshot::Writer& w) const {
 
 void SjfScheduler::load_state(sim::snapshot::Reader& r) {
   queue_.clear();
-  const std::uint64_t n = r.u64();
-  queue_.reserve(std::size_t(n));
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(r.i64());
+  const std::size_t n = r.count("sjf queue", 8);
+  queue_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) queue_.push_back(r.i64());
 }
 
 }  // namespace pjsb::sched

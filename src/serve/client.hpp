@@ -1,8 +1,8 @@
 // Blocking client for the scheduling daemon: one socket, one
-// request/response round trip per call. Used by the serve_client
-// example, the tests, the CI smoke step and bench_serve — everything
-// that talks to the daemon goes through this library, so protocol
-// drift shows up as a compile error, not a wire mystery.
+// request/response round trip per call. Used by `swf_tool client`, the
+// tests, the CI smoke step and bench_serve — everything that talks to
+// the daemon goes through this library, so protocol drift shows up as
+// a compile error, not a wire mystery.
 //
 // Not thread-safe: one Client per thread (a connection carries one
 // session, and sessions are serial by design).
@@ -34,7 +34,7 @@ class Client {
   /// or an unparseable response; protocol-level errors come back as
   /// Response{ok == false}.
   Response request(const Request& request);
-  /// Raw request line (diagnostics / the `serve_client cmd` mode).
+  /// Raw request line (diagnostics / the `swf_tool client cmd` mode).
   Response request_line(const std::string& line);
 
   /// HELLO (and AUTH when the server demands it). Throws on refusal.

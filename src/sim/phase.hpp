@@ -1,12 +1,11 @@
 // Engine phase timing hooks.
 //
-// ROADMAP item 4 (attacking the replay throughput ceiling) needs to
-// know where a replay spends wall-clock: draining the event queue,
-// running scheduler passes, or notifying observers. The engine times
-// these sections only when a listener is installed — a single null
-// check per step otherwise — and reports wall-clock durations tagged
-// with the *simulated* time they occurred at, so a profile lines up
-// with the trace and time-series streams.
+// Speeding up a replay starts with knowing where it spends wall-clock:
+// draining the event queue, running scheduler passes, or notifying
+// observers. The engine times these sections only when a listener is
+// installed — a single null check per step otherwise — and reports
+// wall-clock durations tagged with the *simulated* time they occurred
+// at, so a profile lines up with the trace and time-series streams.
 //
 // The listener lives in sim/ (not obs/) to keep the dependency arrow
 // pointing one way: obs builds on sim's interfaces, never the reverse.

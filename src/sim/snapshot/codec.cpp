@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace pjsb::sim::snapshot {
 
@@ -76,6 +77,16 @@ std::string Reader::str() {
   std::string s(data_.substr(pos_, std::size_t(n)));
   pos_ += std::size_t(n);
   return s;
+}
+
+std::size_t Reader::count(const char* section, std::size_t min_entry_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_entry_bytes) {
+    throw std::runtime_error(std::string("snapshot: ") + section + " count " +
+                             std::to_string(n) + " exceeds the " +
+                             std::to_string(remaining()) + " bytes left");
+  }
+  return std::size_t(n);
 }
 
 void Reader::expect_done() const {

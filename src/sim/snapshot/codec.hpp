@@ -8,8 +8,9 @@
 // (snapshot.hpp), which is what gates compatibility.
 //
 // The Reader throws std::runtime_error on truncation or overrun, never
-// reads past its buffer, and exposes expect_done() so loaders can
-// reject trailing garbage.
+// reads past its buffer, bounds every entry count by the bytes left
+// (count()), and exposes expect_done() so loaders can reject trailing
+// garbage.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,12 @@ class Reader {
   double f64();
   bool boolean();
   std::string str();
+
+  /// An entry count that the bytes left can hold: each entry encodes
+  /// to at least `min_entry_bytes`, so a larger count throws a
+  /// `snapshot: <section> count ...` error before the caller sizes
+  /// anything from it. O(1).
+  std::size_t count(const char* section, std::size_t min_entry_bytes);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

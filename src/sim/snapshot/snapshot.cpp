@@ -25,6 +25,15 @@ namespace {
 using snapshot::Reader;
 using snapshot::Writer;
 
+// Smallest encoding of one entry per section, which Reader::count
+// holds every count in the file to.
+constexpr std::size_t kJobBytes = 16 * 8 + 1 + 8;  // fields, state, nodes
+constexpr std::size_t kSlotBytes = kJobBytes + 8 + 1;
+constexpr std::size_t kEventBytes = 4 * 8 + 1;
+constexpr std::size_t kOutageBytes = 5 * 8 + 8;
+constexpr std::size_t kReservationBytes = 4 * 8 + 1;
+constexpr std::size_t kCompletedBytes = 11 * 8;
+
 void write_config(Writer& w, const EngineConfig& c) {
   w.i64(c.nodes);
   w.boolean(c.deliver_announcements);
@@ -113,12 +122,9 @@ SimJob read_job(Reader& r, std::int64_t machine_nodes) {
   j.end = r.i64();
   j.restarts = int(r.i64());
   j.completed_work = r.i64();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / 8) {
-    throw std::runtime_error("snapshot: node list longer than the data left");
-  }
-  j.nodes.reserve(std::size_t(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  const std::size_t n = r.count("node list", 8);
+  j.nodes.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t node = r.i64();
     if (node < 0 || node >= machine_nodes) {
       throw std::runtime_error("snapshot: node id " + std::to_string(node) +
@@ -366,9 +372,9 @@ void Engine::load_snapshot(snapshot::Reader& r) {
 
   {
     std::vector<Event> events;
-    const std::uint64_t n = r.u64();
-    events.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("event", kEventBytes);
+    events.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       Event ev;
       ev.time = r.i64();
       const std::uint8_t type = r.u8();
@@ -394,23 +400,47 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   };
 
   {
+    // Empty dense slots are not encoded, so no byte count bounds the
+    // vector's size. The occupied entries are read first, each into its
+    // place, growing the vector only to the indices read; the encoded
+    // size is applied once it meets obtain_slot's growth rule: at most
+    // twice the index that triggered a growth, never past
+    // kDenseIdLimit. Near-contiguous ids fill at most twice their count
+    // (plus the first gap), so that much capacity is reserved up front.
     const std::uint64_t dense_size = r.u64();
-    jobs_dense_.assign(std::size_t(dense_size), JobSlot{});
-    const std::uint64_t occupied = r.u64();
-    for (std::uint64_t i = 0; i < occupied; ++i) {
+    const auto dense_error = [dense_size](const char* bound) {
+      return std::runtime_error("snapshot: dense slot count " +
+                                std::to_string(dense_size) + " exceeds " +
+                                bound);
+    };
+    if (dense_size > std::uint64_t(kDenseIdLimit)) {
+      throw dense_error("the dense id limit");
+    }
+    const std::size_t occupied = r.count("dense slot", 8 + kSlotBytes);
+    jobs_dense_.clear();
+    jobs_dense_.reserve(
+        std::min(std::size_t(dense_size), 2 * occupied + kDenseGapLimit));
+    std::size_t max_idx = 0;
+    for (std::size_t i = 0; i < occupied; ++i) {
       const std::uint64_t idx = r.u64();
       if (idx >= dense_size) {
         throw std::runtime_error("snapshot: dense slot index out of range");
       }
+      if (idx >= jobs_dense_.size()) jobs_dense_.resize(std::size_t(idx) + 1);
       jobs_dense_[std::size_t(idx)] = read_slot();
+      max_idx = std::max(max_idx, std::size_t(idx));
     }
+    if (dense_size > std::max(max_idx + 1, 2 * max_idx)) {
+      throw dense_error("twice its highest occupied index");
+    }
+    jobs_dense_.resize(std::size_t(dense_size));
   }
 
   jobs_overflow_.clear();
   {
-    const std::uint64_t n = r.u64();
-    jobs_overflow_.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("overflow job", 8 + kSlotBytes);
+    jobs_overflow_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t id = r.i64();
       jobs_overflow_.emplace(id, read_slot());
     }
@@ -418,13 +448,13 @@ void Engine::load_snapshot(snapshot::Reader& r) {
 
   dependents_.clear();
   {
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("dependency", 8 + 8);
+    for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t pred = r.i64();
-      const std::uint64_t deps = r.u64();
+      const std::size_t deps = r.count("dependent", 8 + 8);
       auto& edges = dependents_[pred];
-      edges.reserve(std::size_t(deps));
-      for (std::uint64_t d = 0; d < deps; ++d) {
+      edges.reserve(deps);
+      for (std::size_t d = 0; d < deps; ++d) {
         const std::int64_t dep = r.i64();
         const std::int64_t think = r.i64();
         edges.push_back({dep, think});
@@ -434,18 +464,18 @@ void Engine::load_snapshot(snapshot::Reader& r) {
 
   outages_.clear();
   {
-    const std::uint64_t n = r.u64();
-    outages_.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("outage", kOutageBytes);
+    outages_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       outage::OutageRecord rec;
       rec.announce_time = r.i64();
       rec.start_time = r.i64();
       rec.end_time = r.i64();
       rec.type = outage::OutageType(r.i64());
       rec.nodes_affected = r.i64();
-      const std::uint64_t comps = r.u64();
-      rec.components.reserve(std::size_t(comps));
-      for (std::uint64_t c = 0; c < comps; ++c) {
+      const std::size_t comps = r.count("outage node", 8);
+      rec.components.reserve(comps);
+      for (std::size_t c = 0; c < comps; ++c) {
         rec.components.push_back(r.i64());
       }
       outages_.push_back(std::move(rec));
@@ -454,8 +484,8 @@ void Engine::load_snapshot(snapshot::Reader& r) {
 
   reservations_.clear();
   {
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("reservation", kReservationBytes);
+    for (std::size_t i = 0; i < n; ++i) {
       sched::AdvanceReservation res;
       res.id = r.i64();
       res.start = r.i64();
@@ -468,9 +498,9 @@ void Engine::load_snapshot(snapshot::Reader& r) {
 
   completed_.clear();
   {
-    const std::uint64_t n = r.u64();
-    completed_.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("completed job", kCompletedBytes);
+    completed_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       CompletedJob c;
       c.id = r.i64();
       c.submit = r.i64();
@@ -499,9 +529,9 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   finished_end_.clear();
   finished_order_.clear();
   {
-    const std::uint64_t n = r.u64();
-    finished_end_.reserve(std::size_t(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    const std::size_t n = r.count("finished job", 8 + 8);
+    finished_end_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t id = r.i64();
       finished_end_.emplace(id, r.i64());
       finished_order_.push_back(id);

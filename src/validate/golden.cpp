@@ -64,22 +64,4 @@ GoldenResult bless_golden_csv(const std::string& actual_csv,
   return result;
 }
 
-GoldenResult check_golden(const swf::Trace& trace,
-                          const std::string& scheduler_spec,
-                          const std::string& golden_path,
-                          std::optional<std::int64_t> nodes) {
-  return check_golden_csv(
-      decisions_to_csv(replay_decisions(trace, scheduler_spec, nodes)),
-      golden_path, scheduler_spec);
-}
-
-GoldenResult bless_golden(const swf::Trace& trace,
-                          const std::string& scheduler_spec,
-                          const std::string& golden_path,
-                          std::optional<std::int64_t> nodes) {
-  return bless_golden_csv(
-      decisions_to_csv(replay_decisions(trace, scheduler_spec, nodes)),
-      golden_path, scheduler_spec);
-}
-
 }  // namespace pjsb::validate

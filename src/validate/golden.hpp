@@ -2,18 +2,15 @@
 // behaviour on reference workloads.
 //
 // A golden file under data/golden/ records the exact decision trace of
-// one (workload, scheduler) pair. `check_golden` replays and compares;
-// `bless_golden` regenerates the snapshot after an intentional policy
-// change (`swf_tool validate <trace> <spec> <golden> --bless`). On a
-// mismatch the actual trace is written next to the golden file as
-// `<golden>.actual`, so CI can upload the pair as a reviewable diff
-// artifact.
+// one (workload, scheduler) pair. `check_golden_csv` compares a run's
+// recorded decisions against it; `bless_golden_csv` regenerates the
+// snapshot after an intentional policy change (`swf_tool validate
+// <trace> <spec> <golden> --bless`). On a mismatch the actual trace is
+// written next to the golden file as `<golden>.actual`, so CI can
+// upload the pair as a reviewable diff artifact.
 #pragma once
 
-#include <optional>
 #include <string>
-
-#include "core/swf/trace.hpp"
 
 namespace pjsb::validate {
 
@@ -25,28 +22,14 @@ struct GoldenResult {
   std::string actual_path;
 };
 
-/// Replay `trace` under `scheduler_spec` and compare the decision trace
-/// against the snapshot at `golden_path`. A missing snapshot is a
-/// failure (run --bless once to create it). `nodes` empty defers to the
-/// trace's MaxNodes header.
-GoldenResult check_golden(const swf::Trace& trace,
-                          const std::string& scheduler_spec,
-                          const std::string& golden_path,
-                          std::optional<std::int64_t> nodes = std::nullopt);
-
-/// Regenerate the snapshot at `golden_path` from a fresh replay.
-GoldenResult bless_golden(const swf::Trace& trace,
-                          const std::string& scheduler_spec,
-                          const std::string& golden_path,
-                          std::optional<std::int64_t> nodes = std::nullopt);
-
-/// CSV-level variants for callers that already ran the replay (e.g.
-/// swf_tool, which records decisions while the invariant checkers
-/// watch the same run — no second simulation). `label` only flavors
-/// diagnostics.
+/// Compare a decision-trace CSV (validate::decisions_to_csv of a run's
+/// recorded decisions) against the snapshot at `golden_path`. A missing
+/// snapshot is a failure (run --bless once to create it). `label` only
+/// flavors diagnostics.
 GoldenResult check_golden_csv(const std::string& actual_csv,
                               const std::string& golden_path,
                               const std::string& label);
+/// Regenerate the snapshot at `golden_path` from `actual_csv`.
 GoldenResult bless_golden_csv(const std::string& actual_csv,
                               const std::string& golden_path,
                               const std::string& label);

@@ -58,7 +58,7 @@ std::unique_ptr<sim::Engine> make_engine(const std::string& scheduler,
       sched::make_scheduler(scheduler));
 }
 
-/// Submit one trace record the way serve_client replay does: mirror
+/// Submit one trace record the way `swf_tool client replay` does: mirror
 /// SimJob::from_record so the daemon admits exactly the job an offline
 /// replay would.
 Response submit_record(Client& client, const swf::JobRecord& record) {

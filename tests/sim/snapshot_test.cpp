@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <new>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -338,6 +341,96 @@ TEST(Snapshot, RejectsCorruptAllocationState) {
   // the machine.
   rejects(with_word(bytes, 12, -1), "machine size -1");
   rejects(with_word(bytes, 12, kMaxSpecNodes + 1), "machine size past bound");
+}
+
+TEST(Snapshot, InflatedCountsFailNamingTheirSection) {
+  // Every 8-byte word of each snapshot is set to 2^40 in turn. Where the
+  // word is a count, restore must throw a runtime_error naming the
+  // section before sizing anything from it; elsewhere it may fail in
+  // any other way except running out of memory; a gang row or column
+  // past its matrix fails instead of being written outside it. The
+  // states encode every section: closed-loop dependents of a live job,
+  // crash outages with their nodes, running jobs' node lists, and each
+  // scheduler family's own state (sections count even when empty: their
+  // count is there).
+  auto trace = validate::fuzz_workload(kSeed + 5, 30, 16);
+  auto& records = trace.records;
+  records.back().preceding_job = records[records.size() - 2].job_number;
+  records.back().think_time = 10;
+  std::set<std::string> named;
+  bool gang_placement = false;
+  for (const char* scheduler : {"conservative", "fcfs", "sjf", "gang"}) {
+    auto spec = crashy(SimulationSpec{}.with_scheduler(scheduler));
+    spec.closed_loop = true;
+    auto donor = make_engine(trace, spec);
+    donor->load_trace(trace);
+    donor->run_until(records[10].submit_time);  // four jobs running
+    const std::string bytes = donor->snapshot();
+    for (std::size_t at = 0; at + 8 <= bytes.size(); ++at) {
+      try {
+        (void)Engine::restore(with_word(bytes, at, std::int64_t(1) << 40));
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        const auto end = what.find(" count ");
+        if (what.rfind("snapshot: ", 0) == 0 && end != std::string::npos) {
+          named.insert(what.substr(10, end - 10));
+        }
+        gang_placement |=
+            what == "snapshot: gang placement outside the matrix";
+      } catch (const std::bad_alloc&) {
+        ADD_FAILURE() << scheduler << ": bad_alloc at byte " << at;
+      } catch (const std::length_error&) {
+        ADD_FAILURE() << scheduler << ": length_error at byte " << at;
+      } catch (const std::exception&) {
+      }
+    }
+  }
+  const std::set<std::string> sections = {
+      "event", "dense slot", "overflow job", "dependency", "dependent",
+      "outage", "outage node", "reservation", "completed job",
+      "finished job", "node list", "backfill queue", "backfill queued job",
+      "backfill running job", "backfill reservation", "backfill outage",
+      "profile step", "backfill expiry", "conservative placement",
+      "fcfs queue", "sjf queue", "gang queue", "gang job", "gang column",
+      "gang node"};
+  EXPECT_EQ(named, sections);
+  EXPECT_TRUE(gang_placement);
+}
+
+TEST(Snapshot, DenseSlotCountFollowsTheGrowthRule) {
+  // Empty dense slots are not encoded, so their count is bounded by the
+  // occupied ones: a vector grows to at most twice the index that
+  // triggered the growth. data/contention.swf frozen under conservative
+  // holds 40 jobs in 64 dense slots; 2^22 slots (the dense id limit
+  // itself) is state no engine could have grown to.
+  const auto loaded = swf::read_swf_file(std::string(PJSB_SOURCE_DIR) +
+                                         "/data/contention.swf");
+  ASSERT_TRUE(loaded.errors.empty());
+  auto donor = make_engine(loaded.trace,
+                           SimulationSpec{}.with_scheduler("conservative"));
+  donor->load_trace(loaded.trace);
+  donor->run_until(26000);
+  const std::string bytes = donor->snapshot();
+  // The dense section opens with its size, then its occupied count.
+  snapshot::Writer head;
+  head.u64(64);
+  head.u64(40);
+  const std::size_t size_at = bytes.find(head.bytes());
+  ASSERT_NE(size_at, std::string::npos);
+  const auto message = [&bytes, size_at](std::int64_t size) -> std::string {
+    try {
+      (void)Engine::restore(with_word(bytes, size_at, size));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message(std::int64_t(1) << 22),
+            "snapshot: dense slot count 4194304 exceeds twice its highest "
+            "occupied index");
+  EXPECT_EQ(message(std::int64_t(1) << 25),
+            "snapshot: dense slot count 33554432 exceeds the dense id limit");
+  EXPECT_EQ(message(64), "");
 }
 
 TEST(Snapshot, StreamingSnapshotDemandsItsSourceBack) {

@@ -30,15 +30,26 @@ std::string temp_golden_path(const std::string& name) {
   return testing::TempDir() + name;
 }
 
+/// Replay `trace` under `scheduler` and check the decision trace against
+/// the snapshot at `path` (or, with `bless`, regenerate it).
+validate::GoldenResult golden(const swf::Trace& trace,
+                              const std::string& scheduler,
+                              const std::string& path, bool bless = false) {
+  const auto csv = validate::decisions_to_csv(
+      validate::replay_decisions(trace, scheduler));
+  return bless ? validate::bless_golden_csv(csv, path, scheduler)
+               : validate::check_golden_csv(csv, path, scheduler);
+}
+
 TEST(Golden, CommittedConservativeSnapshotMatches) {
-  const auto result = validate::check_golden(
+  const auto result = golden(
       load_tiny(), "conservative",
       source_path("data/golden/tiny_conservative.decisions"));
   EXPECT_TRUE(result.ok) << result.message;
 }
 
 TEST(Golden, CommittedEasySnapshotMatches) {
-  const auto result = validate::check_golden(
+  const auto result = golden(
       load_tiny(), "easy", source_path("data/golden/tiny_easy.decisions"));
   EXPECT_TRUE(result.ok) << result.message;
 }
@@ -47,11 +58,11 @@ TEST(Golden, ContentionSnapshotsMatchAndDiscriminatePolicies) {
   auto result = swf::read_swf_file(source_path("data/contention.swf"));
   ASSERT_TRUE(result.errors.empty());
   const auto& trace = result.trace;
-  const auto cons = validate::check_golden(
+  const auto cons = golden(
       trace, "conservative",
       source_path("data/golden/contention_conservative.decisions"));
   EXPECT_TRUE(cons.ok) << cons.message;
-  const auto easy = validate::check_golden(
+  const auto easy = golden(
       trace, "easy", source_path("data/golden/contention_easy.decisions"));
   EXPECT_TRUE(easy.ok) << easy.message;
   // The whole point of this workload: the snapshots must differ, so a
@@ -70,9 +81,9 @@ TEST(Golden, ContentionSnapshotsMatchAndDiscriminatePolicies) {
 TEST(Golden, BlessThenCheckRoundTrips) {
   const auto trace = validate::fuzz_workload(77, 40, 32);
   const std::string path = temp_golden_path("bless_roundtrip.decisions");
-  const auto blessed = validate::bless_golden(trace, "easy", path);
+  const auto blessed = golden(trace, "easy", path, /*bless=*/true);
   ASSERT_TRUE(blessed.ok) << blessed.message;
-  const auto checked = validate::check_golden(trace, "easy", path);
+  const auto checked = golden(trace, "easy", path);
   EXPECT_TRUE(checked.ok) << checked.message;
   std::remove(path.c_str());
 }
@@ -80,10 +91,10 @@ TEST(Golden, BlessThenCheckRoundTrips) {
 TEST(Golden, MismatchReportsFirstDivergenceAndWritesActual) {
   const auto trace = validate::fuzz_workload(78, 40, 32);
   const std::string path = temp_golden_path("mismatch.decisions");
-  ASSERT_TRUE(validate::bless_golden(trace, "easy", path).ok);
+  ASSERT_TRUE(golden(trace, "easy", path, /*bless=*/true).ok);
   // Checking a different policy against the easy snapshot must fail,
   // name the first divergent line, and dump the actual trace for CI.
-  const auto checked = validate::check_golden(trace, "fcfs", path);
+  const auto checked = golden(trace, "fcfs", path);
   ASSERT_FALSE(checked.ok);
   EXPECT_NE(checked.message.find("diverge"), std::string::npos)
       << checked.message;
@@ -99,7 +110,7 @@ TEST(Golden, MismatchReportsFirstDivergenceAndWritesActual) {
 
 TEST(Golden, MissingSnapshotFailsWithBlessHint) {
   const auto trace = validate::fuzz_workload(79, 10, 32);
-  const auto result = validate::check_golden(
+  const auto result = golden(
       trace, "easy", temp_golden_path("does_not_exist.decisions"));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.message.find("--bless"), std::string::npos);
