@@ -11,7 +11,25 @@ namespace pjsb::sched {
 void BackfillBase::on_attach(SchedulerContext& ctx) {
   total_nodes_ = ctx.machine().total_nodes();
   profile_ = CapacityProfile(total_nodes_);
+  if (tracked_full_) *tracked_full_ = profile_;
   base_changed_ = true;
+}
+
+void BackfillBase::add_base_usage(std::int64_t start, std::int64_t end,
+                                  std::int64_t procs) {
+  profile_.add_usage(start, end, procs);
+  if (tracked_full_) tracked_full_->add_usage(start, end, procs);
+}
+
+void BackfillBase::remove_base_usage(std::int64_t start, std::int64_t end,
+                                     std::int64_t procs) {
+  profile_.remove_usage(start, end, procs);
+  if (tracked_full_) tracked_full_->remove_usage(start, end, procs);
+}
+
+void BackfillBase::compact_profiles(std::int64_t now) {
+  profile_.compact_before(now);
+  if (tracked_full_) tracked_full_->compact_before(now);
 }
 
 void BackfillBase::on_submit(SchedulerContext& ctx, std::int64_t job_id) {
@@ -27,7 +45,7 @@ void BackfillBase::release_running(std::int64_t job_id, std::int64_t now) {
   // The job's capacity is free from `now` on; its history stays in the
   // profile until the next compaction.
   if (rj.profile_end > now) {
-    profile_.remove_usage(now, rj.profile_end, rj.procs);
+    remove_base_usage(now, rj.profile_end, rj.procs);
   }
   running_.erase(it);
   base_changed_ = true;
@@ -53,8 +71,8 @@ void BackfillBase::note_outage(std::int64_t now,
   }
   outages_.push_back({rec.start_time, rec.end_time, rec.nodes_affected});
   if (rec.end_time > now) {
-    profile_.add_usage(std::max(rec.start_time, now), rec.end_time,
-                       rec.nodes_affected);
+    add_base_usage(std::max(rec.start_time, now), rec.end_time,
+                   rec.nodes_affected);
   }
   base_changed_ = true;
 }
@@ -77,7 +95,7 @@ void BackfillBase::on_outage_end(SchedulerContext& ctx,
     const bool drop = w.end <= now || (w.start == rec.start_time &&
                                        w.nodes == rec.nodes_affected);
     if (drop && w.end > now) {
-      profile_.remove_usage(std::max(w.start, now), w.end, w.nodes);
+      remove_base_usage(std::max(w.start, now), w.end, w.nodes);
       base_changed_ = true;
     }
     return drop;
@@ -88,7 +106,7 @@ void BackfillBase::note_started(std::int64_t id, std::int64_t now,
                                 std::int64_t estimate, std::int64_t procs) {
   const std::int64_t end = now + estimate;
   running_[id] = {id, end, procs, end};
-  profile_.add_usage(now, end, procs);
+  add_base_usage(now, end, procs);
   expiry_heap_.push({end, id});
 }
 
@@ -102,7 +120,7 @@ void BackfillBase::refresh_profile(std::int64_t now) {
     const auto it = running_.find(id);
     if (it == running_.end() || it->second.profile_end != end) continue;
     it->second.profile_end = now + 1;
-    profile_.add_usage(now, now + 1, it->second.procs);
+    add_base_usage(now, now + 1, it->second.procs);
     expiry_heap_.push({now + 1, id});
     base_changed_ = true;
   }
@@ -115,7 +133,7 @@ void BackfillBase::refresh_profile(std::int64_t now) {
 
   // Fold history into the base so the step count stays O(running +
   // reservations + outages) over million-job traces.
-  profile_.compact_before(now);
+  compact_profiles(now);
 
   if (cross_check_) {
     const CapacityProfile rebuilt = base_profile(now, total_nodes_);
@@ -174,7 +192,7 @@ bool BackfillBase::try_reserve(SchedulerContext& ctx,
     return false;
   }
   reservations_.push_back(reservation);
-  profile_.add_usage(from, end, reservation.procs);
+  add_base_usage(from, end, reservation.procs);
   base_changed_ = true;
   return true;
 }

@@ -15,6 +15,14 @@
 // scratch; with cross-checking enabled (default in debug builds, see
 // set_cross_check) every schedule() pass verifies the incremental and
 // rebuilt profiles agree from now on.
+//
+// Every base change — start, end or kill, outage open and close,
+// overrun extension, accepted reservation, compaction at now — goes
+// through one path (add_base_usage / remove_base_usage /
+// compact_profiles). A subclass that keeps a profile of its own on top
+// of the base (conservative's base + standing claims) registers it with
+// track_full_profile, and that path applies each change to it as well,
+// so the subclass never rebuilds it. EASY registers none.
 #pragma once
 
 #include <deque>
@@ -30,6 +38,11 @@ namespace pjsb::sched {
 
 class BackfillBase : public Scheduler {
  public:
+  BackfillBase() = default;
+  // A tracked full profile is a pointer into the subclass object.
+  BackfillBase(const BackfillBase&) = delete;
+  BackfillBase& operator=(const BackfillBase&) = delete;
+
   void on_attach(SchedulerContext& ctx) override;
   void on_submit(SchedulerContext& ctx, std::int64_t job_id) override;
   void on_job_end(SchedulerContext& ctx, std::int64_t job_id) override;
@@ -67,9 +80,10 @@ class BackfillBase : public Scheduler {
   /// reservations + outages). Exposed for tests and diagnostics.
   const CapacityProfile& profile() const { return profile_; }
 
-  /// Verify the incremental profile against a from-scratch rebuild on
-  /// every schedule() pass (throws std::logic_error on divergence). On
-  /// by default in debug builds; tests can force it on in Release.
+  /// Verify the incremental profile (and a tracked full profile, see
+  /// the subclass) against a from-scratch rebuild on every schedule()
+  /// pass (throws std::logic_error on divergence). On by default in
+  /// debug builds; tests can force it on in Release.
   void set_cross_check(bool on) { cross_check_ = on; }
 
  protected:
@@ -118,9 +132,17 @@ class BackfillBase : public Scheduler {
     return changed;
   }
 
-  /// Record a job started now: running-set entry + profile usage.
+  /// Record a job started now: running-set entry + profile usage (in
+  /// the tracked full profile too).
   void note_started(std::int64_t id, std::int64_t now,
                     std::int64_t estimate, std::int64_t procs);
+
+  /// Register the subclass's full profile; every base change is then
+  /// applied to it as well (see class comment). Call once, from the
+  /// constructor.
+  void track_full_profile(CapacityProfile* full) { tracked_full_ = full; }
+
+  bool cross_checking() const { return cross_check_; }
 
   /// Profile (de)serialization helpers shared with subclasses.
   static void write_profile(sim::snapshot::Writer& w,
@@ -141,6 +163,17 @@ class BackfillBase : public Scheduler {
   void note_outage(std::int64_t now, const outage::OutageRecord& rec);
   /// Remove a running job's remaining profile usage (end or kill).
   void release_running(std::int64_t job_id, std::int64_t now);
+
+  /// The one path for base-profile changes: profile_ and the tracked
+  /// full profile, if any, take the same usage delta / compaction.
+  void add_base_usage(std::int64_t start, std::int64_t end,
+                      std::int64_t procs);
+  void remove_base_usage(std::int64_t start, std::int64_t end,
+                         std::int64_t procs);
+  void compact_profiles(std::int64_t now);
+
+  /// See track_full_profile; nullptr when the subclass keeps none.
+  CapacityProfile* tracked_full_ = nullptr;
 
   /// (profile_end, job id) min-heap driving overrun extension; entries
   /// are validated against running_ when popped.

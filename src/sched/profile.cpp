@@ -129,6 +129,31 @@ std::int64_t CapacityProfile::earliest_start(std::int64_t from,
   return candidate;
 }
 
+std::int64_t CapacityProfile::earliest_start_before(
+    std::int64_t from, std::int64_t until, std::int64_t duration,
+    std::int64_t procs) const {
+  if (procs <= 0 || duration <= 0 || from >= until) return from;
+  // earliest_start's sweep, cut at `until`: a window still open when
+  // the sweep reaches `until` is feasible, because only its part before
+  // `until` has to be free. (earliest_start keeps a loop of its own:
+  // the extra bound test slows its long sweeps, bench_profile's
+  // 4096-step earliest_start, by about 40%.)
+  std::size_t i = segment_index(from);
+  std::int64_t candidate =
+      (i == 0 ? base_ : steps_[i - 1].avail) >= procs ? from : kForever;
+  for (; i < steps_.size() && steps_[i].time < until; ++i) {
+    if (candidate != kForever && steps_[i].time - candidate >= duration) {
+      return candidate;
+    }
+    if (steps_[i].avail >= procs) {
+      if (candidate == kForever) candidate = steps_[i].time;
+    } else {
+      candidate = kForever;
+    }
+  }
+  return candidate == kForever ? until : candidate;
+}
+
 void CapacityProfile::compact_before(std::int64_t t) {
   // Count steps strictly before t.
   std::size_t n = 0;

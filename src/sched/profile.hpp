@@ -59,6 +59,16 @@ class CapacityProfile {
   std::int64_t earliest_start(std::int64_t from, std::int64_t duration,
                               std::int64_t procs) const;
 
+  /// Earliest t in [from, until] such that `procs` are available
+  /// throughout [t, min(t + duration, until)); `until` itself always
+  /// qualifies (empty window). A read-only sweep that stops at `until`:
+  /// conservative backfilling asks it for a job whose own claim starts
+  /// at `until`, since the part of a window reaching past `until` lies
+  /// on that claim.
+  std::int64_t earliest_start_before(std::int64_t from, std::int64_t until,
+                                     std::int64_t duration,
+                                     std::int64_t procs) const;
+
   /// True if `procs` are available throughout [start, start+duration).
   bool fits(std::int64_t start, std::int64_t duration,
             std::int64_t procs) const;
@@ -76,6 +86,12 @@ class CapacityProfile {
   /// for all t >= from (history before `from` may differ, e.g. one side
   /// compacted). Used by the schedulers' debug cross-check.
   bool same_from(const CapacityProfile& other, std::int64_t from) const;
+
+  /// Step-for-step equality: same base and same stored timeline,
+  /// history included (what a snapshot would serialize).
+  friend bool operator==(const CapacityProfile& a, const CapacityProfile& b) {
+    return a.base_ == b.base_ && a.steps_ == b.steps_;
+  }
 
   /// Snapshot access: step `i` as (time, available), 0 <= i <
   /// step_count(). Iterating 0..step_count() yields the canonical
@@ -103,6 +119,7 @@ class CapacityProfile {
   struct Step {
     std::int64_t time;
     std::int64_t avail;  ///< available processors in [time, next.time)
+    bool operator==(const Step&) const = default;
   };
 
   /// Number of steps with time <= t; 0 means t precedes all steps. Uses

@@ -1,15 +1,17 @@
 // The backfill schedulers maintain their capacity profile incrementally
-// across events instead of rebuilding it per event. These tests force
-// the debug cross-check on (it throws if the incremental profile ever
-// diverges from a from-scratch rebuild) and drive the schedulers
-// through the situations that mutate the profile: early completions,
-// outage windows (announced and surprise), advance reservations, and
-// failure-induced kills with requeue.
+// across events instead of rebuilding it per event, and conservative
+// keeps its full profile (base + standing claims) across passes too.
+// These tests force the debug cross-check on (it throws if either
+// profile ever diverges from a from-scratch rebuild) and drive the
+// schedulers through the situations that mutate the profile: early
+// completions, outage windows (announced and surprise), advance
+// reservations, failure-induced kills with requeue, and overruns.
 #include <gtest/gtest.h>
 
 #include "sched/backfill.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault/fault.hpp"
 #include "sim/replay.hpp"
 #include "util/rng.hpp"
 #include "workload/model.hpp"
@@ -110,6 +112,40 @@ TEST(IncrementalProfile, ConservativeWithReservationsMatchesRebuild) {
 
 TEST(IncrementalProfile, EasyWithEverythingMatchesRebuild) {
   run_checked("easy", true, true);
+}
+
+TEST(IncrementalProfile, ConservativeWithFaultsMatchesRebuild) {
+  // Crash kills with requeue (checkpointed, retry-limited) and jobs that
+  // overrun their estimates: base changes land under standing claims
+  // between passes, and the persistent full profile must track them.
+  const std::int64_t nodes = 64;
+  auto trace = model_trace(400, nodes, 0.8, 42);
+  for (std::size_t i = 0; i < trace.records.size(); i += 4) {
+    auto& r = trace.records[i];
+    if (r.run_time > 1) r.requested_time = r.run_time / 2;
+  }
+  sim::SimulationSpec spec;
+  spec.scheduler = "conservative";
+  spec.faults = 7;
+  spec.mtbf = 20000;
+  spec.repair = 600;
+  spec.checkpoint = 300;
+  spec.dump = 20;
+  spec.read = 40;
+  spec.retry_limit = 3;
+  const auto config = sim::spec_engine_config(spec, nodes);
+
+  auto scheduler = make_scheduler(spec.scheduler);
+  auto* backfill = dynamic_cast<BackfillBase*>(scheduler.get());
+  ASSERT_NE(backfill, nullptr);
+  backfill->set_cross_check(true);
+  sim::Engine engine(config, std::move(scheduler));
+  engine.add_outages(sim::fault::generate_crashes(spec.fault_model(),
+                                                  trace.horizon(), nodes));
+  engine.load_trace(trace);
+  ASSERT_NO_THROW(engine.run());
+  EXPECT_GT(engine.stats().jobs_killed, 0);
+  EXPECT_GT(engine.completed().size(), 0u);
 }
 
 TEST(IncrementalProfile, StepCountStaysBounded) {

@@ -181,6 +181,61 @@ TEST_P(ProfileProperty, CompactionPreservesTheFuture) {
   EXPECT_LE(profile.step_count(), 1u);
 }
 
+TEST_P(ProfileProperty, BoundedSweepMatchesEarliestStartWithoutTheClaim) {
+  // Conservative backfilling tests a standing claim (s, d, p) read-only:
+  // on a profile where nothing from `now` on is overbooked,
+  // earliest_start_before(now, s, d, p) must equal earliest_start(now,
+  // d, p) on a copy with the claim removed.
+  constexpr std::int64_t kBase = 16;
+  util::Rng rng(GetParam() * 7331 + 3);
+  int at_now = 0;
+  int zero_duration = 0;
+  int reaching = 0;  // answers t < s whose window runs into the claim
+  for (int round = 0; round < 400; ++round) {
+    const std::int64_t now = rng.uniform_int(0, 40);
+    CapacityProfile profile(kBase);
+    const int usages = int(rng.uniform_int(0, 14));
+    for (int i = 0; i < usages; ++i) {
+      const std::int64_t start = rng.uniform_int(0, 250);
+      const std::int64_t end = start + rng.uniform_int(1, 80);
+      const std::int64_t procs = rng.uniform_int(1, 8);
+      if (profile.min_available(start, end) >= procs) {
+        profile.add_usage(start, end, procs);
+      }
+    }
+    profile.compact_before(now);
+
+    // A feasible claim: at `now` when it fits there, else at the
+    // earliest feasible start from a random point on.
+    const std::int64_t d = rng.bernoulli(0.1) ? 0 : rng.uniform_int(1, 60);
+    const std::int64_t p = rng.uniform_int(1, kBase);
+    const std::int64_t s =
+        rng.bernoulli(0.2) && profile.fits(now, d, p)
+            ? now
+            : profile.earliest_start(now + rng.uniform_int(0, 150), d, p);
+    ASSERT_LT(s, kForever);
+    CapacityProfile claimed = profile;
+    claimed.add_usage(s, s + d, p);
+    ASSERT_GE(claimed.min_available(now, kForever), 0);
+
+    CapacityProfile lifted = claimed;
+    lifted.remove_usage(s, s + d, p);
+    ASSERT_TRUE(lifted == profile) << "remove_usage is add_usage's inverse";
+    const std::int64_t want = lifted.earliest_start(now, d, p);
+    const std::int64_t got = claimed.earliest_start_before(now, s, d, p);
+    ASSERT_EQ(got, want) << "seed=" << GetParam() << " round=" << round
+                         << " now=" << now << " claim=(" << s << ", " << d
+                         << ", " << p << ")\n"
+                         << claimed.to_string();
+    at_now += s == now;
+    zero_duration += d == 0;
+    reaching += got < s && got + d > s;
+  }
+  EXPECT_GT(at_now, 0);
+  EXPECT_GT(zero_duration, 0);
+  EXPECT_GT(reaching, 0);
+}
+
 TEST_P(ProfileProperty, MonotoneQueriesMatchRandomQueries) {
   // Scheduler query streams advance in time, which the cached segment
   // hint accelerates; hint reuse must never change an answer. Compare a

@@ -8,12 +8,14 @@
 
 #include <memory>
 #include <new>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/swf/reader.hpp"
+#include "sched/conservative.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault/fault.hpp"
@@ -395,6 +397,129 @@ TEST(Snapshot, InflatedCountsFailNamingTheirSection) {
       "gang node"};
   EXPECT_EQ(named, sections);
   EXPECT_TRUE(gang_placement);
+}
+
+/// Restore `bytes`; the runtime_error's message, or "" on success.
+std::string restore_error(const std::string& bytes) {
+  try {
+    (void)Engine::restore(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Snapshot, RejectsConservativeStateThatContradictsItsQueue) {
+  // data/contention.swf frozen at t=26000 under conservative. The
+  // snapshot ends with the scheduler's placements (count, then (job,
+  // slot) pairs sorted by job), its full profile (base, step count,
+  // then (time, available) steps) and one byte that older builds set
+  // while the full profile was stale.
+  const auto loaded = swf::read_swf_file(std::string(PJSB_SOURCE_DIR) +
+                                         "/data/contention.swf");
+  ASSERT_TRUE(loaded.errors.empty());
+  auto donor = make_engine(loaded.trace,
+                           SimulationSpec{}.with_scheduler("conservative"));
+  donor->load_trace(loaded.trace);
+  donor->run_until(26000);
+  const std::string bytes = donor->snapshot();
+
+  const auto& scheduler =
+      dynamic_cast<const sched::ConservativeScheduler&>(donor->scheduler());
+  snapshot::Writer placements;
+  std::size_t count = 0;
+  for (const auto& record : loaded.trace.records) {
+    if (scheduler.reserved_start(record.job_number)) ++count;
+  }
+  ASSERT_GT(count, 1u) << "too few reservations at t=26000";
+  placements.u64(count);
+  for (const auto& record : loaded.trace.records) {
+    if (const auto slot = scheduler.reserved_start(record.job_number)) {
+      placements.i64(record.job_number);
+      placements.i64(*slot);
+    }
+  }
+  const std::size_t placements_at = bytes.rfind(placements.bytes());
+  ASSERT_NE(placements_at, std::string::npos);
+  const std::size_t profile_at = placements_at + placements.bytes().size();
+  const std::size_t first_avail_at = profile_at + 8 + 8 + 8;
+  ASSERT_LT(first_avail_at + 8, bytes.size());
+  ASSERT_EQ(restore_error(bytes), "");
+
+  // A placement naming a job that is not queued: job 1 finished long
+  // ago, 999999 never existed.
+  for (const std::int64_t id : {std::int64_t(1), std::int64_t(999999)}) {
+    EXPECT_EQ(restore_error(with_word(bytes, placements_at + 8, id)),
+              "snapshot: conservative placement names job " +
+                  std::to_string(id) + ", which is not queued");
+  }
+
+  // A full profile that is not base + standing claims.
+  const std::int64_t first_avail =
+      snapshot::Reader(std::string_view(bytes).substr(first_avail_at, 8))
+          .i64();
+  const std::string altered = with_word(bytes, first_avail_at, first_avail - 1);
+  EXPECT_EQ(restore_error(altered),
+            "snapshot: conservative full profile differs from base + "
+            "standing claims");
+
+  // With the stale byte set, the full profile is rebuilt from base +
+  // claims instead of compared, so the altered one restores to the
+  // original state.
+  auto stale = altered;
+  stale.back() = 1;
+  EXPECT_EQ(Engine::restore(stale)->snapshot(), bytes);
+}
+
+TEST(Snapshot, ReservationBetweenEventsRestoresLikeTheDonor) {
+  // An accepted reservation changes the base (and so the full profile)
+  // between events, with no pass run since. A snapshot taken right then
+  // re-snapshots to the same bytes, predicts like the donor, and
+  // resumes onto the donor's decisions.
+  const auto trace = validate::fuzz_workload(kSeed + 6, kJobs, kNodes);
+  const auto spec = SimulationSpec{}.with_scheduler("conservative");
+  auto donor = make_engine(trace, spec);
+  validate::DecisionRecorder decisions;
+  donor->add_observer(decisions);
+  donor->load_trace(trace);
+  donor->run_until(trace.horizon() / 2);
+  const auto grid = [&donor](const Engine& engine) {
+    std::vector<std::optional<std::int64_t>> starts;
+    for (const std::int64_t procs : {1, 5, 17, 32}) {
+      for (const std::int64_t estimate : {60, 3600, 50000}) {
+        for (const std::int64_t offset : {0, 600, 5000}) {
+          starts.push_back(engine.scheduler().predict_start(
+              donor->now() + offset, procs, estimate));
+        }
+      }
+    }
+    return starts;
+  };
+  const auto before = grid(*donor);
+  sched::AdvanceReservation reservation;
+  reservation.start = donor->now() + 600;
+  reservation.duration = 7200;
+  reservation.procs = kNodes / 2;
+  ASSERT_TRUE(donor->request_reservation(reservation));
+  const auto after = grid(*donor);
+  ASSERT_NE(before, after) << "the reservation moved no prediction";
+  const std::string bytes = donor->snapshot();
+  const std::size_t prefix = decisions.decisions().size();
+
+  auto clone = Engine::restore(bytes);
+  EXPECT_EQ(clone->snapshot(), bytes);
+  EXPECT_EQ(grid(*clone), after);
+
+  validate::DecisionRecorder suffix;
+  clone->add_observer(suffix);
+  clone->run();
+  donor->run();
+  const std::vector<Decision> rest(decisions.decisions().begin() +
+                                       std::ptrdiff_t(prefix),
+                                   decisions.decisions().end());
+  ASSERT_FALSE(rest.empty());
+  EXPECT_EQ(validate::decisions_to_csv(suffix.decisions()),
+            validate::decisions_to_csv(rest));
 }
 
 TEST(Snapshot, DenseSlotCountFollowsTheGrowthRule) {
