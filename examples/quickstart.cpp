@@ -7,22 +7,68 @@
 //   5. print the metric set.
 //
 // Build & run:  ./build/examples/quickstart [jobs] [nodes] [load]
+//   jobs >= 1, nodes in [1, 4194304], load > 0; a malformed or
+//   out-of-range argument exits 2 naming it.
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "core/swf/validator.hpp"
 #include "core/swf/writer.hpp"
 #include "metrics/aggregate.hpp"
+#include "sim/machine.hpp"
 #include "sim/replay.hpp"
+#include "util/string_util.hpp"
 #include "util/table.hpp"
 #include "workload/model.hpp"
 #include "workload/scale.hpp"
 
+namespace {
+
+/// Exit 2 with `message`: atoll read "abc" as 0 jobs and atof "0.7x" as
+/// 0.7, and a negative job count aborted in vector::reserve.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << "quickstart: " << message
+            << "\nusage: quickstart [jobs] [nodes] [load]\n";
+  std::exit(2);
+}
+
+[[noreturn]] void bad_argument(const char* name, const char* text,
+                               const std::string& wanted) {
+  usage_error(std::string(name) + " must be " + wanted + ", not '" + text +
+              "'");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace pjsb;
-  const std::size_t jobs = argc > 1 ? std::size_t(std::atoll(argv[1])) : 2000;
-  const std::int64_t nodes = argc > 2 ? std::atoll(argv[2]) : 128;
-  const double load = argc > 3 ? std::atof(argv[3]) : 0.7;
+  if (argc > 4) usage_error("at most three arguments");
+  std::size_t jobs = 2000;
+  std::int64_t nodes = 128;
+  double load = 0.7;
+  if (argc > 1) {
+    const auto n = util::parse_i64(argv[1]);
+    if (!n || *n < 1) bad_argument("jobs", argv[1], "an integer >= 1");
+    jobs = std::size_t(*n);
+  }
+  if (argc > 2) {
+    const auto n = util::parse_i64(argv[2]);
+    if (!n || *n < 1 || *n > sim::kMaxSpecNodes) {
+      bad_argument("nodes", argv[2],
+                   "an integer in [1, " + std::to_string(sim::kMaxSpecNodes) +
+                       "]");
+    }
+    nodes = *n;
+  }
+  if (argc > 3) {
+    const auto value = util::parse_f64(argv[3]);
+    if (!value || !std::isfinite(*value) || *value <= 0) {
+      bad_argument("load", argv[3], "a finite number > 0");
+    }
+    load = *value;
+  }
 
   // 1. Generate.
   util::Rng rng(42);

@@ -9,17 +9,38 @@
 //
 // Usage: site_comparison [trace.swf] [lambda]
 //   lambda in [0,1]: 0 = owner-centric (utilization), 1 = user-centric.
+//   A malformed or out-of-range lambda exits 2 before the trace is read.
 #include <iostream>
+#include <string>
 
 #include "core/swf/reader.hpp"
 #include "metrics/objective.hpp"
 #include "sim/replay.hpp"
+#include "util/string_util.hpp"
 #include "util/table.hpp"
 #include "workload/model.hpp"
 #include "workload/scale.hpp"
 
 int main(int argc, char** argv) {
   using namespace pjsb;
+
+  // Checked before anything runs: atof read "0.5x" as 0.5 and "abc" as
+  // 0, a purely owner-centric ranking.
+  const auto usage_error = [](const std::string& message) {
+    std::cerr << "site_comparison: " << message
+              << "\nusage: site_comparison [trace.swf] [lambda]\n";
+    return 2;
+  };
+  if (argc > 3) return usage_error("at most two arguments");
+  double lambda = 0.5;
+  if (argc > 2) {
+    const auto value = util::parse_f64(argv[2]);
+    if (!value || !(*value >= 0.0 && *value <= 1.0)) {
+      return usage_error("lambda must be a number in [0, 1], not '" +
+                         std::string(argv[2]) + "'");
+    }
+    lambda = *value;
+  }
 
   swf::Trace trace;
   if (argc > 1) {
@@ -41,7 +62,6 @@ int main(int argc, char** argv) {
     std::cout << "no trace given; generated a Lublin '99 benchmark "
                  "workload at load 0.8\n";
   }
-  const double lambda = argc > 2 ? std::atof(argv[2]) : 0.5;
 
   // Registry spec strings — parameterized variants rank alongside the
   // classic policies.

@@ -7,12 +7,9 @@
 #include <thread>
 #include <type_traits>
 
-#ifdef __linux__
-#include <sys/mman.h>
-#endif
-
 #include "util/chunk.hpp"
 #include "util/mmap_file.hpp"
+#include "util/resource.hpp"
 #include "util/string_util.hpp"
 
 namespace pjsb::swf {
@@ -32,35 +29,6 @@ constexpr std::size_t kMinAutoChunk = std::size_t(256) << 10;
 constexpr std::size_t kWindowBytes = std::size_t(128) << 10;
 /// Rough bytes-per-record guess for the reserve() ahead of a chunk.
 constexpr std::size_t kBytesPerRecordGuess = 48;
-
-/// Prepare a freshly reserved record buffer for bulk writes. A 1M-job
-/// parse materializes ~144 MB of records; demand-faulted 4 KB pages
-/// put ~35k page-fault traps on the critical path — a third of the
-/// parse time. MADV_HUGEPAGE asks for 2 MB pages where THP is
-/// available; MADV_POPULATE_WRITE (Linux 5.14+) prefaults the whole
-/// range in one syscall either way. Both are advisory — on kernels
-/// without them the parse is merely demand-faulted, not wrong.
-void prefault_buffer(void* data, std::size_t bytes) {
-#ifdef __linux__
-  constexpr std::size_t kPage = 4096;
-  constexpr std::size_t kMinBytes = std::size_t(8) << 20;
-  const auto addr = reinterpret_cast<std::uintptr_t>(data);
-  const std::uintptr_t aligned = (addr + kPage - 1) & ~(kPage - 1);
-  const std::size_t skipped = std::size_t(aligned - addr);
-  if (bytes < kMinBytes + skipped) return;
-  void* base = reinterpret_cast<void*>(aligned);
-  const std::size_t len = bytes - skipped;
-#ifdef MADV_HUGEPAGE
-  ::madvise(base, len, MADV_HUGEPAGE);
-#endif
-#ifdef MADV_POPULATE_WRITE
-  ::madvise(base, len, MADV_POPULATE_WRITE);
-#endif
-#else
-  (void)data;
-  (void)bytes;
-#endif
-}
 
 /// Newline count, memchr-paced — sizes the record reserve exactly
 /// instead of over-reserving from a bytes-per-record guess.
@@ -206,7 +174,7 @@ void parse_chunk(std::string_view chunk, bool strict, bool allow_extra,
           ? count_newlines(chunk) + 1
           : chunk.size() / kBytesPerRecordGuess + 1;
   out.records.reserve(guess);
-  prefault_buffer(out.records.data(), guess * sizeof(JobRecord));
+  util::prefault(out.records.data(), guess * sizeof(JobRecord));
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
   // Split the chunk at its last '\n': every line in [p, scan_end) is
@@ -402,7 +370,7 @@ ReadResult read_swf_string(std::string_view buffer,
     std::size_t total = 0;
     for (const auto& c : results) total += c.records.size();
     records.reserve(total);
-    prefault_buffer(records.data(), total * sizeof(JobRecord));
+    util::prefault(records.data(), total * sizeof(JobRecord));
   }
   detail::Ledger ledger;
   for (auto& c : results) {

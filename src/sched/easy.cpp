@@ -40,8 +40,10 @@ void EasyScheduler::schedule(SchedulerContext& ctx) {
   };
 
   // Work on a copy of the maintained base profile; tentative shadow /
-  // backfill placements stay local to this pass.
-  CapacityProfile profile = profile_;
+  // backfill placements stay local to this pass. Copy-assigning into
+  // the member copy reuses its step storage from pass to pass.
+  pass_profile_ = profile_;
+  CapacityProfile& profile = pass_profile_;
 
   // Start jobs in FIFO order while the head fits immediately.
   while (!queue_.empty()) {

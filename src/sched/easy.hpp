@@ -35,6 +35,9 @@ class EasyScheduler final : public BackfillBase {
 
  private:
   int reserve_depth_ = 1;
+  /// schedule()'s working copy of profile_, a member so each pass
+  /// reuses its capacity; what it holds between passes is never read.
+  CapacityProfile pass_profile_{0};
 };
 
 }  // namespace pjsb::sched

@@ -1,9 +1,12 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
+
+#include "util/resource.hpp"
 
 namespace pjsb::sim {
 
@@ -39,6 +42,25 @@ Engine::Engine(const EngineConfig& config,
 Engine::~Engine() = default;
 
 void Engine::load_trace(const swf::Trace& trace) {
+  // Admission is sized once from the record count: the FIFO run of
+  // submits, the completed archive, and the dense slot vector's
+  // capacity. Only capacity is reserved: the vector's size follows
+  // obtain_slot's growth rule, which snapshots record, and that rule
+  // takes ids 1..n to the power of two above n, so that is the
+  // capacity reserved (never a size taken from the largest id). Such
+  // ids fill all of it, so it is prefaulted too: when the allocator
+  // hands back fresh pages, one page-fault trap per 4 KB made set-up a
+  // third slower. (A trace whose job numbers start past the gap limit
+  // keeps every job in the overflow map and leaves the reserve unused.)
+  const std::size_t records = trace.records.size();
+  events_.reserve_arrivals(records);
+  if (config_.retain_completed) completed_.reserve(completed_.size() + records);
+  if (!config_.recycle_slots) {
+    jobs_dense_.reserve(std::min(std::size_t(kDenseIdLimit),
+                                 std::bit_ceil(records + 1)));
+    util::prefault(jobs_dense_.data(),
+                   jobs_dense_.capacity() * sizeof(JobSlot));
+  }
   // An eager pull of the whole trace: with an unbounded lookahead the
   // fill loop drains the source before returning, so the stack-local
   // adapter's lifetime is safe and behavior matches the historical
@@ -149,7 +171,7 @@ void Engine::admit_record(const swf::JobRecord& r) {
       return;
     }
   }
-  push_event(j.submit, EventType::kSubmit, id, /*version=*/1);
+  push_arrival(j.submit, id);
 }
 
 void Engine::release_slot(std::int64_t id) {
@@ -289,9 +311,7 @@ bool Engine::step() {
     mark = done;
   };
   while (!events_.empty() && events_.top().time == t) {
-    Event ev = events_.top();
-    events_.pop();
-    process(ev);
+    process(events_.pop());
   }
   if (phase_listener_) emit_phase(EnginePhase::kEvents);
   if (scheduler_dirty_) {
@@ -475,6 +495,10 @@ void Engine::push_event(std::int64_t time, EventType type, std::int64_t id,
   events_.push({time, type, seq_++, id, version});
 }
 
+void Engine::push_arrival(std::int64_t time, std::int64_t id) {
+  events_.push_arrival({time, EventType::kSubmit, seq_++, id, /*version=*/1});
+}
+
 void Engine::process(const Event& ev) {
   ++events_processed_;
   switch (ev.type) {
@@ -549,10 +573,7 @@ void Engine::finish_job(SimJob& j) {
   j.state = JobState::kFinished;
   j.end = now_;
   --running_count_;
-  if (!j.nodes.empty()) {
-    machine_.release(j.id, j.nodes);
-    j.nodes.clear();
-  }
+  release_nodes(j);
   work_node_seconds_ += j.procs * j.runtime;
   makespan_ = std::max(makespan_, now_);
 
@@ -596,6 +617,12 @@ void Engine::finish_job(SimJob& j) {
   }
 }
 
+void Engine::release_nodes(SimJob& j) {
+  if (j.nodes.empty()) return;
+  machine_.release(j.id, j.nodes);
+  j.nodes = std::vector<NodeRun>();  // frees the capacity, not just the size
+}
+
 void Engine::kill_job(JobSlot& slot, KillReason reason, bool force_drop) {
   // Work performed so far is lost ("any job running on that node would
   // have to be restarted") — except the checkpointed portion, which the
@@ -625,10 +652,7 @@ void Engine::kill_job(JobSlot& slot, KillReason reason, bool force_drop) {
   ++jobs_killed_;
   ++j.restarts;
   --running_count_;
-  if (!j.nodes.empty()) {
-    machine_.release(j.id, j.nodes);  // down nodes are skipped internally
-    j.nodes.clear();
-  }
+  release_nodes(j);  // down nodes are skipped internally
   ++slot.end_version;  // invalidate the pending end event
   slot.overrun_end = false;
 

@@ -5,6 +5,13 @@
 // (fields 17-18). The engine is incremental — next_event_time() /
 // run_until() — so the metacomputing layer (section 4.3's WARMstones
 // environment) can coordinate several site engines on a global clock.
+//
+// Events pop in (time, type, seq) order (sim/event_queue.hpp). Submits
+// of records admitted from the job source wait in the queue's FIFO run;
+// job ends, outages, reservations, closed-loop releases, backoff
+// resubmits and submit_job go to its heap, which stays about as small
+// as the running set. A running job holds its nodes as runs
+// (SimJob::nodes), freed when it finishes or is killed.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +26,7 @@
 #include "core/swf/job_source.hpp"
 #include "core/swf/trace.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/fault/fault.hpp"
 #include "sim/job.hpp"
 #include "sim/machine.hpp"
@@ -111,7 +118,9 @@ class Engine final : public sched::SchedulerContext {
   /// Load the summary records of a trace as the job population. In
   /// closed-loop mode, dependency edges (fields 17/18) defer dependent
   /// submissions until their predecessor terminates. Implemented as an
-  /// eager drain of a TraceSource through set_job_source.
+  /// eager drain of a TraceSource through set_job_source, with the
+  /// FIFO run, the completed archive and the dense slot vector's
+  /// capacity sized once from the record count.
   void load_trace(const swf::Trace& trace);
 
   /// Attach a pull-based job source. The engine pulls records lazily as
@@ -178,7 +187,10 @@ class Engine final : public sched::SchedulerContext {
   void run();
 
   // -- results --
-  const std::vector<CompletedJob>& completed() const { return completed_; }
+  const std::vector<CompletedJob>& completed() const& { return completed_; }
+  /// Move the archive out of an engine that is done with it
+  /// (std::move(engine).completed()), instead of copying it.
+  std::vector<CompletedJob> completed() && { return std::move(completed_); }
   EngineStats stats() const;
   const sched::Scheduler& scheduler() const { return *scheduler_; }
   sched::Scheduler& scheduler() { return *scheduler_; }
@@ -263,38 +275,6 @@ class Engine final : public sched::SchedulerContext {
   }
 
  private:
-  enum class EventType : int {
-    // Order within a timestamp (smaller runs first).
-    kJobEnd = 0,
-    kOutageEnd = 1,
-    kReservationEnd = 2,
-    kOutageStart = 3,
-    kOutageAnnounce = 4,
-    kSubmit = 5,
-    // After submits, so a reservation-attached job submitted at the
-    // reservation start time is already queued when the window opens.
-    kReservationStart = 6,
-  };
-
-  struct Event {
-    std::int64_t time = 0;
-    EventType type = EventType::kSubmit;
-    std::int64_t seq = 0;    ///< FIFO tie-break
-    std::int64_t id = 0;     ///< job id / outage index / reservation id
-    /// kJobEnd: revision counter (stale end events are ignored).
-    /// kSubmit: 1 if the job was admitted from the attached source and
-    /// counts against the pending_submits_ lookahead gauge; 0 for
-    /// external submit_job injections, which must not drain the gauge.
-    std::int64_t version = 0;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.type != b.type) return int(a.type) > int(b.type);
-      return a.seq > b.seq;
-    }
-  };
-
   /// Per-job engine state: the job plus its end-event version counter
   /// (revisable job-end events carry the version they were issued
   /// with; stale ones are ignored).
@@ -340,6 +320,9 @@ class Engine final : public sched::SchedulerContext {
 
   void push_event(std::int64_t time, EventType type, std::int64_t id,
                   std::int64_t version = 0);
+  /// The submit event of a record admitted from the source, queued on
+  /// the event queue's FIFO run of arrivals.
+  void push_arrival(std::int64_t time, std::int64_t id);
   void process(const Event& ev);
   void handle_submit(const Event& ev);
   void handle_job_end(const Event& ev);
@@ -347,6 +330,8 @@ class Engine final : public sched::SchedulerContext {
   void handle_outage_end(std::size_t idx);
   void handle_reservation_start(std::int64_t res_id);
   void finish_job(SimJob& j);
+  /// Return a terminating job's node runs to the machine and free them.
+  void release_nodes(SimJob& j);
   /// `force_drop` (cancel path): skip the requeue policy entirely and
   /// drop with DropReason::kCancelled.
   void kill_job(JobSlot& slot, KillReason reason, bool force_drop = false);
@@ -375,12 +360,16 @@ class Engine final : public sched::SchedulerContext {
   std::int64_t seq_ = 0;
   std::int64_t next_job_id_ = 1;
   std::int64_t next_reservation_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
+  /// Source arrivals in a FIFO run, every other event in a heap.
+  EventQueue events_;
 
   /// Dense job storage indexed directly by job id (SWF job numbers are
   /// small and near-contiguous), with a hash-map overflow for ids
   /// beyond kDenseIdLimit. Scheduler callbacks hit job() on every
-  /// queue entry per event, so lookups must not hash.
+  /// queue entry per event, so lookups must not hash. load_trace
+  /// reserves its capacity, never its size: snapshots record the size
+  /// and the gap placement rule reads it, while growing the capacity
+  /// by doubling copied every slot again and churned page faults.
   std::vector<JobSlot> jobs_dense_;
   std::unordered_map<std::int64_t, JobSlot> jobs_overflow_;
   /// Dependents per predecessor job id (closed loop): (job, think).

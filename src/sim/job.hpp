@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/swf/record.hpp"
+#include "sim/machine.hpp"
 
 namespace pjsb::sim {
 
@@ -47,7 +48,10 @@ struct SimJob {
   /// Checkpointed progress carried across restarts, in work seconds;
   /// the next burst computes runtime - completed_work (plus read_time).
   std::int64_t completed_work = 0;
-  std::vector<std::int64_t> nodes;  ///< allocation (node ids), if any
+  /// The allocation while running: ascending, maximal node runs from
+  /// Machine::allocate. The engine frees them (capacity included) when
+  /// the job finishes or is killed, so terminated jobs hold none.
+  std::vector<NodeRun> nodes;
 
   /// Build from an SWF summary record. Estimates default to the runtime
   /// when the record carries none (perfect estimates).

@@ -1,5 +1,6 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -32,37 +33,66 @@ void Machine::rebuild_free_set() {
   }
 }
 
-std::optional<std::vector<std::int64_t>> Machine::allocate(
-    std::int64_t job_id, std::int64_t count) {
+std::optional<std::vector<NodeRun>> Machine::allocate(std::int64_t job_id,
+                                                      std::int64_t count) {
   if (count <= 0) throw std::invalid_argument("allocate: count must be > 0");
   if (count > free_) return std::nullopt;
-  std::vector<std::int64_t> nodes;
-  nodes.reserve(std::size_t(count));
+  std::vector<NodeRun> runs;
   std::int64_t wanted = count;
   for (std::size_t w = 0; wanted > 0; ++w) {
     std::uint64_t& word = free_bits_[w];
-    for (; word != 0 && wanted > 0; --wanted) {
-      const std::size_t node = (w << 6) | std::size_t(std::countr_zero(word));
-      word &= word - 1;  // clear the lowest set bit
-      owner_[node] = job_id;
-      nodes.push_back(std::int64_t(node));
+    while (word != 0 && wanted > 0) {
+      // The lowest stretch of free nodes in this word, cut to what is
+      // still wanted.
+      const int low = std::countr_zero(word);
+      const int len = int(std::min<std::int64_t>(
+          std::countr_one(word >> low), wanted));
+      word &= ~bit_span(low, len);
+      const std::int64_t first = std::int64_t(w << 6) + low;
+      std::fill_n(owner_.begin() + first, len, job_id);
+      if (!runs.empty() && runs.back().first + runs.back().count == first) {
+        runs.back().count += len;  // continues across a word boundary
+      } else {
+        runs.push_back({first, len});
+      }
+      wanted -= len;
     }
   }
   free_ -= count;
-  return nodes;
+  return runs;
 }
 
-void Machine::release(std::int64_t job_id,
-                      std::span<const std::int64_t> nodes) {
-  for (std::int64_t n : nodes) {
-    auto& o = owner_.at(std::size_t(n));
-    if (o == kDown) continue;  // node failed while the job ran
-    if (o != job_id) {
-      throw std::logic_error("release: node not owned by job");
+void Machine::release(std::int64_t job_id, std::span<const NodeRun> runs) {
+  for (const NodeRun& run : runs) {
+    if (run.first < 0 || run.count < 0 ||
+        run.count > total_nodes() - run.first) {
+      throw std::out_of_range("release: node run outside the machine");
     }
-    o = kFree;
-    ++free_;
-    flip_free(n);
+    const auto begin = owner_.begin() + run.first;
+    const auto end = begin + run.count;
+    if (std::count(begin, end, job_id) == run.count) {
+      // The whole run is still the job's: free it a word at a time.
+      std::fill(begin, end, kFree);
+      for (std::int64_t n = run.first; n < run.first + run.count;) {
+        const int low = int(n & 63);
+        const int len = int(std::min<std::int64_t>(64 - low,
+                                                   run.first + run.count - n));
+        free_bits_[std::size_t(n) >> 6] |= bit_span(low, len);
+        n += len;
+      }
+      free_ += run.count;
+      continue;
+    }
+    for (std::int64_t n = run.first; n < run.first + run.count; ++n) {
+      auto& o = owner_[std::size_t(n)];
+      if (o == kDown) continue;  // node failed while the job ran
+      if (o != job_id) {
+        throw std::logic_error("release: node not owned by job");
+      }
+      o = kFree;
+      ++free_;
+      flip_free(n);
+    }
   }
 }
 

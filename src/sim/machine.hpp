@@ -6,11 +6,18 @@
 //
 // The free set is a bitmap of 64-node words. Allocation is exact first
 // fit — the lowest-numbered free nodes, in increasing order — found by
-// skipping empty words and taking set bits with countr_zero, so starting
-// a job costs O(count + nodes/64); releases, outages and repairs flip
-// single bits. Placement is a pure function of the per-node owners, so
-// outage victim selection stays reproducible across implementations and
-// snapshot restores.
+// skipping empty words and taking stretches of set bits with
+// countr_zero/countr_one, so starting a job costs O(count + nodes/64).
+// A release sets a run's bits a word at a time; outages and repairs
+// flip single bits. Placement is a pure function of the per-node
+// owners, so outage victim selection stays reproducible across
+// implementations and snapshot restores.
+//
+// An allocation is a list of node runs, not of node ids: ascending,
+// maximal [first, first + count) stretches, as batsched keeps a job's
+// machines as an interval set. A wide job on a quiet machine is one or
+// a few runs where an id list held one word per node; the per-node
+// owner array still backs every release and outage check.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +35,13 @@ namespace pjsb::sim {
 /// Owner id stored per node; kFree / kDown are sentinels.
 inline constexpr std::int64_t kFree = -1;
 inline constexpr std::int64_t kDown = -2;
+
+/// Nodes first .. first + count - 1 of one allocation.
+struct NodeRun {
+  std::int64_t first = 0;
+  std::int64_t count = 0;
+  bool operator==(const NodeRun&) const = default;
+};
 
 /// Upper bound on the machine size, enforced by Machine itself so every
 /// way of sizing one (spec keys, trace MaxNodes headers, snapshot
@@ -51,15 +65,16 @@ class Machine {
   std::int64_t up_nodes() const { return total_nodes() - down_; }
 
   /// Allocate `count` free nodes to `job_id` (first fit: the lowest-
-  /// numbered free nodes, in increasing order). Returns the node ids,
-  /// or nullopt if not enough free nodes.
-  std::optional<std::vector<std::int64_t>> allocate(std::int64_t job_id,
-                                                    std::int64_t count);
-  /// Return `nodes` to the free pool. Nodes that went down while the
-  /// job ran (owner is now kDown) are skipped silently — the outage
-  /// owns them until bring_up. Throws std::logic_error if a node is
-  /// owned by a different job (double release / bookkeeping bug).
-  void release(std::int64_t job_id, std::span<const std::int64_t> nodes);
+  /// numbered free nodes). Returns them as ascending, maximal runs, or
+  /// nullopt if not enough free nodes.
+  std::optional<std::vector<NodeRun>> allocate(std::int64_t job_id,
+                                               std::int64_t count);
+  /// Return the nodes of `runs` to the free pool. Nodes that went down
+  /// while the job ran (owner is now kDown) are skipped silently — the
+  /// outage owns them until bring_up. Throws std::logic_error if a node
+  /// is owned by a different job (double release / bookkeeping bug) and
+  /// std::out_of_range if a run leaves the machine.
+  void release(std::int64_t job_id, std::span<const NodeRun> runs);
 
   /// Take a node out of service. Returns the previous owner's job id if
   /// the node was allocated (the engine kills that job), kFree if it
@@ -87,6 +102,12 @@ class Machine {
   /// Toggle `node`'s free bit.
   void flip_free(std::int64_t node) {
     free_bits_[std::size_t(node) >> 6] ^= std::uint64_t(1) << (node & 63);
+  }
+  /// Bits low .. low + len - 1 of a word (0 <= low, 1 <= len,
+  /// low + len <= 64).
+  static std::uint64_t bit_span(int low, int len) {
+    return (len == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << len) - 1)
+           << low;
   }
 
   std::vector<std::int64_t> owner_;

@@ -81,8 +81,8 @@ ReplayResult replay(const swf::Trace& trace,
   sinks.finish();
 
   ReplayResult result;
-  result.completed = engine.completed();
   result.stats = engine.stats();
+  result.completed = std::move(engine).completed();
   result.nodes = config.nodes;
   return result;
 }
@@ -114,11 +114,11 @@ ReplayResult replay(swf::JobSource& source,
   sinks.finish();
 
   ReplayResult result;
-  result.completed = engine.completed();
   result.stats = engine.stats();
   result.nodes = config.nodes;
   result.source_pulled = engine.source_pulled();
   result.source_clamped = engine.source_clamped();
+  result.completed = std::move(engine).completed();
   return result;
 }
 

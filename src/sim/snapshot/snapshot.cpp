@@ -94,8 +94,13 @@ void write_job(Writer& w, const SimJob& j) {
   w.i64(j.end);
   w.i64(j.restarts);
   w.i64(j.completed_work);
-  w.u64(j.nodes.size());
-  for (std::int64_t n : j.nodes) w.i64(n);
+  // The allocation as its node count, then every node id.
+  std::uint64_t held = 0;
+  for (const NodeRun& run : j.nodes) held += std::uint64_t(run.count);
+  w.u64(held);
+  for (const NodeRun& run : j.nodes) {
+    for (std::int64_t n = run.first; n < run.first + run.count; ++n) w.i64(n);
+  }
 }
 
 /// `machine_nodes` bounds the node ids of the job's allocation.
@@ -122,15 +127,22 @@ SimJob read_job(Reader& r, std::int64_t machine_nodes) {
   j.end = r.i64();
   j.restarts = int(r.i64());
   j.completed_work = r.i64();
+  // Node ids coalesce back into runs: an id one past the last run
+  // extends it, any other starts a new one, so the ids re-expand in the
+  // order read.
   const std::size_t n = r.count("node list", 8);
-  j.nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t node = r.i64();
     if (node < 0 || node >= machine_nodes) {
       throw std::runtime_error("snapshot: node id " + std::to_string(node) +
                                " outside the machine");
     }
-    j.nodes.push_back(node);
+    if (!j.nodes.empty() &&
+        j.nodes.back().first + j.nodes.back().count == node) {
+      ++j.nodes.back().count;
+    } else {
+      j.nodes.push_back({node, 1});
+    }
   }
   return j;
 }
@@ -198,20 +210,19 @@ std::string Engine::write_snapshot(bool live) const {
   w.i64(events_processed_);
   w.boolean(scheduler_dirty_);
 
-  // Event queue, drained from a copy in pop order with sequence numbers
-  // preserved — the (time, type, seq) order is total, so re-pushing the
-  // same set reproduces the donor's pop order exactly.
+  // Event queue, in pop order with sequence numbers preserved — the
+  // (time, type, seq) order is total, so re-queueing the same set
+  // reproduces the donor's pop order exactly, whichever part of the
+  // queue each event lands in.
   {
-    auto events = events_;
+    const std::vector<Event> events = events_.in_pop_order();
     w.u64(events.size());
-    while (!events.empty()) {
-      const Event& ev = events.top();
+    for (const Event& ev : events) {
       w.i64(ev.time);
       w.u8(std::uint8_t(int(ev.type)));
       w.i64(ev.seq);
       w.i64(ev.id);
       w.i64(ev.version);
-      events.pop();
     }
   }
 
@@ -371,9 +382,10 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   scheduler_dirty_ = r.boolean();
 
   {
-    std::vector<Event> events;
+    // Source-admitted submits go back on the FIFO run (push_arrival
+    // keeps it ordered whatever the file holds), the rest on the heap.
+    events_ = EventQueue();
     const std::size_t n = r.count("event", kEventBytes);
-    events.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       Event ev;
       ev.time = r.i64();
@@ -385,10 +397,12 @@ void Engine::load_snapshot(snapshot::Reader& r) {
       ev.seq = r.i64();
       ev.id = r.i64();
       ev.version = r.i64();
-      events.push_back(ev);
+      if (ev.type == EventType::kSubmit && ev.version == 1) {
+        events_.push_arrival(ev);
+      } else {
+        events_.push(ev);
+      }
     }
-    events_ = std::priority_queue<Event, std::vector<Event>, EventOrder>(
-        EventOrder{}, std::move(events));
   }
 
   const auto read_slot = [&r, this]() {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/outage/record.hpp"
 #include "sched/registry.hpp"
+#include "sim/fault/fault.hpp"
 #include "sim/replay.hpp"
+#include "validate/fuzzer.hpp"
 
 namespace pjsb::sim {
 namespace {
@@ -319,6 +323,60 @@ TEST(Engine, SparseJobIdsCoexistWithDenseOnes) {
   EXPECT_TRUE(meta_done);
   // A later dense id still resolves to the same job population.
   EXPECT_THROW(e.job(999'999), std::out_of_range);
+}
+
+TEST(Engine, TerminatedJobsHoldNoNodeRuns) {
+  // A job's node runs are freed, capacity included, when it finishes or
+  // is killed. After every step each running job holds exactly its
+  // width and no other job holds run capacity; after the run no
+  // terminated job does, plain and with crashes, checkpoints, requeues
+  // and retry-limit drops.
+  constexpr std::int64_t kNodes = 32;
+  const auto trace = validate::fuzz_workload(20261017, 300, kNodes);
+  for (const bool crashes : {false, true}) {
+    SCOPED_TRACE(crashes ? "with crashes" : "plain");
+    auto spec = SimulationSpec{}.with_scheduler("easy");
+    if (crashes) {
+      spec.faults = 7;
+      spec.mtbf = 9000;
+      spec.repair = 600;
+      spec.checkpoint = 300;
+      spec.retry_limit = 3;
+    }
+    const auto config = spec_engine_config(spec, kNodes);
+    Engine e(config, sched::make_scheduler(spec.scheduler));
+    if (crashes) {
+      e.add_outages(fault::generate_crashes(spec.fault_model(),
+                                            trace.horizon(), config.nodes));
+    }
+    e.load_trace(trace);
+    const auto check = [](const SimJob& j) {
+      if (j.state != JobState::kRunning) {
+        EXPECT_EQ(j.nodes.capacity(), 0u) << "job " << j.id;
+        return;
+      }
+      std::int64_t held = 0;
+      for (const NodeRun& run : j.nodes) held += run.count;
+      EXPECT_EQ(held, j.procs) << "job " << j.id;
+    };
+    std::size_t most_running = 0;
+    while (e.step()) {
+      most_running = std::max(most_running, e.running_jobs());
+      e.for_each_job(check);
+    }
+    EXPECT_GT(most_running, 1u);
+    std::size_t terminated = 0;
+    e.for_each_job([&](const SimJob& j) {
+      EXPECT_EQ(j.state, JobState::kFinished) << "job " << j.id;
+      check(j);
+      ++terminated;
+    });
+    EXPECT_EQ(terminated, trace.records.size());
+    if (crashes) {
+      EXPECT_GT(e.stats().jobs_killed, 0);
+      EXPECT_GT(e.stats().jobs_dropped, 0);
+    }
+  }
 }
 
 TEST(Engine, OversizedJobClampedToMachine) {

@@ -15,6 +15,29 @@
 namespace pjsb::sim {
 namespace {
 
+/// The node ids of an allocation's runs, in order.
+std::vector<std::int64_t> ids(const std::vector<NodeRun>& runs) {
+  std::vector<std::int64_t> out;
+  for (const NodeRun& run : runs) {
+    for (std::int64_t n = run.first; n < run.first + run.count; ++n) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
+/// Runs are ascending and maximal: none empty, and each starts past the
+/// node after the previous one ends, so no two could merge.
+bool ascending_and_maximal(const std::vector<NodeRun>& runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].count < 1) return false;
+    if (i > 0 && runs[i].first <= runs[i - 1].first + runs[i - 1].count) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(Machine, InitialState) {
   Machine m(16);
   EXPECT_EQ(m.total_nodes(), 16);
@@ -43,10 +66,10 @@ TEST(Machine, AllocateAndRelease) {
   Machine m(8);
   const auto nodes = m.allocate(42, 3);
   ASSERT_TRUE(nodes);
-  EXPECT_EQ(nodes->size(), 3u);
+  EXPECT_EQ(*nodes, (std::vector<NodeRun>{{0, 3}}));
   EXPECT_EQ(m.free_nodes(), 5);
   EXPECT_EQ(m.busy_nodes(), 3);
-  for (const auto n : *nodes) EXPECT_EQ(m.owner(n), 42);
+  for (const auto n : ids(*nodes)) EXPECT_EQ(m.owner(n), 42);
   m.release(42, *nodes);
   EXPECT_EQ(m.free_nodes(), 8);
 }
@@ -80,7 +103,7 @@ TEST(Machine, TakeDownFreeNode) {
 TEST(Machine, TakeDownBusyNodeReportsVictim) {
   Machine m(4);
   const auto nodes = m.allocate(7, 2);
-  const std::int64_t victim_node = nodes->front();
+  const std::int64_t victim_node = nodes->front().first;
   EXPECT_EQ(m.take_down(victim_node), 7);
   EXPECT_EQ(m.owner(victim_node), kDown);
   // Releasing the job skips the downed node.
@@ -111,7 +134,7 @@ TEST(Machine, AllocationSkipsDownNodes) {
   m.take_down(1);
   const auto nodes = m.allocate(5, 2);
   ASSERT_TRUE(nodes);
-  for (const auto n : *nodes) EXPECT_GE(n, 2);
+  EXPECT_EQ(*nodes, (std::vector<NodeRun>{{2, 2}}));
 }
 
 TEST(Machine, AllocationIsFirstFitLowestIds) {
@@ -121,15 +144,33 @@ TEST(Machine, AllocationIsFirstFitLowestIds) {
   Machine m(8);
   const auto a = m.allocate(1, 3);
   ASSERT_TRUE(a);
-  EXPECT_EQ(*a, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(ids(*a), (std::vector<std::int64_t>{0, 1, 2}));
   const auto b = m.allocate(2, 2);
   ASSERT_TRUE(b);
-  EXPECT_EQ(*b, (std::vector<std::int64_t>{3, 4}));
-  // Release out of order; the next allocation still takes the lowest.
+  EXPECT_EQ(ids(*b), (std::vector<std::int64_t>{3, 4}));
+  // Release out of order; the next allocation still takes the lowest,
+  // as two runs around job 2's nodes.
   m.release(1, *a);
   const auto c = m.allocate(3, 4);
   ASSERT_TRUE(c);
-  EXPECT_EQ(*c, (std::vector<std::int64_t>{0, 1, 2, 5}));
+  EXPECT_EQ(*c, (std::vector<NodeRun>{{0, 3}, {5, 1}}));
+}
+
+TEST(Machine, RunsSpanWordBoundaries) {
+  // A run continues across a 64-node word of the free bitmap, and a
+  // whole free word is taken in one stretch.
+  Machine m(200);
+  ASSERT_TRUE(m.allocate(1, 60));
+  const auto a = m.allocate(2, 80);  // nodes 60..139
+  ASSERT_TRUE(a);
+  EXPECT_EQ(*a, (std::vector<NodeRun>{{60, 80}}));
+  EXPECT_EQ(m.take_down(100), 2);
+  m.release(2, *a);  // skips the downed node 100
+  const auto b = m.allocate(3, 100);
+  ASSERT_TRUE(b);
+  EXPECT_EQ(*b, (std::vector<NodeRun>{{60, 40}, {101, 60}}));
+  EXPECT_THROW(m.release(3, std::vector<NodeRun>{{190, 11}}),
+               std::out_of_range);
 }
 
 TEST(Machine, ReleaseAfterPartialOutage) {
@@ -140,8 +181,8 @@ TEST(Machine, ReleaseAfterPartialOutage) {
   Machine m(6);
   const auto nodes = m.allocate(9, 4);  // nodes 0..3
   ASSERT_TRUE(nodes);
-  EXPECT_EQ(m.take_down((*nodes)[1]), 9);
-  EXPECT_EQ(m.take_down((*nodes)[2]), 9);
+  EXPECT_EQ(m.take_down(1), 9);
+  EXPECT_EQ(m.take_down(2), 9);
   EXPECT_EQ(m.busy_nodes(), 2);
   EXPECT_EQ(m.down_nodes(), 2);
 
@@ -149,26 +190,26 @@ TEST(Machine, ReleaseAfterPartialOutage) {
   EXPECT_EQ(m.free_nodes(), 4);   // 0, 3 released + 4, 5 never used
   EXPECT_EQ(m.busy_nodes(), 0);
   EXPECT_EQ(m.down_nodes(), 2);
-  EXPECT_EQ(m.owner((*nodes)[1]), kDown);
-  EXPECT_EQ(m.owner((*nodes)[2]), kDown);
+  EXPECT_EQ(m.owner(1), kDown);
+  EXPECT_EQ(m.owner(2), kDown);
 
   // Repair returns the nodes to the free pool as kFree — the old owner
   // was killed at take_down time and has no claim.
-  m.bring_up((*nodes)[1]);
-  m.bring_up((*nodes)[2]);
+  m.bring_up(1);
+  m.bring_up(2);
   EXPECT_EQ(m.free_nodes(), 6);
   EXPECT_EQ(m.down_nodes(), 0);
   // And they are allocatable again, lowest-first.
   const auto again = m.allocate(10, 6);
   ASSERT_TRUE(again);
-  EXPECT_EQ(*again, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(*again, (std::vector<NodeRun>{{0, 6}}));
 }
 
 TEST(Machine, ChurnKeepsFreeSetConsistent) {
   // Allocate/release/outage churn must never double-allocate a node or
   // lose one.
   Machine m(16);
-  std::vector<std::vector<std::int64_t>> held;
+  std::vector<std::vector<NodeRun>> held;
   std::int64_t next_job = 1;
   for (int round = 0; round < 50; ++round) {
     if (round % 3 != 2) {
@@ -195,7 +236,7 @@ TEST(Machine, ChurnKeepsFreeSetConsistent) {
     // Invariant: no node owned by two jobs (owners are per-node, so
     // check each held allocation still owns its nodes).
     for (std::size_t h = 0; h < held.size(); ++h) {
-      for (const auto n : held[h]) {
+      for (const auto n : ids(held[h])) {
         EXPECT_GE(m.owner(n), 0) << "node " << n << " lost its owner";
       }
     }
@@ -255,17 +296,19 @@ std::vector<std::int64_t> owners(const Machine& m) {
 TEST(Machine, MatchesLinearFirstFitUnderRandomChurn) {
   // Seeded allocate/release/take_down/bring_up churn against the
   // reference, with a save_state/load_state round trip every so often.
+  // Each allocation's runs, expanded to ids, are the reference's ids,
+  // and the runs are ascending and maximal.
   // The sizes straddle the 64-node word boundaries of the free bitmap.
   for (const std::int64_t size : {1, 63, 64, 65, 127, 128, 1000, 1024}) {
     SCOPED_TRACE("machine of " + std::to_string(size) + " nodes");
     util::Rng rng(20261017 + std::uint64_t(size));
     Machine m(size);
     ReferenceMachine ref(size);
-    std::map<std::int64_t, std::vector<std::int64_t>> held;  // job -> nodes
+    std::map<std::int64_t, std::vector<NodeRun>> held;  // job -> runs
     std::int64_t next_job = 1;
     const auto release = [&](auto it) {
       m.release(it->first, it->second);
-      ref.release(it->first, it->second);
+      ref.release(it->first, ids(it->second));
       held.erase(it);
     };
     for (int op = 0; op < 3000; ++op) {
@@ -278,8 +321,13 @@ TEST(Machine, MatchesLinearFirstFitUnderRandomChurn) {
                                                         1, size / 4));
         const std::int64_t job = next_job++;
         const auto got = m.allocate(job, count);
-        ASSERT_EQ(got, ref.allocate(job, count)) << "op " << op;
-        if (got) held.emplace(job, *got);
+        const auto want = ref.allocate(job, count);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+        if (got) {
+          ASSERT_EQ(ids(*got), *want) << "op " << op;
+          ASSERT_TRUE(ascending_and_maximal(*got)) << "op " << op;
+          held.emplace(job, *got);
+        }
       } else if (roll < 0.7) {
         if (held.empty()) continue;
         release(std::next(held.begin(), rng.uniform_int(

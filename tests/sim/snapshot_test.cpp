@@ -311,7 +311,8 @@ TEST(Snapshot, RejectsCorruptAllocationState) {
   const std::string bytes = donor->snapshot();
 
   // The machine's ownership section (node count, then one owner per
-  // node) and a running job's node list (count, then its ids).
+  // node) and a running job's node list (count, then its ids: the job's
+  // node runs expanded).
   snapshot::Writer owners;
   donor->machine().save_state(owners);
   const std::size_t owners_at = bytes.rfind(owners.bytes());
@@ -322,9 +323,15 @@ TEST(Snapshot, RejectsCorruptAllocationState) {
     if (owner >= 0) running = donor->find_job(owner);
   }
   ASSERT_NE(running, nullptr) << "no job running at t=26000";
+  std::vector<std::int64_t> node_ids;
+  for (const NodeRun& run : running->nodes) {
+    for (std::int64_t n = run.first; n < run.first + run.count; ++n) {
+      node_ids.push_back(n);
+    }
+  }
   snapshot::Writer list;
-  list.u64(running->nodes.size());
-  for (const std::int64_t n : running->nodes) list.i64(n);
+  list.u64(node_ids.size());
+  for (const std::int64_t n : node_ids) list.i64(n);
   const std::size_t count_at = bytes.find(list.bytes());
   ASSERT_NE(count_at, std::string::npos);
   ASSERT_EQ(Engine::restore(bytes)->snapshot(), bytes);
