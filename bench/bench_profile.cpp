@@ -176,7 +176,8 @@ void replay_bench(util::Table& table, bench::JsonReporter& json,
 
 int main(int argc, char** argv) {
   using namespace pjsb;
-  const auto options = bench::BenchOptions::parse(argc, argv);
+  const auto options = bench::BenchOptions::parse(argc, argv,
+                                                  /*dumps_csv=*/true);
   bench::print_header(
       "profile hot path",
       "CapacityProfile primitive throughput and backfill-heavy replay "

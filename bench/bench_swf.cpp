@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -237,9 +238,8 @@ void micro_bench(bench::JsonReporter& json, util::Table& table) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::BenchOptions::parse(argc, argv);
-
-  // Hidden child-phase dispatch.
+  // Hidden child-phase dispatch (run_phase re-runs this binary with
+  // these flags), ahead of the public flags' parse.
   std::map<std::string, std::string> phase_args;
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
@@ -265,6 +265,7 @@ int main(int argc, char** argv) {
     }
     return fail("unknown phase " + phase);
   }
+  const auto options = bench::BenchOptions::parse(argc, argv);
 
   const std::uint64_t jobs = options.quick ? 50'000 : 1'000'000;
   bench::print_header(

@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -30,23 +30,38 @@ inline constexpr std::uint64_t kSeed = 20240612;
 
 /// Common CLI for bench binaries: `--quick` shrinks problem sizes so CI
 /// can run the suite in seconds; `--json PATH` writes the results as
-/// JSON; `--dump-csv PATH` (where supported) writes per-job scheduler
-/// decisions for byte-identical regression comparison.
+/// JSON; `--dump-csv PATH` (only where the bench writes one) writes
+/// per-job scheduler decisions for byte-identical regression
+/// comparison.
 struct BenchOptions {
   bool quick = false;
   std::string json_path;
   std::string csv_path;
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// `dumps_csv`: the bench writes a decision CSV. An unknown flag, a
+  /// flag missing its value and --dump-csv on a bench that writes no
+  /// CSV exit 2, naming the flag, before the bench does any work.
+  static BenchOptions parse(int argc, char** argv, bool dumps_csv = false) {
+    const auto usage = [argv](const std::string& message) {
+      std::cerr << argv[0] << ": " << message << '\n';
+      std::exit(2);
+    };
     BenchOptions o;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
+      const std::string flag = argv[i];
+      if (flag == "--quick") {
         o.quick = true;
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        o.json_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--dump-csv") == 0 && i + 1 < argc) {
-        o.csv_path = argv[++i];
+        continue;
       }
+      if (flag == "--dump-csv" && !dumps_csv) {
+        usage("--dump-csv: this bench writes no decision CSV");
+      }
+      std::string* value = flag == "--json"       ? &o.json_path
+                           : flag == "--dump-csv" ? &o.csv_path
+                                                  : nullptr;
+      if (!value) usage("unknown flag " + flag);
+      if (i + 1 >= argc) usage(flag + " needs a value");
+      *value = argv[++i];
     }
     return o;
   }

@@ -2,13 +2,15 @@
 """CI bench-regression gate.
 
 Compares freshly produced quick-mode bench JSON (bench_* --quick --json)
-against the committed baseline in BENCH_3.json and FAILS (exit 1) when a
-key metric regresses, instead of only uploading artifacts.
+against committed baselines (BENCH_3.json, ...) and FAILS (exit 1) when a
+key metric of any baseline regresses, instead of only uploading
+artifacts.
 
 Usage:
-    check_bench_regression.py --baseline BENCH_3.json --current DIR
+    check_bench_regression.py --baseline BENCH_3.json [--baseline ...] \
+        --current DIR
 
-The baseline file carries two sections this script reads:
+Every baseline file carries two sections this script reads:
 
     "quick_baseline": { "<suite>": <output of bench_<suite> --quick --json> }
     "gate": {
@@ -45,35 +47,16 @@ def metric_value(suite_json, name, metric):
     return None
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True,
-                        help="committed BENCH_*.json with quick_baseline + gate")
-    parser.add_argument("--current", required=True,
-                        help="directory of freshly produced <suite>.json files")
-    args = parser.parse_args()
-
-    with open(args.baseline) as f:
+def check_baseline(baseline_path, current_suite):
+    """Print one baseline's checks; returns (problems, metric count)."""
+    with open(baseline_path) as f:
         baseline = json.load(f)
     gate = baseline.get("gate", {})
     entries = gate.get("metrics", [])
     default_threshold = gate.get("default_threshold", 0.25)
     quick_baseline = baseline.get("quick_baseline", {})
     if not entries:
-        print("gate: no metrics configured in", args.baseline)
-        return 1
-
-    current_cache = {}
-
-    def current_suite(suite):
-        if suite not in current_cache:
-            path = os.path.join(args.current, suite + ".json")
-            try:
-                with open(path) as f:
-                    current_cache[suite] = json.load(f)
-            except OSError:
-                current_cache[suite] = None
-        return current_cache[suite]
+        return [f"{baseline_path}: no gate metrics configured"], 0
 
     failures = []
     for entry in entries:
@@ -118,13 +101,45 @@ def main():
             print(f"{status} {path} = {current:.6g} ({describe})")
             if not ok:
                 failures.append(f"{path} = {current:.6g}: {describe}")
+    return [f"{baseline_path}: {f_}" for f_ in failures], len(entries)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--baseline", required=True, action="append",
+                        help="committed BENCH_*.json with quick_baseline + "
+                             "gate; repeat to check several")
+    parser.add_argument("--current", required=True,
+                        help="directory of freshly produced <suite>.json files")
+    args = parser.parse_args()
+
+    current_cache = {}
+
+    def current_suite(suite):
+        if suite not in current_cache:
+            path = os.path.join(args.current, suite + ".json")
+            try:
+                with open(path) as f:
+                    current_cache[suite] = json.load(f)
+            except OSError:
+                current_cache[suite] = None
+        return current_cache[suite]
+
+    failures = []
+    metrics = 0
+    for baseline_path in args.baseline:
+        print(f"== {baseline_path}")
+        problems, count = check_baseline(baseline_path, current_suite)
+        failures += problems
+        metrics += count
 
     if failures:
         print(f"\nbench regression gate FAILED ({len(failures)} problem(s)):")
         for f_ in failures:
             print("  -", f_)
         return 1
-    print(f"\nbench regression gate passed ({len(entries)} key metric(s)).")
+    print(f"\nbench regression gate passed ({metrics} key metric(s) in "
+          f"{len(args.baseline)} baseline(s)).")
     return 0
 
 

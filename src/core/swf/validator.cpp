@@ -39,8 +39,7 @@ std::vector<FieldRef> record_fields(const JobRecord& r) {
 
 class Validator {
  public:
-  Validator(const Trace& trace, const ValidatorOptions& options)
-      : trace_(trace), options_(options) {}
+  explicit Validator(const Trace& trace) : trace_(trace) {}
 
   ValidationReport run() {
     check_sequence_and_order();
@@ -48,7 +47,7 @@ class Validator {
       check_record(i, trace_.records[i]);
     }
     check_dependencies();
-    if (options_.check_partials) check_partials();
+    check_partials();
     return std::move(report_);
   }
 
@@ -117,9 +116,7 @@ class Validator {
               " exceeds wall-clock run time " + std::to_string(r.run_time));
     }
 
-    const bool overuse_ok =
-        options_.honor_allow_overuse &&
-        trace_.header.allow_overuse.value_or(false);
+    const bool overuse_ok = trace_.header.allow_overuse.value_or(false);
     if (trace_.header.max_nodes && r.allocated_procs != kUnknown &&
         r.allocated_procs > *trace_.header.max_nodes) {
       add(Rule::kExceedsMaxNodes, i, r.job_number,
@@ -249,7 +246,6 @@ class Validator {
   }
 
   const Trace& trace_;
-  ValidatorOptions options_;
   ValidationReport report_;
 };
 
@@ -307,8 +303,8 @@ std::string ValidationReport::to_string() const {
   return os.str();
 }
 
-ValidationReport validate(const Trace& trace, const ValidatorOptions& options) {
-  return Validator(trace, options).run();
+ValidationReport validate(const Trace& trace) {
+  return Validator(trace).run();
 }
 
 }  // namespace pjsb::swf

@@ -49,13 +49,6 @@ struct Diagnostic {
   std::string message;
 };
 
-struct ValidatorOptions {
-  /// Treat AllowOveruse=Yes headers as permitting run/memory overuse.
-  bool honor_allow_overuse = true;
-  /// Check the multi-line (checkpoint) structure rules.
-  bool check_partials = true;
-};
-
 struct ValidationReport {
   std::vector<Diagnostic> diagnostics;
 
@@ -68,8 +61,9 @@ struct ValidationReport {
   std::string to_string() const;
 };
 
-/// Validate a trace against all rules.
-ValidationReport validate(const Trace& trace,
-                          const ValidatorOptions& options = {});
+/// Validate a trace against all rules, the multi-line (checkpoint)
+/// structure rules included. An AllowOveruse=Yes header permits run
+/// time and memory overuse.
+ValidationReport validate(const Trace& trace);
 
 }  // namespace pjsb::swf

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "sim/provenance.hpp"
+#include "util/string_util.hpp"
 #include "util/table.hpp"
 
 namespace pjsb::exp {
@@ -49,29 +49,6 @@ std::size_t group_index(const CampaignSpec& spec, std::size_t workload,
 
 std::size_t group_index(const CampaignSpec& spec, const CellSpec& cell) {
   return group_index(spec, cell.workload, cell.scheduler, cell.config);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Mean metric *cost* of a group (smaller is better): cost is value or
@@ -211,27 +188,28 @@ std::string to_json(const CampaignRun& run, const CampaignReport& report) {
   for (std::size_t i = 0; i < spec.workloads.size(); ++i) {
     const auto& w = spec.workloads[i];
     if (i) out << ", ";
-    out << "{\"label\": \"" << json_escape(w.label) << "\", \"source\": \"";
+    out << "{\"label\": \"" << util::json_escape(w.label)
+        << "\", \"source\": \"";
     if (w.model) {
       // jobs is a model knob; traces replay whole files, so emitting
       // the default here would be meaningless metadata.
       out << workload::model_name(*w.model) << "\", \"jobs\": " << w.jobs;
     } else {
-      out << "trace:" << json_escape(w.trace_path) << '"';
+      out << "trace:" << util::json_escape(w.trace_path) << '"';
     }
     out << ", \"load\": " << format_number(w.load) << "}";
   }
   out << "],\n    \"schedulers\": [";
   for (std::size_t i = 0; i < spec.schedulers.size(); ++i) {
     if (i) out << ", ";
-    out << '"' << json_escape(spec.schedulers[i]) << '"';
+    out << '"' << util::json_escape(spec.schedulers[i]) << '"';
   }
   out << "],\n    \"configs\": [";
   for (std::size_t i = 0; i < spec.configs.size(); ++i) {
     const auto& c = spec.configs[i];
     const sim::SimulationSpec& engine = c.sim;
     if (i) out << ", ";
-    out << "{\"label\": \"" << json_escape(c.label)
+    out << "{\"label\": \"" << util::json_escape(c.label)
         << "\", \"closed_loop\": " << (engine.closed_loop ? "true" : "false")
         << ", \"outages\": " << (c.outages ? "true" : "false")
         << ", \"deliver_announcements\": "
@@ -282,11 +260,11 @@ std::string to_json(const CampaignRun& run, const CampaignReport& report) {
   for (std::size_t g = 0; g < report.groups.size(); ++g) {
     const auto& group = report.groups[g];
     out << "    {\"workload\": \""
-        << json_escape(spec.workloads[group.workload].label)
+        << util::json_escape(spec.workloads[group.workload].label)
         << "\", \"scheduler\": \""
-        << json_escape(spec.schedulers[group.scheduler])
+        << util::json_escape(spec.schedulers[group.scheduler])
         << "\", \"config\": \""
-        << json_escape(spec.configs[group.config].label)
+        << util::json_escape(spec.configs[group.config].label)
         << "\", \"replications\": " << group.replications
         << ", \"metrics\": {";
     for (std::size_t m = 0; m < kReportMetrics.size(); ++m) {

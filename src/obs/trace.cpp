@@ -5,6 +5,7 @@
 
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
+#include "util/string_util.hpp"
 
 namespace pjsb::obs {
 
@@ -48,22 +49,6 @@ const char* outage_phase_name(sim::OutagePhase phase) {
   return "unknown";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control characters cannot appear in our inputs
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 std::string format_double(double v) {
   char buf[64];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
@@ -82,7 +67,7 @@ void JsonlTraceWriter::write_header() {
   os_ << "{\"type\":\"header\",\"version\":" << kTraceSchemaVersion
       << ",\"source\":\"pjsb\"";
   if (!options_.scheduler.empty()) {
-    os_ << ",\"scheduler\":\"" << json_escape(options_.scheduler) << '"';
+    os_ << ",\"scheduler\":\"" << util::json_escape(options_.scheduler) << '"';
   }
   if (options_.nodes > 0) os_ << ",\"nodes\":" << options_.nodes;
   os_ << "}\n";
@@ -92,7 +77,7 @@ void JsonlTraceWriter::write_header() {
 void JsonlTraceWriter::on_job_submit(std::int64_t time,
                                      const sim::SimJob& job) {
   submit_time_[job.id] = time;
-  if (options_.blocked_records && scheduler_) {
+  if (scheduler_) {
     pending_blocked_.push_back({job.id, job.procs, job.estimate});
   }
   if (job.restarts > 0) {

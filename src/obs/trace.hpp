@@ -41,11 +41,6 @@ struct TraceWriterOptions {
   std::string scheduler;
   /// Machine size (header metadata; 0 = unknown).
   std::int64_t nodes = 0;
-  /// Emit a "blocked" record for every job still queued after the
-  /// scheduler pass of its submission step, carrying the scheduler's
-  /// predicted start (needs watch(); predict-incapable schedulers emit
-  /// nothing). The poll is once per job per submission — O(1) amortized.
-  bool blocked_records = true;
 };
 
 /// SimObserver writing the JSONL trace to a caller-owned stream. The
@@ -57,8 +52,11 @@ class JsonlTraceWriter final : public sim::SimObserver {
   explicit JsonlTraceWriter(std::ostream& os,
                             const TraceWriterOptions& options = {});
 
-  /// Watch the scheduler driving the run: enables blocked-job records
-  /// (predict_start polls). Call before the run starts.
+  /// Watch the scheduler driving the run: enables a "blocked" record
+  /// for every job still queued after the scheduler pass of its
+  /// submission step, carrying the scheduler's predicted start
+  /// (predict-incapable schedulers emit nothing). The poll is once per
+  /// job per submission — O(1) amortized. Call before the run starts.
   void watch(const sched::Scheduler& scheduler) { scheduler_ = &scheduler; }
 
   std::uint64_t lines_written() const { return lines_; }

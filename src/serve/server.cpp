@@ -36,6 +36,9 @@ void install_signal_handlers() {
 /// How long an over-long line's connection is drained before closing.
 constexpr int kLingerMs = 1000;
 
+/// Mutation commands buffered before submitters block (backpressure).
+constexpr std::size_t kCommandQueueCapacity = 1024;
+
 }  // namespace
 
 /// One engine's terminated jobs by id. The engine thread records,
@@ -192,8 +195,7 @@ Response Server::submit_command(Command command) {
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     queue_space_cv_.wait(lock, [this] {
-      return queue_.size() < config_.command_queue_capacity ||
-             stopping_.load();
+      return queue_.size() < kCommandQueueCapacity || stopping_.load();
     });
     if (stopping_.load()) {
       return error_response(kErrState, "server stopping");
@@ -331,7 +333,7 @@ void Server::engine_loop() {
     const bool ran = advance();
     if (config_.handle_signals && g_signal_requested &&
         !stopping_.load()) {
-      if (config_.drain_on_signal && !drained_.load()) apply_drain();
+      if (!drained_.load()) apply_drain();
       apply_shutdown();
     }
     const auto t = tier();

@@ -91,13 +91,10 @@ struct ServerConfig {
   std::string decisions_path;
   /// Write a resumable engine snapshot here on shutdown.
   std::string snapshot_on_shutdown;
-  /// Drain (run the backlog dry) before an externally signalled stop.
-  bool drain_on_signal = true;
-  /// Install SIGTERM/SIGINT handlers that drain + shut down (the
-  /// swf_tool serve path; tests drive SHUTDOWN explicitly instead).
+  /// Install SIGTERM/SIGINT handlers that drain (run the backlog dry)
+  /// and shut down (the swf_tool serve path; tests drive SHUTDOWN
+  /// explicitly instead).
   bool handle_signals = false;
-  /// Mutation commands buffered before submitters block (backpressure).
-  std::size_t command_queue_capacity = 1024;
 };
 
 class Server final : public ServerCore {

@@ -183,8 +183,7 @@ void Engine::release_slot(std::int64_t id) {
 
 void Engine::record_finished(std::int64_t id, std::int64_t end_time) {
   if (!config_.closed_loop) return;
-  while (finished_order_.size() >= source_opts_.closed_loop_history &&
-         !finished_order_.empty()) {
+  while (finished_order_.size() >= kClosedLoopHistory) {
     finished_end_.erase(finished_order_.front());
     finished_order_.pop_front();
   }

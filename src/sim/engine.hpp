@@ -75,12 +75,13 @@ struct JobSourceOptions {
   /// Stop pulling after this many records (0 = drain the source) — the
   /// brake that makes unbounded generator streams terminate.
   std::uint64_t max_jobs = 0;
-  /// Closed loop + recycle_slots only: how many recently terminated
-  /// job (id, end) pairs to remember so a late-pulled dependent can
-  /// still resolve its predecessor (fields 17/18) after the
-  /// predecessor's slot was recycled.
-  std::size_t closed_loop_history = std::size_t(1) << 16;
 };
+
+/// Closed loop + recycle_slots only: how many recently terminated job
+/// (id, end) pairs the engine remembers so a late-pulled dependent can
+/// still resolve its predecessor (fields 17/18) after the predecessor's
+/// slot was recycled.
+inline constexpr std::size_t kClosedLoopHistory = std::size_t(1) << 16;
 
 /// Aggregate accounting maintained by the engine.
 struct EngineStats {
@@ -315,7 +316,7 @@ class Engine final : public sched::SchedulerContext {
   /// Drop a terminated job's slot (recycle_slots mode).
   void release_slot(std::int64_t id);
   /// Remember a terminated job's end time for late closed-loop
-  /// dependents (bounded by closed_loop_history).
+  /// dependents (bounded by kClosedLoopHistory).
   void record_finished(std::int64_t id, std::int64_t end_time);
 
   void push_event(std::int64_t time, EventType type, std::int64_t id,

@@ -344,7 +344,7 @@ std::string Engine::write_snapshot(bool live) const {
   w.boolean(source_ != nullptr || source_pending_resume_);
   w.u64(source_opts_.lookahead);
   w.u64(source_opts_.max_jobs);
-  w.u64(source_opts_.closed_loop_history);
+  w.u64(kClosedLoopHistory);
   w.u64(source_pulled_);
   w.u64(source_clamped_);
   w.u64(pending_submits_);
@@ -381,6 +381,10 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   events_processed_ = r.i64();
   scheduler_dirty_ = r.boolean();
 
+  // Admitted records whose submit has not been processed: queued
+  // source submits (version != 0) plus deferred closed-loop dependents.
+  // The source cursor's pending count must equal it.
+  std::size_t pending = 0;
   {
     // Source-admitted submits go back on the FIFO run (push_arrival
     // keeps it ordered whatever the file holds), the rest on the heap.
@@ -397,6 +401,7 @@ void Engine::load_snapshot(snapshot::Reader& r) {
       ev.seq = r.i64();
       ev.id = r.i64();
       ev.version = r.i64();
+      if (ev.type == EventType::kSubmit && ev.version != 0) ++pending;
       if (ev.type == EventType::kSubmit && ev.version == 1) {
         events_.push_arrival(ev);
       } else {
@@ -466,6 +471,7 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t pred = r.i64();
       const std::size_t deps = r.count("dependent", 8 + 8);
+      pending += deps;
       auto& edges = dependents_[pred];
       edges.reserve(deps);
       for (std::size_t d = 0; d < deps; ++d) {
@@ -534,11 +540,24 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   source_ = nullptr;
   source_pending_resume_ = r.boolean();
   source_opts_.lookahead = std::size_t(r.u64());
+  if (source_opts_.lookahead == 0) {
+    throw std::runtime_error("snapshot: source lookahead 0 (at least 1)");
+  }
   source_opts_.max_jobs = r.u64();
-  source_opts_.closed_loop_history = std::size_t(r.u64());
+  if (const std::uint64_t history = r.u64(); history != kClosedLoopHistory) {
+    throw std::runtime_error("snapshot: closed-loop history " +
+                             std::to_string(history) + " (must be " +
+                             std::to_string(kClosedLoopHistory) + ")");
+  }
   source_pulled_ = r.u64();
   source_clamped_ = r.u64();
   pending_submits_ = std::size_t(r.u64());
+  if (pending_submits_ != pending) {
+    throw std::runtime_error(
+        "snapshot: pending submits " + std::to_string(pending_submits_) +
+        ", but the state holds " + std::to_string(pending) +
+        " queued or deferred submits");
+  }
 
   finished_end_.clear();
   finished_order_.clear();

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 
 namespace pjsb::util {
 
@@ -67,6 +68,29 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = char(std::tolower(static_cast<unsigned char>(c)));
+  return out;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", unsigned(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
   return out;
 }
 

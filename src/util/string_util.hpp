@@ -1,4 +1,5 @@
-// Small string helpers shared by the SWF / outage / raw-log parsers.
+// Small string helpers shared by the SWF / outage / raw-log parsers
+// and the JSON writers.
 #pragma once
 
 #include <cstdint>
@@ -32,5 +33,10 @@ bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Lowercase copy (ASCII).
 std::string to_lower(std::string_view s);
+
+/// The body of a JSON string literal holding `s`: quote, backslash and
+/// every control character escaped (\n, \t, \r by name, the rest as
+/// \u00XX); other bytes pass through unchanged.
+std::string json_escape(std::string_view s);
 
 }  // namespace pjsb::util

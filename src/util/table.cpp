@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/string_util.hpp"
+
 namespace pjsb::util {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -85,21 +87,6 @@ std::string Table::to_csv() const {
 }
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 /// Exact JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
 /// strtod alone would also accept "inf", hex floats, "+5", ".5", "5."

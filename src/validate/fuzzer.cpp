@@ -238,7 +238,7 @@ void fuzz_one(const std::string& spec_string, sim::SimulationSpec spec,
   }
   if (detail.empty()) return;
   ++report.failure_count;
-  if (report.failures.size() < options.max_failures) {
+  if (report.failures.size() < kFuzzFailuresKept) {
     report.failures.push_back({spec_string, variant, options.seed, workload,
                                workload_seed, std::move(detail)});
   }

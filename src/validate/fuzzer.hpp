@@ -45,9 +45,10 @@ struct FuzzOptions {
   /// Run the fault-injection variant of each workload (random crash
   /// schedule + randomized recovery config).
   bool fault_runs = true;
-  /// Failures stored verbatim; the count stays exact.
-  std::size_t max_failures = 16;
 };
+
+/// Failures a fuzz report stores verbatim; its count stays exact.
+inline constexpr std::size_t kFuzzFailuresKept = 16;
 
 struct FuzzFailure {
   std::string scheduler;  ///< registry spec string
@@ -69,7 +70,7 @@ struct FuzzReport {
   std::size_t specs = 0;  ///< scheduler specs enumerated
   std::size_t runs = 0;   ///< replays executed
   std::size_t failure_count = 0;
-  std::vector<FuzzFailure> failures;  ///< first max_failures
+  std::vector<FuzzFailure> failures;  ///< first kFuzzFailuresKept
 
   bool clean() const { return failure_count == 0; }
   std::string summary() const;
@@ -132,14 +133,12 @@ struct ParserFuzzOptions {
   int cases = 200;
   /// Whole-trace parser thread counts exercised per case.
   std::vector<int> thread_counts = {1, 2, 8};
-  /// Failures stored verbatim; the count stays exact.
-  std::size_t max_failures = 16;
 };
 
 struct ParserFuzzReport {
   int cases = 0;
   std::size_t failure_count = 0;
-  std::vector<std::string> failures;  ///< first max_failures
+  std::vector<std::string> failures;  ///< first kFuzzFailuresKept
 
   bool clean() const { return failure_count == 0; }
   std::string summary() const;

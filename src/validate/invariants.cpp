@@ -65,7 +65,6 @@ std::string InvariantChecker::summary() const {
 
 bool InvariantChecker::promise_checks_enabled() const {
   return scheduler_instance_ != nullptr && !options_.outages &&
-         !options_.reservations &&
          (base_ == "easy" || base_ == "conservative");
 }
 
@@ -88,7 +87,7 @@ void InvariantChecker::on_job_submit(std::int64_t time,
            "queued with procs=" + std::to_string(job.procs) +
                " on a " + std::to_string(options_.nodes) + "-node machine");
   }
-  if (options_.expect_all_complete) submitted_.insert(job.id);
+  submitted_.insert(job.id);
   auto [it, fresh] = jobs_.try_emplace(job.id);
   if (!fresh && it->second.running) {
     report("lifecycle", time, job.id, "submitted while still running");
@@ -172,10 +171,7 @@ void InvariantChecker::on_decision(const sim::Decision& d) {
 
 void InvariantChecker::on_job_complete(const sim::CompletedJob& c) {
   ++completions_;
-  // A duplicate completion also trips "completed while not running"
-  // below (the first completion erased the tracked entry), so skipping
-  // the id sets when conservation is off loses no detection.
-  if (options_.expect_all_complete && !completed_.insert(c.id).second) {
+  if (!completed_.insert(c.id).second) {
     report("conservation", c.end, c.id, "completed twice");
   }
   if (dropped_.count(c.id)) {
@@ -261,7 +257,7 @@ void InvariantChecker::on_job_drop(std::int64_t time, const sim::SimJob& job,
                                    sim::DropReason /*reason*/) {
   ++drops_;
   saved_work_.erase(job.id);
-  if (options_.expect_all_complete && !dropped_.insert(job.id).second) {
+  if (!dropped_.insert(job.id).second) {
     report("recovery", time, job.id, "dropped twice");
   }
   if (completed_.count(job.id)) {
@@ -382,17 +378,14 @@ void InvariantChecker::on_end(const sim::EngineStats& stats) {
            "engine counted " + std::to_string(stats.jobs_dropped) +
                " drops, observer saw " + std::to_string(drops_));
   }
-  if (options_.expect_all_complete) {
-    // Resubmitted-job conservation: every submission terminates —
-    // completed exactly once (checked above) or dropped.
-    for (const std::int64_t id : submitted_) {
-      if (!completed_.count(id) && !dropped_.count(id)) {
-        report("conservation", last_step_time_, id,
-               "submitted but never completed or dropped");
-      }
+  // Resubmitted-job conservation: every submission terminates —
+  // completed exactly once (checked above) or dropped.
+  for (const std::int64_t id : submitted_) {
+    if (!completed_.count(id) && !dropped_.count(id)) {
+      report("conservation", last_step_time_, id,
+             "submitted but never completed or dropped");
     }
   }
-  if (!options_.expect_all_complete) return;
   if (busy_procs_ != 0 || virtual_procs_ != 0) {
     report("conservation", last_step_time_, -1,
            "run ended with " + std::to_string(busy_procs_) +

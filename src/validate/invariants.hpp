@@ -65,14 +65,6 @@ struct CheckerOptions {
   /// (capacity loss legitimately slips reservations); capacity and
   /// lifecycle checks stay on and track the shrinking machine.
   bool outages = false;
-  /// The run commits external advance reservations (disables promise
-  /// checks the same way).
-  bool reservations = false;
-  /// Check at on_end that every submitted job completed (off for
-  /// max_jobs-braked or incrementally driven runs). The check keeps
-  /// O(jobs) id sets; turn it off to validate an unbounded stream in
-  /// bounded memory (all other state is O(queue depth)).
-  bool expect_all_complete = true;
   /// Violations stored verbatim; the total count stays exact.
   std::size_t max_violations = 64;
   /// The query surface of the scheduler driving the run (non-owning;

@@ -288,7 +288,7 @@ ParserFuzzReport run_parser_fuzzer(const ParserFuzzOptions& options) {
     }
     if (!failure.empty()) {
       ++report.failure_count;
-      if (report.failures.size() < options.max_failures) {
+      if (report.failures.size() < kFuzzFailuresKept) {
         report.failures.push_back(
             "[case=" + std::to_string(c) +
             " seed=" + std::to_string(options.seed) +

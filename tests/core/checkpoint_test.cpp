@@ -156,8 +156,7 @@ TEST(Checkpoint, CheckedDecodeReportsMissingSummary) {
   EXPECT_EQ(result.missing_summary[0], 9);
   EXPECT_FALSE(result.clean());
   // The validator reports the same group under partial-structure.
-  ValidatorOptions options;
-  const auto report = validate(t, options);
+  const auto report = validate(t);
   EXPECT_GE(report.count(Rule::kPartialStructure), 1u);
 }
 

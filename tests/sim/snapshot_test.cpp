@@ -565,6 +565,74 @@ TEST(Snapshot, DenseSlotCountFollowsTheGrowthRule) {
   EXPECT_EQ(message(64), "");
 }
 
+TEST(Snapshot, RejectsASourceCursorThatContradictsTheState) {
+  // data/deep.swf streamed under conservative with a 16-record
+  // lookahead, frozen at t=200000. Patched to lookahead 0 or to 2^40
+  // pending submits, this cursor used to restore and finish the run
+  // with 287 of its 500 jobs; each cursor word that the state
+  // contradicts now fails restore, naming its field.
+  const auto loaded = swf::read_swf_file(std::string(PJSB_SOURCE_DIR) +
+                                         "/data/deep.swf");
+  ASSERT_TRUE(loaded.errors.empty());
+  const auto& trace = loaded.trace;
+  auto donor = make_engine(trace,
+                           SimulationSpec{}.with_scheduler("conservative"));
+  validate::DecisionRecorder donor_decisions;
+  donor->add_observer(donor_decisions);
+  swf::TraceSource donor_source(trace);
+  JobSourceOptions options;
+  options.lookahead = 16;
+  donor->set_job_source(donor_source, options);
+  while (true) {
+    const auto t = donor->next_event_time();
+    if (!t || *t > 200000) break;
+    donor->step();
+  }
+  const std::string bytes = donor->snapshot();
+  const std::size_t prefix = donor_decisions.decisions().size();
+
+  // The cursor: active flag, lookahead, max_jobs, closed-loop history,
+  // records pulled, records clamped, pending submits.
+  snapshot::Writer cursor;
+  cursor.boolean(true);
+  cursor.u64(16);
+  cursor.u64(0);
+  cursor.u64(kClosedLoopHistory);
+  cursor.u64(donor->source_pulled());
+  const std::size_t at = bytes.rfind(cursor.bytes());
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t pending_at = at + 1 + 5 * 8;
+  snapshot::Reader word(std::string_view(bytes).substr(pending_at, 8));
+  const std::string pending = std::to_string(word.u64());
+
+  EXPECT_EQ(restore_error(with_word(bytes, at + 1, 0)),
+            "snapshot: source lookahead 0 (at least 1)");
+  EXPECT_EQ(restore_error(with_word(bytes, at + 1 + 2 * 8, 1024)),
+            "snapshot: closed-loop history 1024 (must be 65536)");
+  EXPECT_EQ(restore_error(with_word(bytes, pending_at, std::int64_t(1) << 40)),
+            "snapshot: pending submits 1099511627776, but the state holds " +
+                pending + " queued or deferred submits");
+  EXPECT_EQ(restore_error(with_word(bytes, pending_at, 2)),
+            "snapshot: pending submits 2, but the state holds " + pending +
+                " queued or deferred submits");
+
+  // Unpatched, it resumes to the uninterrupted run's decisions.
+  auto clone = Engine::restore(bytes);
+  swf::TraceSource clone_source(trace);
+  clone->resume_job_source(clone_source);
+  validate::DecisionRecorder clone_decisions;
+  clone->add_observer(clone_decisions);
+  clone->run();
+  donor->run();
+  auto resumed = donor_decisions.decisions();
+  resumed.resize(prefix);
+  resumed.insert(resumed.end(), clone_decisions.decisions().begin(),
+                 clone_decisions.decisions().end());
+  EXPECT_EQ(validate::decisions_to_csv(resumed),
+            validate::decisions_to_csv(donor_decisions.decisions()));
+  EXPECT_EQ(clone->stats().jobs_completed, 500);
+}
+
 TEST(Snapshot, StreamingSnapshotDemandsItsSourceBack) {
   // A snapshot taken while a pull source is attached must flag that it
   // needs the source back (needs_job_source), and must continue exactly

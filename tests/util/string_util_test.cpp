@@ -62,5 +62,17 @@ TEST(StringUtil, ToLower) {
   EXPECT_EQ(to_lower(""), "");
 }
 
+TEST(StringUtil, JsonEscapeEscapesEveryControlCharacter) {
+  EXPECT_EQ(json_escape("easy reserve_depth=2"), "easy reserve_depth=2");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\t"), "\\n\\t");
+  // Raw control characters are not valid inside a JSON string.
+  EXPECT_EQ(json_escape("\r"), "\\r");
+  EXPECT_EQ(json_escape("\b"), "\\u0008");
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
+  EXPECT_EQ(json_escape("x\x1fy"), "x\\u001fy");
+  EXPECT_EQ(json_escape(std::string("a\0b", 3)), "a\\u0000b");
+}
+
 }  // namespace
 }  // namespace pjsb::util

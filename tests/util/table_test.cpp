@@ -72,6 +72,12 @@ TEST(Table, ToJsonQuotesNonJsonNumericLookalikes) {
   EXPECT_NE(json.find("\"f\": 1e5"), std::string::npos) << json;
 }
 
+TEST(Table, ToJsonEscapesControlCharacters) {
+  Table t({"a\rb"});
+  t.row().cell("x\x01y");
+  EXPECT_EQ(t.to_json(), "[{\"a\\rb\": \"x\\u0001y\"}]");
+}
+
 TEST(Table, ToJsonEmitsNumbersAndNegatives) {
   Table t({"x", "y", "z"});
   t.row().cell(std::int64_t(-3)).cell(0.25, 2).cell("-0.5");
