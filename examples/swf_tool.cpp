@@ -216,6 +216,8 @@ std::int64_t parse_int(const std::string& text, const std::string& what,
     bound = hi < kIntMax ? " in [" + std::to_string(lo) + ", " +
                                std::to_string(hi) + "]"
                          : " >= " + std::to_string(lo);
+  } else if (hi < kIntMax) {
+    bound = " <= " + std::to_string(hi);
   }
   throw UsageError(what + " must be an integer" + bound + ", not '" + text +
                    "'");
@@ -1078,9 +1080,10 @@ int main(int argc, char** argv) {
     }
     if (cmd == "whatif" && n == 3) {
       const auto procs = parse_int(pos[1], "procs", 1);
-      const auto estimate = parse_int(pos[2], "estimate", 1);
+      const auto estimate = parse_int(pos[2], "estimate", 1, sim::kMaxTime);
       // Negative offsets clamp to the snapshot time (whatif.hpp).
-      const auto offset = args.take_int("offset", kIntMin).value_or(0);
+      const auto offset =
+          args.take_int("offset", kIntMin, sim::kMaxTime).value_or(0);
       const bool simulate = args.take_switch("simulate");
       args.done();
       return cmd_whatif(pos[0], procs, estimate, offset, simulate);

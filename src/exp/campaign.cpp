@@ -31,6 +31,10 @@ std::optional<std::string> owned_key_home(const std::string& key) {
       key == "profile") {
     return "comes from `telemetry = <dir>`";
   }
+  if (key == "announce") {
+    return "has no effect: campaign outage and crash streams carry no "
+           "advance announcement";
+  }
   return std::nullopt;
 }
 
@@ -181,12 +185,9 @@ void CampaignSpec::validate() const {
                                   c.label + "'");
     }
     // Dedup on semantics too: the same settings under two labels would
-    // be one engine configuration counted twice, and announce= changes
-    // nothing without an outage stream to announce.
-    sim::SimulationSpec settings = c.sim;
-    if (!c.outages) settings.deliver_announcements = true;
+    // be one engine configuration counted twice.
     if (!seen_settings
-             .insert(settings.to_string() + (c.outages ? " outages=1" : "") +
+             .insert(c.sim.to_string() + (c.outages ? " outages=1" : "") +
                      (c.validate ? " validate=1" : ""))
              .second) {
       throw std::invalid_argument(
@@ -327,7 +328,7 @@ ConfigSpec parse_config(std::string_view value) {
     throw std::invalid_argument(
         std::string(e.what()) +
         "; config lines take key=value settings, e.g. `config = "
-        "closed_loop=1 outages=1 announce=0 label=closed`");
+        "closed_loop=1 outages=1 label=closed`");
   }
   std::string sim_text;
   std::set<std::string> seen;

@@ -57,10 +57,10 @@ struct WorkloadSpec {
 /// attachments only a campaign makes.
 struct ConfigSpec {
   std::string label = "open";
-  /// Engine configuration (closed_loop, announce, faults, recovery
-  /// knobs). `faults` is 0 or 1 here: each cell derives its own crash
-  /// seed from the cell seed, so every scheduler faces the same
-  /// crashes and replications sample fresh ones.
+  /// Engine configuration (closed_loop, faults, recovery knobs).
+  /// `faults` is 0 or 1 here: each cell derives its own crash seed from
+  /// the cell seed, so every scheduler faces the same crashes and
+  /// replications sample fresh ones.
   sim::SimulationSpec sim;
   /// Inject a generated random-failure stream (seeded per cell).
   bool outages = false;
@@ -135,7 +135,7 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 ///   scheduler = fcfs
 ///   scheduler = easy
 ///   config = label=open
-///   config = closed_loop=1 outages=1 announce=0 label=closed+outages+blind
+///   config = closed_loop=1 outages=1 label=closed+outages
 ///   config = faults=1 mtbf=86400 checkpoint=3600 retry_limit=3
 ///   replications = 5
 ///   seed = 42
@@ -144,8 +144,8 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 /// Workload options: `jobs=N`, `load=F`, `label=S`, `stream=0|1`,
 /// `lookahead=N` (streaming ingestion window) and `threads=N` (parser
 /// workers for a trace file loaded whole). Config lines are
-/// sim::SimulationSpec keys (`closed_loop=`, `announce=`, `faults=`,
-/// `mtbf=`, `repair=`, `checkpoint=`, `dump=`, `read=`, `retry_limit=`,
+/// sim::SimulationSpec keys (`closed_loop=`, `faults=`, `mtbf=`,
+/// `repair=`, `checkpoint=`, `dump=`, `read=`, `retry_limit=`,
 /// `backoff=`, `overrun=`, `grace=`), read and validated by
 /// SimulationSpec::parse, plus three campaign keys: `label=` (default:
 /// the line's text), `outages=0|1` (a generated failure stream) and
@@ -153,7 +153,9 @@ std::vector<CellSpec> expand(const CampaignSpec& spec);
 /// 0 or 1 — the seed is per cell — and keys the campaign sets itself
 /// (scheduler, nodes, lookahead, threads, max_jobs, retain_completed,
 /// recycle_slots, trace, timeseries, sample_every, profile) are
-/// rejected with where they belong. No config line means one default
+/// rejected with where they belong. So is `announce=`: the outage and
+/// crash streams a campaign generates announce nothing in advance, so
+/// it could not change a cell. No config line means one default
 /// config labelled `open`. `rank = <metric>` selects the ranking
 /// metric by name (metrics::metric_from_name). `telemetry = <dir>`
 /// turns on per-cell telemetry. Scheduler lines take full registry

@@ -132,23 +132,24 @@ std::string telemetry_csv(const CampaignRun& run) {
   for (std::size_t p = 0; p < sim::kProvenanceCount; ++p) {
     out << ',' << sim::provenance_name(sim::StartProvenance(p));
   }
-  out << ",backfill_ratio,mean_wait,wait_p95_bound,mean_bounded_slowdown,"
-         "profile_steps_peak\n";
+  out << ",backfill_ratio,profile_steps_peak\n";
   for (const auto& cell : run.cells) {
     const auto& t = cell.telemetry;
+    std::uint64_t starts = 0;
+    for (const auto n : t.starts_by_provenance) starts += n;
+    const auto backfills =
+        t.starts_by_provenance[std::size_t(sim::StartProvenance::kBackfill)];
     out << cell.cell.index << ','
         << run.spec.workloads[cell.cell.workload].label << ','
         << run.spec.schedulers[cell.cell.scheduler] << ','
         << run.spec.configs[cell.cell.config].label << ','
-        << cell.cell.replication << ',' << t.submits << ',' << t.starts
-        << ',' << t.completions << ',' << t.kills << ',' << t.steps;
-    for (std::size_t p = 0; p < sim::kProvenanceCount; ++p) {
-      out << ',' << t.starts_by_provenance[p];
-    }
-    out << ',' << format_number(t.backfill_ratio()) << ','
-        << format_number(t.mean_wait()) << ',' << t.wait_p95_bound << ','
-        << format_number(t.mean_bounded_slowdown()) << ','
-        << t.profile_steps_peak << '\n';
+        << cell.cell.replication << ',' << t.submits << ',' << starts << ','
+        << cell.metrics.jobs << ',' << cell.metrics.jobs_killed << ','
+        << t.steps;
+    for (const auto n : t.starts_by_provenance) out << ',' << n;
+    out << ','
+        << format_number(starts ? double(backfills) / double(starts) : 0.0)
+        << ',' << t.profile_steps_peak << '\n';
   }
   return out.str();
 }
@@ -212,8 +213,6 @@ std::string to_json(const CampaignRun& run, const CampaignReport& report) {
     out << "{\"label\": \"" << util::json_escape(c.label)
         << "\", \"closed_loop\": " << (engine.closed_loop ? "true" : "false")
         << ", \"outages\": " << (c.outages ? "true" : "false")
-        << ", \"deliver_announcements\": "
-        << (engine.deliver_announcements ? "true" : "false")
         << ", \"faults\": " << (engine.faults != 0 ? "true" : "false");
     if (engine.faults != 0) {
       out << ", \"mtbf\": " << engine.mtbf

@@ -43,10 +43,12 @@ CampaignReport aggregate(const CampaignRun& run);
 /// Per-cell table: one row per cell with every report metric.
 std::string cells_csv(const CampaignRun& run);
 
-/// Per-cell telemetry table (counters, provenance breakdown, histogram
-/// rollups) — one row per cell, in cell-index order. Only meaningful
-/// when the campaign ran with `telemetry =`; without it every counter
-/// column is zero. Deterministic like every other emitter.
+/// Per-cell telemetry table — one row per cell, in cell-index order:
+/// the live-event counts of CellTelemetry (queue entries, steps, starts
+/// by provenance, profile peak) beside the completions and kills of the
+/// cell's MetricsReport. The metrics themselves are in cells_csv. Only
+/// meaningful when the campaign ran with `telemetry =`; without it the
+/// live-event columns are zero. Deterministic like every other emitter.
 std::string telemetry_csv(const CampaignRun& run);
 
 /// Aggregated table: one row per group with mean/stddev/ci95 columns

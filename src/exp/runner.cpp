@@ -12,6 +12,7 @@
 
 #include "core/outage/generate.hpp"
 #include "core/swf/reader.hpp"
+#include "metrics/online.hpp"
 #include "sched/registry.hpp"
 #include "sim/replay.hpp"
 #include "util/rng.hpp"
@@ -52,7 +53,7 @@ std::string cell_trace_path(const CampaignSpec& spec, const CellSpec& cell) {
 
 /// Replay one cell's workload, a materialized trace or a streaming
 /// JobSource, under its spec (machine size resolved). The scheduler is
-/// built here so the telemetry observer and, on `validate=1` cells, the
+/// built here so the live-event observer and, on `validate=1` cells, the
 /// invariant checker can watch it; a dirty run fails the campaign with
 /// the first violations spelled out (a report whose cells broke the
 /// simulation's ground rules is worse than no report).
@@ -60,13 +61,11 @@ template <typename Workload>
 sim::ReplayResult replay_cell(Workload& workload,
                               const sim::SimulationSpec& sim_spec,
                               const ConfigSpec& cspec, sim::ReplayHooks hooks,
-                              obs::TelemetryRegistry* telemetry) {
+                              metrics::OnlineMetricsObserver* live) {
   auto scheduler = sched::make_scheduler(sim_spec.scheduler);
-  std::optional<obs::TelemetryObserver> telemetry_observer;
-  if (telemetry) {
-    telemetry_observer.emplace(*telemetry);
-    telemetry_observer->watch(*scheduler);
-    hooks.observe(*telemetry_observer);
+  if (live) {
+    live->watch(*scheduler);
+    hooks.observe(*live);
   }
   std::optional<validate::InvariantChecker> checker;
   if (cspec.validate) {
@@ -103,7 +102,7 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
                                   const WorkloadSpec& wspec,
                                   const ConfigSpec& cspec,
                                   sim::SimulationSpec sim_spec,
-                                  obs::TelemetryRegistry* telemetry) {
+                                  metrics::OnlineMetricsObserver* live) {
   sim_spec.lookahead = wspec.lookahead;
   sim_spec.recycle_slots = true;
   if (wspec.model) {
@@ -115,7 +114,7 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
     gen.seed = cell.seed;
     gen.max_jobs = wspec.jobs;
     workload::ModelJobSource source(gen);
-    return replay_cell(source, sim_spec, cspec, {}, telemetry);
+    return replay_cell(source, sim_spec, cspec, {}, live);
   }
 
   swf::TraceReader source(wspec.trace_path);
@@ -124,7 +123,7 @@ sim::ReplayResult run_stream_cell(const CampaignSpec& spec,
                              wspec.trace_path + "'");
   }
   sim_spec.nodes = effective_nodes(spec, wspec, &source.header());
-  auto result = replay_cell(source, sim_spec, cspec, {}, telemetry);
+  auto result = replay_cell(source, sim_spec, cspec, {}, live);
   // Malformed lines are fatal, exactly like the preload path: a report
   // over a silently shrunken workload is worse than failing.
   if (source.error_count() > 0 || result.source_pulled == 0) {
@@ -203,22 +202,21 @@ CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
   const auto t0 = std::chrono::steady_clock::now();
   const auto& wspec = spec.workloads.at(cell.workload);
   const auto& cspec = spec.configs.at(cell.config);
-  // One registry per cell: summaries must not bleed across cells, and
-  // a per-cell instance keeps the increments contention-free.
-  obs::TelemetryRegistry telemetry;
-  obs::TelemetryRegistry* const telemetry_sink =
-      spec.telemetry_dir.empty() ? nullptr : &telemetry;
+  // The live-event counts of `telemetry =` campaigns.
+  metrics::OnlineMetricsObserver live;
+  metrics::OnlineMetricsObserver* const live_sink =
+      spec.telemetry_dir.empty() ? nullptr : &live;
   // The cell's spec is its config's plus what the campaign owns: the
   // scheduler, the machine size, the fault seed and the trace sink.
   sim::SimulationSpec sim_spec = cspec.sim;
   sim_spec.scheduler = spec.schedulers.at(cell.scheduler);
-  if (telemetry_sink) sim_spec.trace = cell_trace_path(spec, cell);
+  if (live_sink) sim_spec.trace = cell_trace_path(spec, cell);
 
   sim::ReplayResult replay_result;
   std::size_t workload_jobs = 0;
   if (wspec.stream) {
     replay_result =
-        run_stream_cell(spec, cell, wspec, cspec, sim_spec, telemetry_sink);
+        run_stream_cell(spec, cell, wspec, cspec, sim_spec, live_sink);
     workload_jobs = std::size_t(replay_result.source_pulled);
   } else {
     // 1. Workload: regenerate (and rescale) from the cell seed, or use
@@ -271,7 +269,7 @@ CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
     }
 
     // 3. Replay.
-    replay_result = replay_cell(*trace, sim_spec, cspec, hooks, telemetry_sink);
+    replay_result = replay_cell(*trace, sim_spec, cspec, hooks, live_sink);
   }
 
   CellResult result;
@@ -279,7 +277,13 @@ CellResult run_cell(const CampaignSpec& spec, const CellSpec& cell,
   result.metrics =
       metrics::compute_report(replay_result.completed, replay_result.stats);
   result.workload_jobs = workload_jobs;
-  result.telemetry = telemetry.summary();
+  result.telemetry.submits = live.submits();
+  result.telemetry.steps = live.steps();
+  for (std::size_t p = 0; p < sim::kProvenanceCount; ++p) {
+    result.telemetry.starts_by_provenance[p] =
+        live.starts(sim::StartProvenance(p));
+  }
+  result.telemetry.profile_steps_peak = live.profile_steps_peak();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

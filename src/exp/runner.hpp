@@ -8,12 +8,14 @@
 // determinism regression test in tests/exp/ holds the runner to that).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "metrics/aggregate.hpp"
-#include "obs/telemetry.hpp"
+#include "sim/provenance.hpp"
 
 namespace pjsb::exp {
 
@@ -27,6 +29,17 @@ struct RunnerOptions {
   std::function<void(std::size_t done, std::size_t total)> progress;
 };
 
+/// The live-event counts of one cell that its MetricsReport lacks,
+/// read from the cell's metrics::OnlineMetricsObserver.
+struct CellTelemetry {
+  std::uint64_t submits = 0;  ///< queue entries, requeues included
+  std::uint64_t steps = 0;    ///< engine steps
+  std::array<std::uint64_t, sim::kProvenanceCount> starts_by_provenance{};
+  std::uint64_t profile_steps_peak = 0;  ///< base capacity-profile peak
+
+  bool operator==(const CellTelemetry&) const = default;
+};
+
 /// The outcome of one cell.
 struct CellResult {
   CellSpec cell;
@@ -36,9 +49,9 @@ struct CellResult {
   /// Wall-clock cost of the cell. Informational only — never written
   /// to CSV/JSON reports, which must be deterministic.
   double wall_seconds = 0.0;
-  /// Per-cell counters/histograms rollup. All zeros unless the
-  /// campaign set `telemetry =` (exp::telemetry_csv emits it).
-  obs::TelemetrySummary telemetry;
+  /// All zeros unless the campaign set `telemetry =`
+  /// (exp::telemetry_csv emits it).
+  CellTelemetry telemetry;
 };
 
 /// A completed campaign: the spec plus one result per cell, in linear

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/machine.hpp"
 #include "util/string_util.hpp"
 
 namespace pjsb::serve {
@@ -32,6 +33,17 @@ bool parse_positional_i64(const std::vector<std::string_view>& tokens,
     return false;
   }
   *out = *value;
+  return true;
+}
+
+/// True, with *error naming the field, when a time is above
+/// sim::kMaxTime: the engine would refuse it, and sums with it could
+/// overflow before it got there.
+bool above_time_bound(const std::string& field, std::int64_t value,
+                      std::string* error) {
+  if (value <= sim::kMaxTime) return false;
+  *error = field + std::to_string(value) + " is above the time bound " +
+           std::to_string(sim::kMaxTime) + " s";
   return true;
 }
 
@@ -99,7 +111,8 @@ std::optional<Request> parse_request(const std::string& line,
     req.verb = Verb::kSubmit;
     if (!parse_positional_i64(tokens, 1, "procs", 1, &req.procs, error) ||
         !parse_positional_i64(tokens, 2, "estimate", 1, &req.estimate,
-                              error)) {
+                              error) ||
+        above_time_bound("estimate ", req.estimate, error)) {
       return std::nullopt;
     }
     for (std::size_t i = 3; i < tokens.size(); ++i) {
@@ -108,6 +121,10 @@ std::optional<Request> parse_request(const std::string& line,
       if (!kv || !value) {
         *error = "bad SUBMIT option '" + std::string(tokens[i]) +
                  "' (want at=/runtime=/id=/user=)";
+        return std::nullopt;
+      }
+      if ((kv->first == "at" || kv->first == "runtime") &&
+          above_time_bound(std::string(kv->first) + "=", *value, error)) {
         return std::nullopt;
       }
       if (kv->first == "at" && *value >= 0) {
@@ -138,7 +155,8 @@ std::optional<Request> parse_request(const std::string& line,
     req.verb = Verb::kWhatIf;
     if (!parse_positional_i64(tokens, 1, "procs", 1, &req.procs, error) ||
         !parse_positional_i64(tokens, 2, "estimate", 1, &req.estimate,
-                              error)) {
+                              error) ||
+        above_time_bound("estimate ", req.estimate, error)) {
       return std::nullopt;
     }
     for (std::size_t i = 3; i < tokens.size(); ++i) {
@@ -153,6 +171,7 @@ std::optional<Request> parse_request(const std::string& line,
                  "' (want offset=<s> or --simulate)";
         return std::nullopt;
       }
+      if (above_time_bound("offset=", *value, error)) return std::nullopt;
       req.offset = *value;
     }
     return req;

@@ -17,6 +17,10 @@
 //   DRAIN
 //   SHUTDOWN
 //
+// Times (estimates, at=, runtime=, offset=) are seconds in
+// [0, sim::kMaxTime], 2^40 s; a larger one is `ERR bad-request` naming
+// the field.
+//
 // Responses are either `OK [key=value ...]` or
 // `ERR <code> <message...>`; values never contain spaces (paths are
 // the only free-form field and ride in requests, not responses). The

@@ -273,7 +273,14 @@ Response Server::whatif(const Request& request) {
   q.estimate = request.estimate;
   q.submit_offset = request.offset;
   q.simulate = request.simulate;
-  const auto answer = t->service->query(q);
+  sim::WhatIfAnswer answer;
+  try {
+    answer = t->service->query(q);
+  } catch (const std::invalid_argument& e) {
+    // A hypothetical job the engine refuses (a submit time past the
+    // time bound) is the request's fault, not the daemon's.
+    return error_response(kErrBadRequest, e.what());
+  }
   Response r = ok_response();
   if (answer.start) r.with("start", *answer.start);
   if (answer.wait) r.with("wait", *answer.wait);

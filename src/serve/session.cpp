@@ -1,5 +1,7 @@
 #include "serve/session.hpp"
 
+#include <exception>
+
 namespace pjsb::serve {
 
 const char* to_string(SessionState state) {
@@ -24,10 +26,17 @@ Session::Session(ServerCore& core, std::int64_t session_id)
 std::string Session::handle_line(const std::string& line) {
   std::string error;
   const auto request = parse_request(line, &error);
-  const Response response =
-      request ? dispatch(*request)
-              : error_response(kErrBadRequest, error);
-  return serialize_response(response);
+  if (!request) {
+    return serialize_response(error_response(kErrBadRequest, error));
+  }
+  // Read verbs run on this (connection) thread: an exception escaping
+  // here would end the whole daemon, so it becomes this request's reply
+  // and the session stays open.
+  try {
+    return serialize_response(dispatch(*request));
+  } catch (const std::exception& e) {
+    return serialize_response(error_response(kErrInternal, e.what()));
+  }
 }
 
 Response Session::dispatch(const Request& request) {

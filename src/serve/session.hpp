@@ -57,8 +57,9 @@ class Session {
   Session(ServerCore& core, std::int64_t session_id);
 
   /// Process one request line, produce one response line (without the
-  /// trailing newline). Never throws: malformed input becomes an ERR
-  /// response.
+  /// trailing newline). Never throws: malformed input becomes
+  /// `ERR bad-request`, and an exception from the core becomes
+  /// `ERR internal <what>`; the session stays open.
   std::string handle_line(const std::string& line);
 
   SessionState state() const { return state_; }

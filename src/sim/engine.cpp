@@ -10,6 +10,32 @@
 
 namespace pjsb::sim {
 
+namespace {
+
+/// Reject a time of job `id` above kMaxTime, naming the job and the
+/// field (out of line: admission calls it once per time per job).
+[[noreturn, gnu::cold]] void throw_above_time_bound(std::int64_t id,
+                                                    const char* field,
+                                                    std::int64_t value) {
+  throw std::invalid_argument("job " + std::to_string(id) + ": " + field +
+                              " " + std::to_string(value) +
+                              " is above the time bound " +
+                              std::to_string(kMaxTime) + " s");
+}
+
+void check_time(std::int64_t id, const char* field, std::int64_t value) {
+  if (value > kMaxTime) throw_above_time_bound(id, field, value);
+}
+
+void check_job_times(const SimJob& j) {
+  check_time(j.id, "submit time", j.submit);
+  check_time(j.id, "runtime", j.runtime);
+  check_time(j.id, "estimate", j.estimate);
+  check_time(j.id, "walltime", j.walltime);
+}
+
+}  // namespace
+
 SimJob SimJob::from_record(const swf::JobRecord& r) {
   SimJob j;
   j.id = r.job_number;
@@ -112,6 +138,8 @@ void Engine::admit_record(const swf::JobRecord& r) {
   apply_recovery_defaults(j);
   const std::int64_t id = j.id > 0 ? j.id : next_job_id_;
   j.id = id;
+  check_job_times(j);
+  if (config_.closed_loop) check_time(id, "think time", r.think_time);
   next_job_id_ = std::max(next_job_id_, id + 1);
   if (j.submit < now_) {
     // The source contract is ascending submit order; a straggler (or a
@@ -211,6 +239,7 @@ std::int64_t Engine::submit_job(SimJob job) {
   }
   const std::int64_t id = job.id > 0 ? job.id : next_job_id_;
   job.id = id;
+  check_job_times(job);
   job.procs = std::min(std::max<std::int64_t>(1, job.procs),
                        machine_.total_nodes());
   apply_recovery_defaults(job);

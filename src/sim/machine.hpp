@@ -49,6 +49,15 @@ struct NodeRun {
 /// per-node state allocations sane.
 inline constexpr std::int64_t kMaxSpecNodes = 1 << 22;  // ~4M nodes
 
+/// Upper bound, in seconds, on every time a run admits: job submit
+/// times, runtimes and estimates (Engine::submit_job, admit_record),
+/// the spec's durations, and the daemon's and what-if's times. 2^40 s
+/// is about 34,800 years. With kMaxSpecNodes, one job's node-seconds
+/// stay at or below 2^62, and a time plus a duration stays far below
+/// sched::kForever (INT64_MAX / 4), so no such sum or product
+/// overflows.
+inline constexpr std::int64_t kMaxTime = std::int64_t(1) << 40;
+
 class Machine {
  public:
   /// Throws std::invalid_argument unless 1 <= total_nodes <=

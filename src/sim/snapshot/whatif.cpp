@@ -1,7 +1,9 @@
 #include "sim/snapshot/whatif.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -92,6 +94,15 @@ std::size_t WhatIfService::warm_clones() const {
 }
 
 WhatIfAnswer WhatIfService::query(const WhatIfQuery& q) {
+  for (const auto& [field, value] :
+       {std::pair<const char*, std::int64_t>{"offset", q.submit_offset},
+        {"estimate", q.estimate}}) {
+    if (value > kMaxTime) {
+      throw std::invalid_argument(
+          std::string("what-if: ") + field + " " + std::to_string(value) +
+          " is above the time bound " + std::to_string(kMaxTime) + " s");
+    }
+  }
   return q.simulate ? simulate(q) : predict(q);
 }
 
@@ -145,10 +156,14 @@ WhatIfAnswer WhatIfService::predict(const WhatIfQuery& q) {
   Engine& warm = lease.engine();
   const std::int64_t submit =
       warm.now() + std::max<std::int64_t>(0, q.submit_offset);
+  // Clamped to the machine as Engine::submit_job clamps it, so predict
+  // and simulate answer the same question.
+  const std::int64_t procs = std::min(std::max<std::int64_t>(1, q.procs),
+                                      warm.machine().total_nodes());
   WhatIfAnswer a;
   a.simulated = false;
   a.start = warm.scheduler().predict_start(
-      submit, q.procs, std::max<std::int64_t>(1, q.estimate));
+      submit, procs, std::max<std::int64_t>(1, q.estimate));
   if (a.start) a.wait = *a.start - submit;
   return a;
 }

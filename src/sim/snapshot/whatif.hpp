@@ -104,7 +104,10 @@ class WhatIfService {
   /// The underlying snapshot bytes (e.g. to persist alongside answers).
   const std::string& bytes() const { return bytes_; }
 
-  /// Thread-safe (see the concurrency contract above).
+  /// Thread-safe (see the concurrency contract above). Throws
+  /// std::invalid_argument when the offset or the estimate is above
+  /// kMaxTime (sim/machine.hpp). Procs are clamped to [1, machine size]
+  /// in both modes, as Engine::submit_job clamps them.
   WhatIfAnswer query(const WhatIfQuery& q);
   /// Answer a batch in order. Predict queries share the warm pool;
   /// each simulate query restores its own clone. Thread-safe.

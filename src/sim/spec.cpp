@@ -1,6 +1,8 @@
 #include "sim/spec.hpp"
 
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
 #include "sched/registry.hpp"
 #include "util/keyval.hpp"
@@ -155,6 +157,22 @@ void SimulationSpec::validate(bool resolve_scheduler) const {
   }
   if (overrun != fault::OverrunPolicy::kGrace && grace != 0) {
     fail("grace= only applies with overrun=grace");
+  }
+  // Durations are bounded like job times, so the engine's sums of a
+  // time and a duration cannot overflow.
+  for (const auto& [key, value] :
+       {std::pair<const char*, std::int64_t>{"sample_every", sample_every},
+        {"mtbf", mtbf},
+        {"repair", repair},
+        {"checkpoint", checkpoint},
+        {"dump", dump},
+        {"read", read},
+        {"backoff", backoff},
+        {"grace", grace}}) {
+    if (value > kMaxTime) {
+      fail(std::string(key) + "=" + std::to_string(value) +
+           " is above the time bound " + std::to_string(kMaxTime) + " s");
+    }
   }
 }
 

@@ -109,15 +109,10 @@ TEST(CampaignSpec, ValidateRejectsDuplicateAxisEntries) {
                    "config = closed_loop=1 outages=1\n"
                    "config = outages=1 closed_loop=1\n"),
                std::invalid_argument);
-  // announce=0 is a no-op without outages, so these simulate identically.
-  EXPECT_THROW(parse_campaign_spec_string(
-                   "workload = lublin99\nscheduler = fcfs\n"
-                   "config = label=open\nconfig = announce=0\n"),
-               std::invalid_argument);
-  // With outages, blind genuinely differs.
+  // Settings that differ do not collide.
   EXPECT_NO_THROW(parse_campaign_spec_string(
       "workload = lublin99\nscheduler = fcfs\n"
-      "config = outages=1\nconfig = outages=1 announce=0\n"));
+      "config = outages=1\nconfig = outages=1 closed_loop=1\n"));
 }
 
 TEST(CampaignSpec, ParseRejectsJobsOnTraceWorkloads) {
@@ -170,7 +165,7 @@ workload = lublin99 jobs=500 load=0.7
 workload = trace:logs/kth.swf label=kth
 scheduler = fcfs
 scheduler = gang8
-config = closed_loop=1 outages=1 announce=0
+config = closed_loop=1 outages=1
 replications = 3
 seed = 99
 nodes = 256
@@ -187,10 +182,9 @@ nodes = 256
   EXPECT_EQ(spec.schedulers[1], "gang8");
   ASSERT_EQ(spec.configs.size(), 1u);
   // The label defaults to the line's text.
-  EXPECT_EQ(spec.configs[0].label, "closed_loop=1 outages=1 announce=0");
+  EXPECT_EQ(spec.configs[0].label, "closed_loop=1 outages=1");
   EXPECT_TRUE(spec.configs[0].sim.closed_loop);
   EXPECT_TRUE(spec.configs[0].outages);
-  EXPECT_FALSE(spec.configs[0].sim.deliver_announcements);
   EXPECT_EQ(spec.replications, 3);
   EXPECT_EQ(spec.master_seed, 99u);
   EXPECT_EQ(spec.nodes, 256);
@@ -824,7 +818,7 @@ TEST(Runner, ValidateCellsRunCleanOnAllPathsAndMatchUnvalidated) {
 
 // PR 6 telemetry determinism: per-cell trace files and the telemetry
 // rollup must be byte-identical whether the campaign ran on 1 thread
-// or 8 (trace paths are keyed by linear cell index, one registry per
+// or 8 (trace paths are keyed by linear cell index, one observer per
 // cell, so worker interleaving cannot leak into the output).
 TEST(Runner, TelemetryTracesDeterministicAcrossThreadCounts) {
   namespace fs = std::filesystem;
@@ -841,12 +835,11 @@ TEST(Runner, TelemetryTracesDeterministicAcrossThreadCounts) {
 
   // The aggregated telemetry report is identical.
   EXPECT_EQ(telemetry_csv(run1), telemetry_csv(run8));
-  // Per-cell summaries carried on the results are identical too.
+  // Per-cell counts carried on the results are identical too.
   ASSERT_EQ(run1.cells.size(), run8.cells.size());
   for (std::size_t i = 0; i < run1.cells.size(); ++i) {
-    EXPECT_EQ(run1.cells[i].telemetry.starts, run8.cells[i].telemetry.starts);
-    EXPECT_EQ(run1.cells[i].telemetry.wait_sum,
-              run8.cells[i].telemetry.wait_sum);
+    EXPECT_EQ(run1.cells[i].telemetry, run8.cells[i].telemetry) << i;
+    EXPECT_GT(run1.cells[i].telemetry.steps, 0u) << i;
   }
 
   // Same trace file set, byte-identical contents.
@@ -958,7 +951,10 @@ TEST(SpecParser, RejectsFaultNonsense) {
   message("faults=1 mtbf=0");
   // faults= is an on/off switch: the seed is derived per cell.
   EXPECT_NE(message("faults=7").find("crash seed"), std::string::npos);
-  // Keys the campaign sets itself, each rejected with where it belongs.
+  // Keys the campaign sets itself, each rejected with where it belongs,
+  // and announce=: a campaign's outage stream (generate_failures) and
+  // crash stream (generate_crashes) announce nothing ahead of time, so
+  // `outages=1 announce=0` and `outages=1` would run identical cells.
   for (const auto& [config, home] :
        std::vector<std::pair<std::string, std::string>>{
            {"scheduler=easy", "scheduler ="},
@@ -971,7 +967,9 @@ TEST(SpecParser, RejectsFaultNonsense) {
            {"trace=/tmp/x.jsonl", "telemetry ="},
            {"timeseries=/tmp/x.csv", "telemetry ="},
            {"sample_every=60", "telemetry ="},
-           {"profile=/tmp/x.json", "telemetry ="}}) {
+           {"profile=/tmp/x.json", "telemetry ="},
+           {"outages=1 announce=0", "announce= has no effect"},
+           {"announce=1", "announce= has no effect"}}) {
     EXPECT_NE(message(config).find(home), std::string::npos) << config;
   }
   // The '+' grammar is gone; a bare token points at key=value.
@@ -992,6 +990,9 @@ TEST(CampaignSpec, ValidateRejectsOwnedKeysAndFaultSeeds) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = small_spec();
   spec.configs[0].sim.trace = "/tmp/cell.jsonl";
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = small_spec();
+  spec.configs[1].sim.deliver_announcements = false;  // the outages config
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec = small_spec();
   spec.configs[0].sim.faults = 7;

@@ -1,21 +1,24 @@
-// Telemetry registry: counter/histogram semantics, summary merge
-// algebra, and the observer wired into a real replay (including the
-// capacity-profile high-water gauge on backfill schedulers).
-#include "obs/telemetry.hpp"
+// Campaign telemetry's live-event counts, kept by
+// metrics::OnlineMetricsObserver: queue entries (requeues included),
+// engine steps, starts by provenance and, for a watched profile-based
+// scheduler, the capacity profile's peak step count.
+#include "metrics/online.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
-#include "metrics/online.hpp"
+#include "core/outage/record.hpp"
+#include "sched/backfill.hpp"
 #include "sched/registry.hpp"
 #include "sim/replay.hpp"
 #include "util/rng.hpp"
 #include "workload/model.hpp"
 #include "workload/scale.hpp"
 
-namespace pjsb::obs {
+namespace pjsb::metrics {
 namespace {
 
 swf::Trace small_trace(std::uint64_t seed = 3) {
@@ -28,169 +31,103 @@ swf::Trace small_trace(std::uint64_t seed = 3) {
   return workload::scale_to_load(trace, 1.1, 64);
 }
 
-TEST(Telemetry, CounterIncrementsAndMerges) {
-  Counter a;
-  Counter b;
-  a.inc();
-  a.inc(9);
-  b.inc(5);
-  EXPECT_EQ(a.value(), 10u);
-  a.merge(b);
-  EXPECT_EQ(a.value(), 15u);
-  EXPECT_EQ(b.value(), 5u);  // merge reads, never mutates, the source
-}
-
-TEST(Telemetry, HistogramBucketsByBitWidth) {
-  Log2Histogram h;
-  h.add(0);   // bucket 0
-  h.add(1);   // bucket 1
-  h.add(2);   // bucket 2: [2,3]
-  h.add(3);   // bucket 2
-  h.add(4);   // bucket 3: [4,7]
-  h.add(-7);  // clamps to 0 -> bucket 0
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.sum(), 0u + 1 + 2 + 3 + 4 + 0);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 2u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_DOUBLE_EQ(h.mean(), 10.0 / 6.0);
-  // Bucket ranges: low(b) = 2^(b-1), high(b) = 2^b - 1, except bucket 0.
-  EXPECT_EQ(Log2Histogram::bucket_low(0), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_high(0), 0u);
-  EXPECT_EQ(Log2Histogram::bucket_low(3), 4u);
-  EXPECT_EQ(Log2Histogram::bucket_high(3), 7u);
-}
-
-TEST(Telemetry, QuantileBoundIsBucketUpperBound) {
-  Log2Histogram h;
-  for (int i = 0; i < 99; ++i) h.add(1);  // bucket 1, high = 1
-  h.add(1000);                            // bucket 10, high = 1023
-  EXPECT_EQ(h.quantile_bound(0.5), 1u);
-  EXPECT_EQ(h.quantile_bound(0.95), 1u);
-  EXPECT_EQ(h.quantile_bound(1.0), 1023u);
-  EXPECT_EQ(Log2Histogram().quantile_bound(0.5), 0u);  // empty -> 0
-}
-
-TEST(Telemetry, HistogramMergeAddsBucketsCountAndSum) {
-  Log2Histogram a;
-  Log2Histogram b;
-  a.add(3);
-  a.add(100);
-  b.add(3);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.sum(), 106u);
-  EXPECT_EQ(a.bucket(2), 2u);  // both 3s
-}
-
-TEST(Telemetry, SummaryMergeIsComponentwise) {
-  TelemetrySummary a;
-  a.submits = 10;
-  a.starts = 8;
-  a.starts_by_provenance[std::size_t(sim::StartProvenance::kBackfill)] = 3;
-  a.wait_count = 8;
-  a.wait_sum = 80;
-  a.wait_p95_bound = 31;
-  a.profile_steps_peak = 5;
-  TelemetrySummary b;
-  b.submits = 2;
-  b.starts = 2;
-  b.starts_by_provenance[std::size_t(sim::StartProvenance::kQueueHead)] = 2;
-  b.wait_count = 2;
-  b.wait_sum = 4;
-  b.wait_p95_bound = 63;
-  b.profile_steps_peak = 9;
-  a.merge(b);
-  EXPECT_EQ(a.submits, 12u);
-  EXPECT_EQ(a.starts, 10u);
-  EXPECT_EQ(a.starts_by_provenance[std::size_t(
-                sim::StartProvenance::kBackfill)],
-            3u);
-  EXPECT_EQ(a.starts_by_provenance[std::size_t(
-                sim::StartProvenance::kQueueHead)],
-            2u);
-  EXPECT_EQ(a.wait_sum, 84u);
-  EXPECT_DOUBLE_EQ(a.mean_wait(), 8.4);
-  EXPECT_DOUBLE_EQ(a.backfill_ratio(), 0.3);
-  // Quantile bounds and gauges merge by max, not sum.
-  EXPECT_EQ(a.wait_p95_bound, 63u);
-  EXPECT_EQ(a.profile_steps_peak, 9u);
-}
-
-TEST(Telemetry, ObserverMatchesOnlineMetricsOnRealReplay) {
-  const auto trace = small_trace();
-  TelemetryRegistry registry;
-  TelemetryObserver telemetry(registry);
-  metrics::OnlineMetricsObserver online;
-  auto scheduler = sched::make_scheduler("easy");
-  telemetry.watch(*scheduler);
-  sim::ReplayHooks hooks;
-  hooks.observe(telemetry);
-  hooks.observe(online);
-  const auto spec = sim::SimulationSpec{}.with_nodes(64);
-  const auto result =
-      sim::replay(trace, std::move(scheduler), spec, hooks);
-
-  const auto summary = registry.summary();
-  EXPECT_EQ(summary.submits, trace.records.size());
-  EXPECT_EQ(summary.completions, result.stats.jobs_completed);
-  EXPECT_EQ(summary.kills, 0u);
-  EXPECT_GT(summary.steps, 0u);
+std::uint64_t total_starts(const OnlineMetricsObserver& online) {
   std::uint64_t starts = 0;
-  for (const auto n : summary.starts_by_provenance) starts += n;
-  EXPECT_EQ(starts, summary.starts);
-  EXPECT_EQ(summary.starts, summary.completions);  // no outages
-  // The wait histogram's exact integer sum reproduces the online mean
-  // (Welford accumulates in floating point, hence NEAR not EQ).
-  EXPECT_EQ(summary.wait_count, summary.completions);
-  EXPECT_NEAR(summary.mean_wait(), online.mean_wait(),
-              1e-6 * (1.0 + online.mean_wait()));
-  EXPECT_DOUBLE_EQ(summary.backfill_ratio(), online.backfill_ratio());
-  // EASY builds capacity profiles: the high-water gauge must have seen
-  // at least one profile step.
-  EXPECT_GT(summary.profile_steps_peak, 0u);
+  for (std::size_t p = 0; p < sim::kProvenanceCount; ++p) {
+    starts += online.starts(sim::StartProvenance(p));
+  }
+  return starts;
 }
 
-TEST(Telemetry, RegistryMergeEqualsSummaryMerge) {
-  TelemetryRegistry a;
-  TelemetryRegistry b;
-  {
-    TelemetryObserver oa(a);
-    sim::ReplayHooks hooks;
-    hooks.observe(oa);
-    sim::replay(small_trace(3),
-                sim::SimulationSpec{}.with_scheduler("easy").with_nodes(64),
-                hooks);
-  }
-  {
-    TelemetryObserver ob(b);
-    sim::ReplayHooks hooks;
-    hooks.observe(ob);
-    sim::replay(small_trace(4),
-                sim::SimulationSpec{}.with_scheduler("fcfs").with_nodes(64),
-                hooks);
-  }
-  auto merged_summaries = a.summary();
-  merged_summaries.merge(b.summary());
-  a.merge(b);
-  const auto merged_registry = a.summary();
-  EXPECT_EQ(merged_registry.submits, merged_summaries.submits);
-  EXPECT_EQ(merged_registry.starts, merged_summaries.starts);
-  EXPECT_EQ(merged_registry.wait_sum, merged_summaries.wait_sum);
-  EXPECT_EQ(merged_registry.wait_count, merged_summaries.wait_count);
-  EXPECT_EQ(merged_registry.slowdown_sum, merged_summaries.slowdown_sum);
+TEST(LiveCounts, MatchTheEngineOnARealReplay) {
+  const auto trace = small_trace();
+  auto scheduler = sched::make_scheduler("easy");
+  const auto* backfill =
+      dynamic_cast<const sched::BackfillBase*>(scheduler.get());
+  ASSERT_NE(backfill, nullptr);
+  OnlineMetricsObserver online;
+  online.watch(*scheduler);
+  // An independent tally of the same notifications.
+  std::uint64_t steps = 0;
+  std::uint64_t peak = 0;
+  sim::FunctionObserver probe;
+  probe.step = [&](const sim::StepSnapshot&) {
+    ++steps;
+    peak = std::max<std::uint64_t>(peak, backfill->profile().step_count());
+  };
+  sim::ReplayHooks hooks;
+  hooks.observe(online).observe(probe);
+  const auto result = sim::replay(trace, std::move(scheduler),
+                                  sim::SimulationSpec{}.with_nodes(64), hooks);
+
+  EXPECT_EQ(online.submits(), trace.records.size());
+  EXPECT_EQ(online.jobs(), result.stats.jobs_completed);
+  EXPECT_EQ(total_starts(online), online.jobs());  // no kills, no requeues
+  EXPECT_GT(online.steps(), 0u);
+  EXPECT_EQ(online.steps(), steps);
+  EXPECT_GT(online.profile_steps_peak(), 0u);
+  EXPECT_EQ(online.profile_steps_peak(), peak);
 }
 
-TEST(Telemetry, ToJsonIsOneLineWithCoreCounters) {
-  TelemetryRegistry registry;
-  registry.submits.inc(7);
-  const auto json = registry.to_json();
-  EXPECT_EQ(json.find('\n'), std::string::npos);
-  EXPECT_NE(json.find("\"submits\":7"), std::string::npos) << json;
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
+TEST(LiveCounts, RequeuesAreQueueEntries) {
+  // One 4-node job, killed at t=50 by a one-node failure and requeued:
+  // two queue entries and two starts for one completion.
+  swf::Trace trace;
+  trace.header.max_nodes = 4;
+  swf::JobRecord r;
+  r.job_number = 1;
+  r.submit_time = 0;
+  r.run_time = 100;
+  r.allocated_procs = 4;
+  r.requested_time = 100;
+  r.status = swf::Status::kCompleted;
+  trace.records.push_back(r);
+  outage::OutageLog log;
+  outage::OutageRecord o;
+  o.start_time = 50;
+  o.end_time = 80;
+  o.type = outage::OutageType::kCpuFailure;
+  o.nodes_affected = 1;
+  o.components = {0};
+  log.records.push_back(o);
+
+  OnlineMetricsObserver online;
+  sim::ReplayHooks hooks;
+  hooks.with_outages(log).observe(online);
+  const auto result =
+      sim::replay(trace, sim::SimulationSpec{}.with_scheduler("fcfs"), hooks);
+  ASSERT_EQ(result.stats.jobs_killed, 1);
+  EXPECT_EQ(online.submits(), 2u);
+  EXPECT_EQ(total_starts(online), 2u);
+  EXPECT_EQ(online.jobs(), 1u);
+}
+
+TEST(LiveCounts, ProfilePeakOnlyForWatchedProfileSchedulers) {
+  for (const std::string name : {"easy", "conservative", "fcfs", "gang4"}) {
+    auto scheduler = sched::make_scheduler(name);
+    OnlineMetricsObserver online;
+    online.watch(*scheduler);
+    sim::ReplayHooks hooks;
+    hooks.observe(online);
+    sim::replay(small_trace(), std::move(scheduler),
+                sim::SimulationSpec{}.with_scheduler(name).with_nodes(64),
+                hooks);
+    if (name == "easy" || name == "conservative") {
+      EXPECT_GT(online.profile_steps_peak(), 0u) << name;
+    } else {
+      EXPECT_EQ(online.profile_steps_peak(), 0u) << name;
+    }
+  }
+  // Unwatched, the peak stays 0 under a profile scheduler too.
+  OnlineMetricsObserver unwatched;
+  sim::ReplayHooks hooks;
+  hooks.observe(unwatched);
+  sim::replay(small_trace(),
+              sim::SimulationSpec{}.with_scheduler("easy").with_nodes(64),
+              hooks);
+  EXPECT_GT(unwatched.steps(), 0u);
+  EXPECT_EQ(unwatched.profile_steps_peak(), 0u);
 }
 
 }  // namespace
-}  // namespace pjsb::obs
+}  // namespace pjsb::metrics

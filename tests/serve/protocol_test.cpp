@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/machine.hpp"
+
 namespace pjsb::serve {
 namespace {
 
@@ -73,6 +79,27 @@ TEST(ProtocolRequest, RejectsMalformedLines) {
   EXPECT_FALSE(parse_request("KILL abc", &error));
   EXPECT_FALSE(parse_request("WHATIF 4 600 --bogus", &error));
   EXPECT_FALSE(parse_request("SNAPSHOT", &error));
+  // Times above sim::kMaxTime (2^40 s), each refused naming its field.
+  const std::string over = std::to_string(sim::kMaxTime + 1);
+  for (const auto& [line, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"SUBMIT 4 " + over, "estimate"},
+           {"SUBMIT 4 600 at=9223372036854775000", "at="},
+           {"SUBMIT 4 600 runtime=" + over, "runtime="},
+           {"WHATIF 4 " + over, "estimate"},
+           {"WHATIF 4 600 offset=9223372036854775807 --simulate",
+            "offset="}}) {
+    EXPECT_FALSE(parse_request(line, &error)) << line;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  // The bound itself is a valid time.
+  const std::string bound = std::to_string(sim::kMaxTime);
+  EXPECT_TRUE(parse_request("SUBMIT 4 " + bound + " at=" + bound +
+                                " runtime=" + bound,
+                            &error))
+      << error;
+  EXPECT_TRUE(parse_request("WHATIF 4 " + bound + " offset=" + bound, &error))
+      << error;
 }
 
 TEST(ProtocolRequest, ErrorIsClearedBetweenCalls) {

@@ -418,6 +418,73 @@ TEST(ServeServer, OverlongLineIsRefusedAndTheConnectionClosed) {
   server.wait();
 }
 
+TEST(ServeServer, TimesAboveTheBoundAreRefusedAndTheClockStays) {
+  Server server(ServerConfig{}, make_engine("conservative", 32));
+  server.start();
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  ASSERT_TRUE(client.request_line("SUBMIT 4 100").ok);
+  ASSERT_TRUE(client.request_line("SUBMIT 4 100 at=5").ok);
+  const auto before = client.status();
+  ASSERT_TRUE(before.ok);
+
+  const auto submit =
+      client.request_line("SUBMIT 4 3600 at=9223372036854775000");
+  EXPECT_FALSE(submit.ok);
+  EXPECT_EQ(submit.code, kErrBadRequest);
+  EXPECT_NE(submit.message.find("at="), std::string::npos) << submit.message;
+  const auto whatif = client.request_line(
+      "WHATIF 4 3600 offset=9223372036854775807 --simulate");
+  EXPECT_FALSE(whatif.ok);
+  EXPECT_EQ(whatif.code, kErrBadRequest);
+  EXPECT_NE(whatif.message.find("offset="), std::string::npos)
+      << whatif.message;
+  // An offset at the bound parses, but the daemon's clock (t=4) puts
+  // the hypothetical submit past it: the engine refuses the job, and
+  // that is still the request's fault.
+  const auto edge = client.request_line(
+      "WHATIF 4 3600 offset=" + std::to_string(sim::kMaxTime) + " --simulate");
+  EXPECT_FALSE(edge.ok);
+  EXPECT_EQ(edge.code, kErrBadRequest) << edge.message;
+
+  // The daemon still answers, and nothing moved.
+  const auto after = client.status();
+  ASSERT_TRUE(after.ok);
+  EXPECT_EQ(after.field_i64("time"), before.field_i64("time"));
+  EXPECT_EQ(after.field_i64("epoch"), before.field_i64("epoch"));
+  EXPECT_EQ(after.field_i64("queued"), before.field_i64("queued"));
+  EXPECT_EQ(after.field_i64("running"), before.field_i64("running"));
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
+TEST(ServeServer, WallClockModeRunsJobsWithoutFurtherSubmissions) {
+  // time_scale > 0 maps wall time onto sim time: the engine loop's
+  // periodic tick runs a lone job to completion with no later submit
+  // to lift the logical horizon.
+  ServerConfig config;
+  config.time_scale = 1000.0;
+  Server server(config, make_engine("easy", 32));
+  server.start();
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  ASSERT_TRUE(client.request_line("SUBMIT 4 100").ok);
+  Response status;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    status = client.status();
+    ASSERT_TRUE(status.ok);
+    if (status.field_i64("completed") == 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (std::chrono::steady_clock::now() < deadline);
+  EXPECT_EQ(status.field_i64("completed"), 1);
+  EXPECT_GE(status.field_i64("time").value_or(0), 100);
+  EXPECT_EQ(status.field("mode"), "wall");
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
 TEST(ServeServer, AuthTokenGatesSessions) {
   ServerConfig config;
   config.auth_token = "sesame";

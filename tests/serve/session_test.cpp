@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,12 @@ class MockCore final : public ServerCore {
   Response submit(const Request&) override { return log("submit"); }
   Response kill(std::int64_t) override { return log("kill"); }
   Response query(std::int64_t) override { return log("query"); }
-  Response whatif(const Request&) override { return log("whatif"); }
+  Response whatif(const Request&) override {
+    if (whatif_throws) {
+      throw std::invalid_argument("submit_job: submit time in the past");
+    }
+    return log("whatif");
+  }
   Response status() override { return log("status"); }
   Response snapshot(const std::string&) override {
     return log("snapshot");
@@ -37,6 +43,7 @@ class MockCore final : public ServerCore {
 
   std::vector<std::string> calls;
   bool draining_ = false;
+  bool whatif_throws = false;
 
  private:
   Response log(const char* what) {
@@ -131,6 +138,21 @@ TEST(Session, DrainElsewherePropagatesLazily) {
   a.handle_line("DRAIN");
   EXPECT_TRUE(is_err(b.handle_line("SUBMIT 4 600"), kErrDraining));
   EXPECT_EQ(b.state(), SessionState::kDraining);
+}
+
+TEST(Session, CoreExceptionBecomesInternalError) {
+  // Read verbs run on the connection thread: an exception from the core
+  // must become the reply, not escape the thread and end the daemon.
+  MockCore core;
+  core.whatif_throws = true;
+  Session session(core, 1);
+  session.handle_line("HELLO");
+  const auto reply = session.handle_line("WHATIF 4 3600 --simulate");
+  EXPECT_TRUE(is_err(reply, kErrInternal)) << reply;
+  EXPECT_NE(reply.find("submit time in the past"), std::string::npos)
+      << reply;
+  EXPECT_EQ(session.state(), SessionState::kServing);
+  EXPECT_TRUE(util::starts_with(session.handle_line("STATUS"), "OK"));
 }
 
 TEST(Session, ShutdownCloses) {

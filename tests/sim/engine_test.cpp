@@ -267,6 +267,53 @@ TEST(Engine, RejectsPastSubmission) {
   SimJob j;
   j.submit = 50;
   EXPECT_THROW(e.submit_job(j), std::invalid_argument);
+
+  // Times above kMaxTime are refused too, naming the job and the field,
+  // and the engine keeps nothing of the job.
+  const auto refusal = [&e](SimJob job) -> std::string {
+    try {
+      e.submit_job(job);
+    } catch (const std::invalid_argument& err) {
+      return err.what();
+    }
+    ADD_FAILURE() << "job " << job.id << " was accepted";
+    return "";
+  };
+  SimJob late;
+  late.id = 7;
+  late.submit = 9223372036854775000;
+  EXPECT_NE(refusal(late).find("job 7: submit time 9223372036854775000"),
+            std::string::npos);
+  SimJob long_run;
+  long_run.id = 8;
+  long_run.submit = 100;
+  long_run.runtime = kMaxTime + 1;
+  EXPECT_NE(refusal(long_run).find("job 8: runtime"), std::string::npos);
+  SimJob wide_estimate;
+  wide_estimate.id = 9;
+  wide_estimate.submit = 100;
+  wide_estimate.estimate = kMaxTime + 1;
+  EXPECT_NE(refusal(wide_estimate).find("job 9: estimate"),
+            std::string::npos);
+  for (const std::int64_t id : {7, 8, 9}) EXPECT_EQ(e.find_job(id), nullptr);
+  SimJob bound;
+  bound.submit = kMaxTime;
+  bound.runtime = kMaxTime;
+  bound.estimate = kMaxTime;
+  EXPECT_NO_THROW(e.submit_job(bound));
+
+  // Trace admission applies the same bound.
+  auto trace = tiny_trace();
+  trace.records[1].submit_time = 9223372036854775000;
+  try {
+    replay(trace, SimulationSpec{}.with_scheduler("fcfs"));
+    ADD_FAILURE() << "a submit time above the bound was admitted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find(
+                  "job 2: submit time 9223372036854775000"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(Engine, ObserverMaySubmitJobsDuringCompletion) {

@@ -7,6 +7,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sched/registry.hpp"
 #include "sim/replay.hpp"
@@ -134,6 +137,29 @@ TEST(SimulationSpec, ValidateRejectsFaultNonsense) {
                std::invalid_argument);
   // faults=0 is the documented "disabled" spelling, not an error.
   EXPECT_NO_THROW(SimulationSpec::parse("scheduler=easy faults=0").validate());
+  // Durations above kMaxTime (2^40 s) are refused naming the key; the
+  // bound itself is accepted.
+  for (const auto& [prefix, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"faults=7 mtbf=", "mtbf="},
+           {"faults=7 repair=", "repair="},
+           {"checkpoint=", "checkpoint="},
+           {"checkpoint=60 dump=", "dump="},
+           {"checkpoint=60 read=", "read="},
+           {"backoff=", "backoff="},
+           {"overrun=grace grace=", "grace="},
+           {"timeseries=/tmp/x.csv sample_every=", "sample_every="}}) {
+    const std::string head = "scheduler=easy " + prefix;
+    EXPECT_NO_THROW(SimulationSpec::parse(head + std::to_string(kMaxTime)))
+        << prefix;
+    try {
+      SimulationSpec::parse(head + "9223372036854775000");
+      ADD_FAILURE() << prefix << " above the bound was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SimulationSpec, AutoNodesSpelledAuto) {

@@ -3,6 +3,9 @@
 // donor run, and must fall back to exact forward simulation when asked.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -118,6 +121,18 @@ TEST(WhatIf, SimulateModeObservesARealStart) {
   const auto past_answer = service.query(past);
   ASSERT_TRUE(past_answer.start.has_value());
   EXPECT_EQ(*past_answer.start, *answer.start);
+
+  // Offsets and estimates above kMaxTime are refused in both modes.
+  for (const bool simulate : {false, true}) {
+    WhatIfQuery far = q;
+    far.simulate = simulate;
+    far.submit_offset = kMaxTime + 1;
+    EXPECT_THROW(service.query(far), std::invalid_argument);
+    WhatIfQuery huge = q;
+    huge.simulate = simulate;
+    huge.estimate = std::numeric_limits<std::int64_t>::max();
+    EXPECT_THROW(service.query(huge), std::invalid_argument);
+  }
 }
 
 TEST(WhatIf, PredictAndSimulateAgreeUnderConservative) {
@@ -129,7 +144,9 @@ TEST(WhatIf, PredictAndSimulateAgreeUnderConservative) {
   auto donor = make_donor("conservative", kSeed + 3,
                           /*exact_estimates=*/true);
   auto service = WhatIfService::from_engine(*donor.engine);
-  for (const std::int64_t procs : {1, 8, 32}) {
+  // A job wider than the machine is clamped to it in both modes.
+  for (const std::int64_t procs :
+       std::initializer_list<std::int64_t>{1, 8, 32, 4 * kNodes}) {
     WhatIfQuery q;
     q.procs = procs;
     q.estimate = 1800;
