@@ -1,7 +1,9 @@
 // Scheduling-daemon throughput: concurrent what-if queries served over
 // real sockets must sustain >= 10k queries/s from >= 4 connections,
 // and every answer must be identical to a serial predict_start pass
-// against the same frozen state (BENCH_9.json gates both).
+// against the same frozen state (the CI bench gate, bench/gate.json,
+// holds both: the rate as a fixed floor with wide headroom, the
+// answers as an identity bit).
 //
 // Setup: a Lublin'99 workload (20k jobs, 2k in --quick) on 64 nodes
 // under conservative backfill is replayed to half its horizon; the

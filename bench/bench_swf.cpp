@@ -1,20 +1,19 @@
 // E1/PR3 — SWF substrate + streaming ingestion.
 //
-// Two families of measurements:
-//   * parse/write micro throughput on an in-memory trace (the original
-//     E1 "the file format is easy to parse and use" rates);
-//   * the streaming scale demonstration: a synthetic trace is streamed
-//     to disk (constant memory), replayed through swf::TraceReader +
-//     the bounded-memory engine path at half and full length, and
-//     replayed once more through the materialize-everything path. Each
-//     replay runs in a child process so its peak RSS (wait4 ru_maxrss)
-//     is measured in isolation; the streaming peaks at half vs full
-//     length demonstrate O(running+queued+lookahead) memory, and the
-//     decision CSVs (completion order) are compared byte-for-byte
-//     against the in-memory run.
+// The streaming scale demonstration: a synthetic trace is streamed to
+// disk (constant memory), replayed through swf::TraceReader + the
+// bounded-memory engine path at half and full length, and replayed
+// once more through the materialize-everything path. Each replay runs
+// in a child process so its peak RSS (wait4 ru_maxrss) is measured in
+// isolation; the streaming peaks at half vs full length demonstrate
+// O(running+queued+lookahead) memory, and the decision CSVs
+// (completion order) are compared byte-for-byte against the in-memory
+// run. Parse and write rates are bench_ingest's, timed against their
+// references in one process.
 //
-// Default sizes: 1M jobs (--quick: 50k). JSON output feeds the CI
-// bench-regression gate (scripts/check_bench_regression.py).
+// Default sizes: 1M jobs (--quick: 50k). The CI bench gate
+// (bench/gate.json) holds the identity bit, the peak RSS ceilings and
+// the flatness ratio.
 #include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -196,45 +195,6 @@ bool files_identical(const std::string& a, const std::string& b) {
   }
 }
 
-/// Parse/write micro rates on a 5000-job in-memory trace (the original
-/// E1 measurement, reproduced without google-benchmark).
-void micro_bench(bench::JsonReporter& json, util::Table& table) {
-  util::Rng rng(1);
-  workload::ModelConfig config;
-  config.jobs = 5000;
-  const auto trace =
-      workload::generate(workload::ModelKind::kLublin99, config, rng);
-  const auto text = swf::write_swf_string(trace);
-
-  constexpr int kReps = 10;
-  bench::WallTimer parse_timer;
-  std::size_t records = 0;
-  for (int i = 0; i < kReps; ++i) {
-    records = swf::read_swf_string(text).trace.records.size();
-  }
-  const double parse_s = parse_timer.seconds() / kReps;
-  bench::WallTimer write_timer;
-  std::size_t bytes = 0;
-  for (int i = 0; i < kReps; ++i) bytes = swf::write_swf_string(trace).size();
-  const double write_s = write_timer.seconds() / kReps;
-
-  const double parse_mb_s = double(text.size()) / 1e6 / parse_s;
-  const double write_mb_s = double(bytes) / 1e6 / write_s;
-  json.add("parse", "mb_per_s", parse_mb_s, "MB/s");
-  json.add("parse", "records_per_s", double(records) / parse_s, "records/s");
-  json.add("write", "mb_per_s", write_mb_s, "MB/s");
-  table.row()
-      .cell("parse (in-memory)")
-      .cell(parse_mb_s, 1)
-      .cell(double(records) / parse_s / 1000.0, 1)
-      .cell("-");
-  table.row()
-      .cell("write")
-      .cell(write_mb_s, 1)
-      .cell(double(records) / write_s / 1000.0, 1)
-      .cell("-");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -274,9 +234,6 @@ int main(int argc, char** argv) {
       "decisions are byte-identical to the materialized path.");
 
   bench::JsonReporter json("bench_swf");
-  util::Table micro({"operation", "MB/s", "krec/s", "peak rss MB"});
-  micro_bench(json, micro);
-  std::cout << micro.to_string() << '\n';
 
   // Scratch space for the trace + artifacts.
   const std::string dir =

@@ -1,9 +1,8 @@
 // Shared helpers for the experiment harnesses (bench/). Each binary
 // runs one experiment and prints its results as an ASCII table (the
-// README's "Benchmarks and `BENCH_*.json`" section lists them).
-// Every bench also speaks a common CLI (--quick, --json PATH) and can
-// emit its results as machine-readable JSON so CI can track performance
-// trajectories (BENCH_*.json) across PRs.
+// README's "Benchmarks and the bench gate" section lists them). Every
+// bench speaks a common CLI (--quick, --json PATH); the JSON results of
+// five of them feed the CI bench gate (bench/gate.json).
 #pragma once
 
 #include <algorithm>
@@ -12,8 +11,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "metrics/aggregate.hpp"
@@ -30,18 +31,14 @@ inline constexpr std::uint64_t kSeed = 20240612;
 
 /// Common CLI for bench binaries: `--quick` shrinks problem sizes so CI
 /// can run the suite in seconds; `--json PATH` writes the results as
-/// JSON; `--dump-csv PATH` (only where the bench writes one) writes
-/// per-job scheduler decisions for byte-identical regression
-/// comparison.
+/// JSON.
 struct BenchOptions {
   bool quick = false;
   std::string json_path;
-  std::string csv_path;
 
-  /// `dumps_csv`: the bench writes a decision CSV. An unknown flag, a
-  /// flag missing its value and --dump-csv on a bench that writes no
-  /// CSV exit 2, naming the flag, before the bench does any work.
-  static BenchOptions parse(int argc, char** argv, bool dumps_csv = false) {
+  /// An unknown flag and a flag missing its value exit 2, naming the
+  /// flag, before the bench does any work.
+  static BenchOptions parse(int argc, char** argv) {
     const auto usage = [argv](const std::string& message) {
       std::cerr << argv[0] << ": " << message << '\n';
       std::exit(2);
@@ -53,15 +50,9 @@ struct BenchOptions {
         o.quick = true;
         continue;
       }
-      if (flag == "--dump-csv" && !dumps_csv) {
-        usage("--dump-csv: this bench writes no decision CSV");
-      }
-      std::string* value = flag == "--json"       ? &o.json_path
-                           : flag == "--dump-csv" ? &o.csv_path
-                                                  : nullptr;
-      if (!value) usage("unknown flag " + flag);
+      if (flag != "--json") usage("unknown flag " + flag);
       if (i + 1 >= argc) usage(flag + " needs a value");
-      *value = argv[++i];
+      o.json_path = argv[++i];
     }
     return o;
   }
@@ -80,6 +71,25 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// The fastest of `reps` runs of each of `a` and `b`, in seconds, run
+/// alternately (a, b, a, b, ...) so a slow spell of a shared host lands
+/// on both sides alike; a ratio of the two then judges the code, not
+/// the host.
+template <typename A, typename B>
+std::pair<double, double> fastest_alternating(int reps, A&& a, B&& b) {
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = best_a;
+  for (int i = 0; i < reps; ++i) {
+    const WallTimer timer_a;
+    a();
+    best_a = std::min(best_a, timer_a.seconds());
+    const WallTimer timer_b;
+    b();
+    best_b = std::min(best_b, timer_b.seconds());
+  }
+  return {best_a, best_b};
+}
 
 /// Collects named metrics and tables and renders one JSON document:
 /// {"suite": ..., "metrics": [{name, metric, value, unit}...],
@@ -139,21 +149,6 @@ class JsonReporter {
   std::vector<std::string> metrics_;
   std::vector<std::string> tables_;
 };
-
-/// Dump completed-job decisions as CSV (sorted by id) — the regression
-/// artifact for "same scheduler decisions" comparisons across refactors.
-inline void write_decisions_csv(std::ostream& os,
-                                std::vector<sim::CompletedJob> completed) {
-  std::sort(completed.begin(), completed.end(),
-            [](const sim::CompletedJob& a, const sim::CompletedJob& b) {
-              return a.id < b.id;
-            });
-  os << "id,submit,start,end,procs,restarts\n";
-  for (const auto& c : completed) {
-    os << c.id << ',' << c.submit << ',' << c.start << ',' << c.end << ','
-       << c.procs << ',' << c.restarts << '\n';
-  }
-}
 
 /// Generate a model workload scaled to a target offered load.
 inline swf::Trace make_workload(workload::ModelKind kind, std::size_t jobs,

@@ -178,7 +178,8 @@ int usage() {
       "[--simulate]\n"
       "  serve <sim-spec> [--socket <path> | --port <n>] [--token <t>]\n"
       "        [--time-scale <x>] [--decisions <csv>]\n"
-      "        [--snapshot-on-shutdown <snap>] [--resume <snap>]\n"
+      "        [--snapshot-on-shutdown <snap>]\n"
+      "        (--resume <snap> in place of <sim-spec>)\n"
       "  client <mode> (--socket <path> | --port <n>) [--token <t>], "
       "mode one of:\n"
       "        replay <file.swf> [--whatif-every <n>] [--query-every <n>] "
@@ -740,6 +741,25 @@ int cmd_whatif(const std::string& snap_path, std::int64_t procs,
   return 0;
 }
 
+/// The first key set in `spec` that a served engine would ignore, or
+/// nullptr. The daemon builds its engine from spec_engine_config and
+/// the scheduler alone: the crash schedule, the sinks and the source
+/// window are applied by sim::replay, which it never calls, and SUBMIT
+/// carries neither dependency fields nor outage announcements.
+const char* unserved_key(const sim::SimulationSpec& spec) {
+  const sim::SimulationSpec d;
+  if (spec.faults != d.faults) return "faults";
+  if (spec.trace != d.trace) return "trace";
+  if (spec.timeseries != d.timeseries) return "timeseries";
+  if (spec.profile != d.profile) return "profile";
+  if (spec.lookahead != d.lookahead) return "lookahead";
+  if (spec.max_jobs != d.max_jobs) return "max_jobs";
+  if (spec.threads != d.threads) return "threads";
+  if (spec.closed_loop != d.closed_loop) return "closed_loop";
+  if (spec.deliver_announcements != d.deliver_announcements) return "announce";
+  return nullptr;
+}
+
 /// The scheduling daemon (README "Scheduling daemon"): build an engine
 /// from a SimulationSpec string (or restore one from a snapshot), bind
 /// the endpoint, and serve sessions until SHUTDOWN / SIGTERM / SIGINT.
@@ -771,12 +791,27 @@ int cmd_serve(const std::string& spec_text, Flags& args) {
 
   std::unique_ptr<sim::Engine> engine;
   if (resume_path) {
+    if (!spec_text.empty()) {
+      throw UsageError("a sim-spec and --resume are exclusive: the "
+                       "snapshot carries the engine's configuration");
+    }
     engine = sim::Engine::restore(sim::snapshot::read_file(*resume_path));
   } else if (spec_text.empty()) {
     throw UsageError("need a sim-spec (e.g. \"scheduler=conservative "
                      "nodes=32\") or --resume <snap>");
   } else {
-    const auto spec = sim::SimulationSpec::parse(spec_text);
+    sim::SimulationSpec spec;
+    try {
+      spec = sim::SimulationSpec::parse(spec_text);
+    } catch (const std::invalid_argument& e) {
+      throw UsageError(e.what());
+    }
+    if (const char* key = unserved_key(spec)) {
+      throw UsageError(std::string(key) +
+                       "= has no effect on a served engine; serve takes "
+                       "scheduler=, nodes=, the recovery keys, "
+                       "retain_completed= and recycle_slots=");
+    }
     engine = std::make_unique<sim::Engine>(
         sim::spec_engine_config(spec,
                                 spec.nodes.value_or(sim::kDefaultNodes)),

@@ -1,145 +1,132 @@
 #!/usr/bin/env python3
-"""CI bench-regression gate.
-
-Compares freshly produced quick-mode bench JSON (bench_* --quick --json)
-against committed baselines (BENCH_3.json, ...) and FAILS (exit 1) when a
-key metric of any baseline regresses, instead of only uploading
-artifacts.
+"""CI bench gate: hold quick-run bench results to the bounds in one file.
 
 Usage:
-    check_bench_regression.py --baseline BENCH_3.json [--baseline ...] \
-        --current DIR
+    check_bench_regression.py --gate bench/gate.json --current DIR
 
-Every baseline file carries two sections this script reads:
+DIR holds one <suite>.json per bench, written by `<suite> --quick
+--json DIR/<suite>.json`. The gate file lists checks:
 
-    "quick_baseline": { "<suite>": <output of bench_<suite> --quick --json> }
-    "gate": {
-        "default_threshold": 0.25,
-        "metrics": [ {"path": "suite.name.metric", ...checks} ]
-    }
+    {"checks": [{"path": "<suite>.<row>.<metric>",
+                 "exact_min": v | "max_abs": v,
+                 "why": "<one line>"}, ...]}
 
-Per-metric checks (any combination):
-    "exact_min": v   hard floor on the current value — for machine-
-                     independent correctness bits (csv_identical).
-    "max_abs":   v   hard ceiling on the current value — for machine-
-                     independent quantities (peak RSS MB, flatness
-                     ratios), sized with generous allocator headroom.
-    "direction": "higher"|"lower" compare against the recorded baseline
-                     value: a "higher"-is-better metric fails when it
-                     drops more than `threshold` (default 25%) below
-                     baseline; "lower" fails when it rises more than
-                     `threshold` above. Wall-clock-sensitive entries
-                     carry an explicit looser threshold because CI
-                     runners are not the machine the baseline was
-                     recorded on.
+    "exact_min": v   the current value must be >= v;
+    "max_abs":   v   the current value must be <= v.
+
+Every bound is machine-independent: an identity bit, a memory ceiling, a
+ratio of two timings taken in the same process, or a fixed floor with
+wide headroom. No check compares against a number recorded elsewhere.
+
+A check fails when its suite file or metric is missing, when the value
+is not a number, or when it misses a bound. An entry with no bound or
+with a key not listed above fails too, naming the path, so a misspelled
+bound cannot switch a check off. Exits 0 when every check holds, 1 when
+any fails.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
+BOUNDS = {
+    "exact_min": (">=", lambda value, bound: value >= bound),
+    "max_abs": ("<=", lambda value, bound: value <= bound),
+}
+KEYS = {"path", "why"} | set(BOUNDS)
 
-def metric_value(suite_json, name, metric):
+
+def is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def entry_problem(entry):
+    """Why a gate entry cannot be checked, or None when it can."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+        return "entry %r has no path" % (entry,)
+    path = entry["path"]
+    if path.count(".") < 2:
+        return "%s: path is not <suite>.<row>.<metric>" % path
+    unknown = sorted(set(entry) - KEYS)
+    if unknown:
+        return "%s: unknown key(s) %s" % (path, ", ".join(unknown))
+    bounds = [key for key in BOUNDS if key in entry]
+    if not bounds:
+        return "%s: no bound (one of %s)" % (path, ", ".join(BOUNDS))
+    for key in bounds:
+        if not is_number(entry[key]):
+            return "%s: %s is not a number" % (path, key)
+    return None
+
+
+def load_checks(gate_path):
+    """The gate's entries and the problems that make some uncheckable."""
+    with open(gate_path) as f:
+        gate = json.load(f)
+    checks = gate.get("checks") if isinstance(gate, dict) else None
+    if not isinstance(checks, list) or not checks:
+        return [], ["%s: no checks" % gate_path]
+    problems = [p for p in map(entry_problem, checks) if p]
+    return checks, problems
+
+
+def metric_value(suite_json, row, metric):
     for entry in suite_json.get("metrics", []):
-        if entry.get("name") == name and entry.get("metric") == metric:
+        if entry.get("name") == row and entry.get("metric") == metric:
             return entry.get("value")
     return None
 
 
-def check_baseline(baseline_path, current_suite):
-    """Print one baseline's checks; returns (problems, metric count)."""
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    gate = baseline.get("gate", {})
-    entries = gate.get("metrics", [])
-    default_threshold = gate.get("default_threshold", 0.25)
-    quick_baseline = baseline.get("quick_baseline", {})
-    if not entries:
-        return [f"{baseline_path}: no gate metrics configured"], 0
-
-    failures = []
-    for entry in entries:
-        path = entry["path"]
-        suite, name, metric = path.split(".", 2)
-        suite_json = current_suite(suite)
-        if suite_json is None:
-            failures.append(f"{path}: missing current results "
-                            f"({suite}.json not found/parsable)")
-            continue
-        current = metric_value(suite_json, name, metric)
-        if current is None:
-            failures.append(f"{path}: metric absent from current run")
-            continue
-
-        checks = []
-        if "exact_min" in entry:
-            ok = current >= entry["exact_min"]
-            checks.append((ok, f"must be >= {entry['exact_min']}"))
-        if "max_abs" in entry:
-            ok = current <= entry["max_abs"]
-            checks.append((ok, f"must be <= {entry['max_abs']}"))
-        if "direction" in entry:
-            base = metric_value(quick_baseline.get(suite, {}), name, metric)
-            if base is None:
-                failures.append(f"{path}: no quick_baseline value recorded")
-                continue
-            threshold = entry.get("threshold", default_threshold)
-            if entry["direction"] == "higher":
-                bound = base * (1.0 - threshold)
-                checks.append((current >= bound,
-                               f"must be >= {bound:.4g} "
-                               f"(baseline {base:.4g} - {threshold:.0%})"))
-            else:
-                bound = base * (1.0 + threshold)
-                checks.append((current <= bound,
-                               f"must be <= {bound:.4g} "
-                               f"(baseline {base:.4g} + {threshold:.0%})"))
-
-        for ok, describe in checks:
-            status = "ok  " if ok else "FAIL"
-            print(f"{status} {path} = {current:.6g} ({describe})")
-            if not ok:
-                failures.append(f"{path} = {current:.6g}: {describe}")
-    return [f"{baseline_path}: {f_}" for f_ in failures], len(entries)
-
-
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True, action="append",
-                        help="committed BENCH_*.json with quick_baseline + "
-                             "gate; repeat to check several")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--gate", required=True,
+                        help="gate file, e.g. bench/gate.json")
     parser.add_argument("--current", required=True,
-                        help="directory of freshly produced <suite>.json files")
+                        help="directory of <suite>.json bench results")
     args = parser.parse_args()
 
-    current_cache = {}
-
-    def current_suite(suite):
-        if suite not in current_cache:
-            path = os.path.join(args.current, suite + ".json")
+    checks, failures = load_checks(args.gate)
+    suites = {}
+    for entry in checks:
+        if entry_problem(entry):
+            continue
+        path = entry["path"]
+        suite, row, metric = path.split(".", 2)
+        if suite not in suites:
             try:
-                with open(path) as f:
-                    current_cache[suite] = json.load(f)
-            except OSError:
-                current_cache[suite] = None
-        return current_cache[suite]
-
-    failures = []
-    metrics = 0
-    for baseline_path in args.baseline:
-        print(f"== {baseline_path}")
-        problems, count = check_baseline(baseline_path, current_suite)
-        failures += problems
-        metrics += count
+                with open(os.path.join(args.current, suite + ".json")) as f:
+                    suites[suite] = json.load(f)
+            except (OSError, ValueError):
+                suites[suite] = None
+        if suites[suite] is None:
+            failures.append("%s: no readable %s.json in %s"
+                            % (path, suite, args.current))
+            continue
+        value = metric_value(suites[suite], row, metric)
+        if not is_number(value):
+            failures.append("%s: metric missing or not a number (%r)"
+                            % (path, value))
+            continue
+        for key, (op, holds) in BOUNDS.items():
+            if key not in entry:
+                continue
+            ok = holds(value, entry[key])
+            print("%s %s = %.6g (must be %s %g)"
+                  % ("ok  " if ok else "FAIL", path, value, op, entry[key]))
+            if not ok:
+                failures.append("%s = %.6g: must be %s %g"
+                                % (path, value, op, entry[key]))
 
     if failures:
-        print(f"\nbench regression gate FAILED ({len(failures)} problem(s)):")
-        for f_ in failures:
-            print("  -", f_)
+        print("\nbench gate FAILED (%d problem(s)):" % len(failures))
+        for failure in failures:
+            print("  -", failure)
         return 1
-    print(f"\nbench regression gate passed ({metrics} key metric(s) in "
-          f"{len(args.baseline)} baseline(s)).")
+    print("\nbench gate passed (%d check(s) in %s)." % (len(checks), args.gate))
     return 0
 
 

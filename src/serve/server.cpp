@@ -516,12 +516,16 @@ bool Server::advance() {
   if (drained_.load()) return false;
   std::int64_t target = horizon_;
   if (config_.time_scale > 0) {
+    // In double, clamped before the conversion: a large scale would
+    // overflow int64 (undefined) or carry the clock past the bound
+    // every SUBMIT is held to.
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - wall_origin_)
             .count();
-    target = std::max(
-        target,
-        sim_origin_ + std::int64_t(elapsed * config_.time_scale));
+    const double wall_time =
+        std::min(double(sim_origin_) + elapsed * config_.time_scale,
+                 double(sim::kMaxTime));
+    target = std::max(target, std::int64_t(wall_time));
   }
   const auto before = engine_->stats().events_processed;
   if (target > engine_->now() ||

@@ -461,28 +461,46 @@ TEST(ServeServer, TimesAboveTheBoundAreRefusedAndTheClockStays) {
 TEST(ServeServer, WallClockModeRunsJobsWithoutFurtherSubmissions) {
   // time_scale > 0 maps wall time onto sim time: the engine loop's
   // periodic tick runs a lone job to completion with no later submit
-  // to lift the logical horizon.
-  ServerConfig config;
-  config.time_scale = 1000.0;
-  Server server(config, make_engine("easy", 32));
-  server.start();
-  auto client = Client::connect_tcp(server.port());
-  client.handshake();
-  ASSERT_TRUE(client.request_line("SUBMIT 4 100").ok);
-  Response status;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  do {
-    status = client.status();
-    ASSERT_TRUE(status.ok);
-    if (status.field_i64("completed") == 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(status.field_i64("completed"), 1);
-  EXPECT_GE(status.field_i64("time").value_or(0), 100);
-  EXPECT_EQ(status.field("mode"), "wall");
-  ASSERT_TRUE(client.shutdown().ok);
-  server.wait();
+  // to lift the logical horizon. A scale that would carry the clock
+  // past sim::kMaxTime (1e13 within a second, 1e300 at the first tick,
+  // where the product overflows int64) stops it at the bound, where a
+  // SUBMIT is still within it.
+  for (const double scale : {1000.0, 1e300, 1e13}) {
+    SCOPED_TRACE(scale);
+    const std::int64_t until = scale > 1e9 ? sim::kMaxTime : 100;
+    ServerConfig config;
+    config.time_scale = scale;
+    Server server(config, make_engine("easy", 32));
+    server.start();
+    auto client = Client::connect_tcp(server.port());
+    client.handshake();
+    ASSERT_TRUE(client.request_line("SUBMIT 4 100").ok);
+    Response status;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+      status = client.status();
+      ASSERT_TRUE(status.ok);
+      EXPECT_LE(status.field_i64("time").value_or(0), sim::kMaxTime);
+      if (status.field_i64("completed") == 1 &&
+          status.field_i64("time").value_or(0) >= until) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    } while (std::chrono::steady_clock::now() < deadline);
+    EXPECT_EQ(status.field_i64("completed"), 1);
+    EXPECT_GE(status.field_i64("time").value_or(0), until);
+    EXPECT_EQ(status.field("mode"), "wall");
+    if (until == sim::kMaxTime) {
+      const auto late = client.request_line("SUBMIT 4 100");
+      EXPECT_TRUE(late.ok) << late.code << " " << late.message;
+      status = client.status();
+      ASSERT_TRUE(status.ok);
+      EXPECT_EQ(status.field_i64("time"), sim::kMaxTime);
+    }
+    ASSERT_TRUE(client.shutdown().ok);
+    server.wait();
+  }
 }
 
 TEST(ServeServer, AuthTokenGatesSessions) {
