@@ -1,18 +1,28 @@
-// Scheduling-daemon throughput: concurrent what-if queries served over
-// real sockets must sustain >= 10k queries/s from >= 4 connections,
-// and every answer must be identical to a serial predict_start pass
-// against the same frozen state (the CI bench gate, bench/gate.json,
-// holds both: the rate as a fixed floor with wide headroom, the
-// answers as an identity bit).
+// Scheduling-daemon costs over real sockets, in two phases.
 //
-// Setup: a Lublin'99 workload (20k jobs, 2k in --quick) on 64 nodes
-// under conservative backfill is replayed to half its horizon; the
-// engine moves into a Server on an ephemeral loopback TCP port. A twin
-// engine restored from the same snapshot bytes answers every query
-// shape serially first; then 4 client threads (one connection each)
-// fire the same shapes through the socket and diff every answer.
+// What-if: concurrent queries must sustain >= 10k queries/s from >= 4
+// connections, and every answer must be identical to a serial
+// predict_start pass against the same frozen state (the CI bench gate,
+// bench/gate.json, holds both: the rate as a fixed floor with wide
+// headroom, the answers as an identity bit). A Lublin'99 workload (20k
+// jobs, 2k in --quick) on 64 nodes under conservative backfill is
+// replayed to half its horizon; the engine moves into a Server on an
+// ephemeral loopback TCP port. A twin engine restored from the same
+// snapshot bytes answers every query shape serially first; then 4
+// client threads (one connection each) fire the same shapes through
+// the socket and diff every answer.
+//
+// SUBMIT: a SUBMIT costs the same whatever the daemon has already
+// finished. Two servers run EASY on 128 nodes: one fresh, one whose
+// engine has run 100k jobs (10k in --quick) to completion. One
+// connection per server submits the same fresh Lublin'99 jobs, blocks
+// of them alternating between the servers, and `submit.cost_ratio` is
+// the loaded server's median SUBMIT latency over the fresh one's (the
+// gate holds it near 1; a publish that walks every job slot ever used
+// puts it far above).
 #include "common.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -22,6 +32,7 @@
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
 #include "sim/snapshot/whatif.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -47,6 +58,20 @@ std::unique_ptr<sim::Engine> run_to(const swf::Trace& trace,
   return engine;
 }
 
+/// An EASY engine on `nodes` nodes, fresh or (with a trace) run dry.
+std::unique_ptr<sim::Engine> easy_engine(std::int64_t nodes,
+                                         const swf::Trace* finished) {
+  auto engine = std::make_unique<sim::Engine>(
+      sim::spec_engine_config(sim::SimulationSpec{}.with_scheduler("easy"),
+                              nodes),
+      sched::make_scheduler("easy"));
+  if (finished) {
+    engine->load_trace(*finished);
+    engine->run();
+  }
+  return engine;
+}
+
 /// Deterministic query shapes, distinct per (connection, index).
 sim::WhatIfQuery nth_query(int conn, int i) {
   sim::WhatIfQuery q;
@@ -61,10 +86,11 @@ sim::WhatIfQuery nth_query(int conn, int i) {
 int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_header(
-      "scheduling daemon what-if throughput",
+      "scheduling daemon what-if throughput and SUBMIT cost",
       "Concurrent WHATIF queries over real sockets: >= 10k queries/s "
       "from 4 connections, every answer byte-identical to a serial "
-      "predict_start pass (both gated).");
+      "predict_start pass; a SUBMIT into a daemon that has finished "
+      "many jobs costs what it costs in a fresh one (all gated).");
 
   const std::size_t jobs = options.quick ? 2000 : 20000;
   const int queries_per_conn = options.quick ? 2500 : 25000;
@@ -120,6 +146,57 @@ int main(int argc, char** argv) {
   const double qps = wall > 0 ? double(answered.load()) / wall : 0.0;
   const double identical = mismatches.load() == 0 ? 1.0 : 0.0;
 
+  // SUBMIT phase: the same jobs into a fresh and a loaded server.
+  const std::int64_t submit_nodes = 128;
+  const std::size_t finished_jobs = options.quick ? 10000 : 100000;
+  const std::size_t submitted_jobs = options.quick ? 2000 : 10000;
+  constexpr std::size_t kBlock = 100;
+  const auto history = bench::make_workload(
+      workload::ModelKind::kLublin99, finished_jobs, submit_nodes, 0.7);
+  const auto fresh_jobs =
+      bench::make_workload(workload::ModelKind::kLublin99, submitted_jobs,
+                           submit_nodes, 0.7, bench::kSeed + 1);
+  serve::Server fresh(config, easy_engine(submit_nodes, nullptr));
+  serve::Server loaded(config, easy_engine(submit_nodes, &history));
+  fresh.start();
+  loaded.start();
+  struct Target {
+    serve::Client client;
+    std::int64_t base = 0;  ///< the server's clock when the phase starts
+    std::vector<double> micros;
+  };
+  std::vector<Target> targets;
+  for (serve::Server* server : {&fresh, &loaded}) {
+    Target target{serve::Client::connect_tcp(server->port())};
+    target.client.handshake("", "bench_serve");
+    target.base = target.client.status().field_i64("time").value_or(0);
+    targets.push_back(std::move(target));
+  }
+  std::int64_t refused = 0;
+  for (std::size_t begin = 0; begin < submitted_jobs; begin += kBlock) {
+    const std::size_t end = std::min(submitted_jobs, begin + kBlock);
+    for (Target& target : targets) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const auto& r = fresh_jobs.records[k];
+        const bench::WallTimer submit_timer;
+        const auto reply = target.client.submit(
+            std::max<std::int64_t>(1, r.requested_procs),
+            std::max(r.requested_time, r.run_time),
+            target.base + r.submit_time, r.run_time);
+        target.micros.push_back(submit_timer.seconds() * 1e6);
+        if (!reply.ok) ++refused;
+      }
+    }
+  }
+  for (serve::Server* server : {&fresh, &loaded}) {
+    server->request_shutdown();
+    server->wait();
+  }
+  const auto fresh_us = util::summarize(targets[0].micros);
+  const auto loaded_us = util::summarize(targets[1].micros);
+  const double cost_ratio =
+      fresh_us.median > 0 ? loaded_us.median / fresh_us.median : 0.0;
+
   util::Table table(
       {"connections", "queries", "wall_s", "queries/s", "mismatches"});
   table.row()
@@ -130,15 +207,42 @@ int main(int argc, char** argv) {
       .cell(mismatches.load());
   std::cout << table.to_string();
 
+  util::Table submit_table({"server", "finished_jobs", "submits",
+                            "median_submit_us", "p99_submit_us",
+                            "cost_ratio"});
+  submit_table.row()
+      .cell("fresh")
+      .cell(std::int64_t(0))
+      .cell(std::int64_t(submitted_jobs))
+      .cell(fresh_us.median, 1)
+      .cell(fresh_us.p99, 1)
+      .cell(1.0, 2);
+  submit_table.row()
+      .cell("loaded")
+      .cell(std::int64_t(finished_jobs))
+      .cell(std::int64_t(submitted_jobs))
+      .cell(loaded_us.median, 1)
+      .cell(loaded_us.p99, 1)
+      .cell(cost_ratio, 2);
+  std::cout << '\n' << submit_table.to_string();
+
   bench::JsonReporter reporter("bench_serve");
   reporter.add("serve", "whatif_qps", qps, "queries/s");
   reporter.add("serve", "answers_identical", identical, "bool");
   reporter.add("serve", "connections", kConnections, "sessions");
   reporter.add_table("serve", table);
+  reporter.add("submit", "cost_ratio", cost_ratio, "ratio");
+  reporter.add("submit", "fresh_median_us", fresh_us.median, "us");
+  reporter.add("submit", "loaded_median_us", loaded_us.median, "us");
+  reporter.add_table("submit", submit_table);
   if (!reporter.write(options.json_path)) return 1;
   if (mismatches.load() != 0) {
     std::cerr << "bench_serve: " << mismatches.load()
               << " answer(s) diverged from the serial reference\n";
+    return 1;
+  }
+  if (refused != 0) {
+    std::cerr << "bench_serve: " << refused << " SUBMIT(s) refused\n";
     return 1;
   }
   return 0;

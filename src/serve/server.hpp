@@ -25,7 +25,11 @@
 //
 // Each tier holds a thread-safe WhatIfService over
 // Engine::live_snapshot() (pending, queued and running jobs only), so a
-// publish costs O(live jobs), not O(every job ever submitted). QUERY
+// publish costs O(live jobs), not O(every job ever submitted): the
+// engine keeps its live set as jobs change state, the snapshot writes
+// it word by word, and the service restores one warm clone from those
+// bytes. A SUBMIT into a daemon that has finished 10k jobs costs what
+// it costs in a fresh one (bench_serve's `submit.cost_ratio`). QUERY
 // for an id the tier lacks falls back to a per-engine index of
 // terminated jobs ({submit, procs, start, end}), fed on the engine
 // thread by on_job_complete / on_job_drop and seeded from the

@@ -32,6 +32,9 @@ void check_job_times(const SimJob& j) {
   check_time(j.id, "runtime", j.runtime);
   check_time(j.id, "estimate", j.estimate);
   check_time(j.id, "walltime", j.walltime);
+  check_time(j.id, "checkpoint interval", j.checkpoint_interval);
+  check_time(j.id, "dump time", j.dump_time);
+  check_time(j.id, "read time", j.read_time);
 }
 
 }  // namespace
@@ -151,7 +154,10 @@ void Engine::admit_record(const swf::JobRecord& r) {
 
   auto& slot = obtain_slot(id);
   const bool fresh = slot.job.id == 0;
-  if (fresh) slot.job = j;  // first record wins, as before
+  if (fresh) {
+    slot.job = j;  // first record wins, as before
+    mark_live(id);
+  }
   ++pending_submits_;
 
   const bool dependent = config_.closed_loop &&
@@ -209,6 +215,22 @@ void Engine::release_slot(std::int64_t id) {
   jobs_overflow_.erase(id);
 }
 
+void Engine::mark_live(std::int64_t id) {
+  if (in_dense(id)) {
+    live_bits_[std::size_t(id) >> 6] |= std::uint64_t(1) << (id & 63);
+  } else if (!config_.recycle_slots) {
+    live_overflow_.insert(id);
+  }
+}
+
+void Engine::mark_terminated(std::int64_t id) {
+  if (in_dense(id)) {
+    live_bits_[std::size_t(id) >> 6] &= ~(std::uint64_t(1) << (id & 63));
+  } else if (!config_.recycle_slots) {
+    live_overflow_.erase(id);
+  }
+}
+
 void Engine::record_finished(std::int64_t id, std::int64_t end_time) {
   if (!config_.closed_loop) return;
   while (finished_order_.size() >= kClosedLoopHistory) {
@@ -245,6 +267,7 @@ std::int64_t Engine::submit_job(SimJob job) {
   apply_recovery_defaults(job);
   next_job_id_ = std::max(next_job_id_, id + 1);
   obtain_slot(id).job = job;
+  mark_live(id);
   push_event(job.submit, EventType::kSubmit, id);
   return id;
 }
@@ -407,6 +430,7 @@ Engine::JobSlot& Engine::obtain_slot(std::int64_t id) {
     if (idx >= jobs_dense_.size()) {
       jobs_dense_.resize(std::min(std::size_t(kDenseIdLimit),
                                   std::max(idx + 1, jobs_dense_.size() * 2)));
+      live_bits_.resize((jobs_dense_.size() + 63) / 64);
     }
     return jobs_dense_[idx];
   }
@@ -571,6 +595,8 @@ void Engine::handle_submit(const Event& ev) {
     fill_from_source();
     return;
   }
+  // A second record with a terminated job's id submits it again.
+  if (slot->job.state == JobState::kFinished) mark_live(job_id);
   slot->job.state = JobState::kQueued;
   ++queued_count_;
   scheduler_->on_submit(*this, job_id);
@@ -600,6 +626,7 @@ void Engine::handle_job_end(const Event& ev) {
 void Engine::finish_job(SimJob& j) {
   j.state = JobState::kFinished;
   j.end = now_;
+  mark_terminated(j.id);
   --running_count_;
   release_nodes(j);
   work_node_seconds_ += j.procs * j.runtime;
@@ -735,6 +762,7 @@ void Engine::drop_job(JobSlot& slot, DropReason reason,
   auto& j = slot.job;
   j.state = JobState::kFinished;
   j.end = now_;
+  mark_terminated(j.id);
   ++jobs_dropped_;
   observers_.on_job_drop(now_, j, reason);
   const std::int64_t id = j.id;
@@ -758,6 +786,7 @@ void Engine::drop_job(JobSlot& slot, DropReason reason,
     for (const auto& [dep_id, think] : dit->second) {
       (void)think;
       if (pending_submits_ > 0) --pending_submits_;
+      mark_terminated(dep_id);
       if (config_.recycle_slots) {
         release_slot(dep_id);
       } else if (JobSlot* dep = find_slot(dep_id)) {

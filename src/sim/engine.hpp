@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +38,7 @@ namespace pjsb::sim {
 
 namespace snapshot {
 class Reader;
+class Writer;
 }  // namespace snapshot
 
 struct EngineConfig {
@@ -235,6 +237,10 @@ class Engine final : public sched::SchedulerContext {
   /// completed archive. restore() of it is an O(live jobs) clone that
   /// decides, answers what-if queries and keeps stats() exactly like
   /// the donor, but whose find_job() no longer sees terminated jobs.
+  /// Writing it costs O(live jobs) too: the engine keeps its live set
+  /// as jobs change state (one bit per dense slot, scanned a word at a
+  /// time, plus the live ids of the overflow map), so it never visits
+  /// a terminated slot.
   /// Throws std::logic_error while a job source is attached or awaiting
   /// resume: a record pulled later may name a terminated predecessor or
   /// reuse a terminated id, which only the full state answers.
@@ -315,6 +321,22 @@ class Engine final : public sched::SchedulerContext {
   void admit_record(const swf::JobRecord& record);
   /// Drop a terminated job's slot (recycle_slots mode).
   void release_slot(std::int64_t id);
+  /// Live-set upkeep: the slot of `id` now holds a non-terminated job,
+  /// or no longer does. A dense slot flips its bit in live_bits_; an
+  /// overflow id enters or leaves live_overflow_. Under recycle_slots
+  /// the overflow map is its own live set (release_slot erases every
+  /// terminated job's entry), so no overflow id is kept.
+  void mark_live(std::int64_t id);
+  void mark_terminated(std::int64_t id);
+  /// True when `id`'s slot is an occupied dense one.
+  bool in_dense(std::int64_t id) const {
+    return id >= 0 && std::size_t(id) < jobs_dense_.size() &&
+           jobs_dense_[std::size_t(id)].job.id != 0;
+  }
+  /// live_snapshot()'s job section: every non-terminated slot, in id
+  /// order.
+  void write_live_slots(snapshot::Writer& w) const;
+  static void write_slot(snapshot::Writer& w, const JobSlot& slot);
   /// Remember a terminated job's end time for late closed-loop
   /// dependents (bounded by kClosedLoopHistory).
   void record_finished(std::int64_t id, std::int64_t end_time);
@@ -373,6 +395,14 @@ class Engine final : public sched::SchedulerContext {
   /// by doubling copied every slot again and churned page faults.
   std::vector<JobSlot> jobs_dense_;
   std::unordered_map<std::int64_t, JobSlot> jobs_overflow_;
+  /// The live set. Bit i & 63 of word i >> 6 is set iff dense slot i
+  /// holds a non-terminated (pending, queued or running) job; one word
+  /// per 64 dense slots.
+  std::vector<std::uint64_t> live_bits_;
+  /// Overflow ids of non-terminated jobs, in id order (empty under
+  /// recycle_slots; see mark_live). Sparse caller-chosen ids land here,
+  /// so live_snapshot() never walks the overflow map's terminated jobs.
+  std::set<std::int64_t> live_overflow_;
   /// Dependents per predecessor job id (closed loop): (job, think).
   std::unordered_map<std::int64_t, std::vector<std::pair<std::int64_t,
                                                          std::int64_t>>>

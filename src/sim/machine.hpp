@@ -58,6 +58,16 @@ inline constexpr std::int64_t kMaxSpecNodes = 1 << 22;  // ~4M nodes
 /// overflows.
 inline constexpr std::int64_t kMaxTime = std::int64_t(1) << 40;
 
+/// Upper bound, in seconds, on an instant a run holds: its clock, event
+/// times, job submit, start and end times, and outage and reservation
+/// windows (which the engine takes unchecked). Instants are admitted
+/// times plus admitted durations, so they pass kMaxTime (a job admitted
+/// at the bound ends after it); reaching 2^60 s takes 2^20 bound-length
+/// jobs back to back, and an instant below it plus admitted durations
+/// stays below sched::kForever. Snapshot restore holds instants to it
+/// and admitted durations to kMaxTime.
+inline constexpr std::int64_t kMaxInstant = std::int64_t(1) << 60;
+
 class Machine {
  public:
   /// Throws std::invalid_argument unless 1 <= total_nodes <=

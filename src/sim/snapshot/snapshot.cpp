@@ -8,6 +8,7 @@
 #include "sim/snapshot/snapshot.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -107,24 +108,24 @@ void write_job(Writer& w, const SimJob& j) {
 SimJob read_job(Reader& r, std::int64_t machine_nodes) {
   SimJob j;
   j.id = r.i64();
-  j.submit = r.i64();
-  j.runtime = r.i64();
-  j.estimate = r.i64();
+  j.submit = r.time("job submit time", kMaxInstant);
+  j.runtime = r.time("job runtime", kMaxTime);
+  j.estimate = r.time("job estimate", kMaxTime);
   j.procs = r.i64();
   j.user_id = r.i64();
   j.executable_id = r.i64();
   j.queue_id = r.i64();
-  j.walltime = r.i64();
-  j.checkpoint_interval = r.i64();
-  j.dump_time = r.i64();
-  j.read_time = r.i64();
+  j.walltime = r.time("job walltime", kMaxTime);
+  j.checkpoint_interval = r.time("job checkpoint interval", kMaxTime);
+  j.dump_time = r.time("job dump time", kMaxTime);
+  j.read_time = r.time("job read time", kMaxTime);
   const std::uint8_t state = r.u8();
   if (state > std::uint8_t(JobState::kFinished)) {
     throw std::runtime_error("snapshot: bad job state code");
   }
   j.state = JobState(state);
-  j.start = r.i64();
-  j.end = r.i64();
+  j.start = r.time("job start time", kMaxInstant);
+  j.end = r.time("job end time", kMaxInstant);
   j.restarts = int(r.i64());
   j.completed_work = r.i64();
   // Node ids coalesce back into runs: an id one past the last run
@@ -178,6 +179,57 @@ std::string Engine::live_snapshot() const {
   return write_snapshot(true);
 }
 
+void Engine::write_slot(Writer& w, const JobSlot& slot) {
+  write_job(w, slot.job);
+  w.i64(slot.end_version);
+  w.boolean(slot.overrun_end);
+}
+
+void Engine::write_live_slots(Writer& w) const {
+  // The overflow map's live slots: the live ids kept beside it, or,
+  // under recycle_slots, the map itself (it holds no terminated job
+  // between steps), sorted.
+  std::vector<std::pair<std::int64_t, const JobSlot*>> outliers;
+  if (config_.recycle_slots) {
+    outliers.reserve(jobs_overflow_.size());
+    for (const auto& [id, slot] : jobs_overflow_) {
+      if (slot.job.state != JobState::kFinished) {
+        outliers.emplace_back(id, &slot);
+      }
+    }
+    std::sort(outliers.begin(), outliers.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  } else {
+    outliers.reserve(live_overflow_.size());
+    for (const std::int64_t id : live_overflow_) {
+      outliers.emplace_back(id, &jobs_overflow_.at(id));
+    }
+  }
+  std::uint64_t live = outliers.size();
+  for (const std::uint64_t word : live_bits_) live += std::popcount(word);
+  w.u64(live);
+
+  // The dense live bits a word at a time, merged in id order with the
+  // outliers.
+  auto outlier = outliers.begin();
+  const auto write_outlier = [&] {
+    w.i64(outlier->first);
+    write_slot(w, *outlier->second);
+    ++outlier;
+  };
+  for (std::size_t word = 0; word < live_bits_.size(); ++word) {
+    for (std::uint64_t bits = live_bits_[word]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = word * 64 + std::size_t(std::countr_zero(bits));
+      while (outlier != outliers.end() && outlier->first < std::int64_t(i)) {
+        write_outlier();
+      }
+      w.i64(std::int64_t(i));
+      write_slot(w, jobs_dense_[i]);
+    }
+  }
+  while (outlier != outliers.end()) write_outlier();
+}
+
 std::string Engine::write_snapshot(bool live) const {
   Writer w;
   write_header(w);
@@ -226,19 +278,16 @@ std::string Engine::write_snapshot(bool live) const {
     }
   }
 
-  const auto write_slot = [&w](const JobSlot& slot) {
-    write_job(w, slot.job);
-    w.i64(slot.end_version);
-    w.boolean(slot.overrun_end);
-  };
-
-  // Dense job storage: the vector's size (growth history feeds the
-  // dense-vs-overflow placement rule) plus only the occupied slots.
-  // Live: empty, as recycle_slots mode keeps every job in the map.
   if (live) {
+    // Dense vector empty, as recycle_slots mode keeps every job in the
+    // map; every non-terminated slot, dense ones included, in the
+    // overflow section.
     w.u64(0);
     w.u64(0);
+    write_live_slots(w);
   } else {
+    // Dense job storage: the vector's size (growth history feeds the
+    // dense-vs-overflow placement rule) plus only the occupied slots.
     w.u64(jobs_dense_.size());
     std::uint64_t occupied = 0;
     for (const JobSlot& slot : jobs_dense_) {
@@ -248,34 +297,18 @@ std::string Engine::write_snapshot(bool live) const {
     for (std::size_t i = 0; i < jobs_dense_.size(); ++i) {
       if (jobs_dense_[i].job.id == 0) continue;
       w.u64(i);
-      write_slot(jobs_dense_[i]);
+      write_slot(w, jobs_dense_[i]);
     }
-  }
-
-  // Overflow map, sorted by id (hash order is not deterministic). Live:
-  // every non-terminated slot, dense ones included.
-  {
-    const auto wanted = [live](const JobSlot& slot) {
-      return !live || slot.job.state != JobState::kFinished;
-    };
+    // Overflow map, sorted by id (hash order is not deterministic).
     std::vector<std::pair<std::int64_t, const JobSlot*>> slots;
-    if (live) {
-      for (std::size_t i = 0; i < jobs_dense_.size(); ++i) {
-        const JobSlot& slot = jobs_dense_[i];
-        if (slot.job.id != 0 && wanted(slot)) {
-          slots.emplace_back(std::int64_t(i), &slot);
-        }
-      }
-    }
-    for (const auto& [id, slot] : jobs_overflow_) {
-      if (wanted(slot)) slots.emplace_back(id, &slot);
-    }
+    slots.reserve(jobs_overflow_.size());
+    for (const auto& [id, slot] : jobs_overflow_) slots.emplace_back(id, &slot);
     std::sort(slots.begin(), slots.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     w.u64(slots.size());
     for (const auto& [id, slot] : slots) {
       w.i64(id);
-      write_slot(*slot);
+      write_slot(w, *slot);
     }
   }
 
@@ -363,18 +396,20 @@ std::string Engine::write_snapshot(bool live) const {
 }
 
 void Engine::load_snapshot(snapshot::Reader& r) {
-  now_ = r.i64();
+  // Every time passes Reader::time: admitted durations are held to
+  // kMaxTime as admission holds them, instants to kMaxInstant.
+  now_ = r.time("clock", kMaxInstant);
   seq_ = r.i64();
   next_job_id_ = r.i64();
   next_reservation_id_ = r.i64();
   queued_count_ = std::size_t(r.u64());
   running_count_ = std::size_t(r.u64());
-  capacity_accounted_until_ = r.i64();
+  capacity_accounted_until_ = r.time("capacity clock", kMaxInstant);
   capacity_node_seconds_ = r.i64();
   work_node_seconds_ = r.i64();
   wasted_node_seconds_ = r.i64();
   recovered_node_seconds_ = r.i64();
-  makespan_ = r.i64();
+  makespan_ = r.time("makespan", kMaxInstant);
   jobs_completed_ = r.i64();
   jobs_killed_ = r.i64();
   jobs_dropped_ = r.i64();
@@ -392,7 +427,7 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     const std::size_t n = r.count("event", kEventBytes);
     for (std::size_t i = 0; i < n; ++i) {
       Event ev;
-      ev.time = r.i64();
+      ev.time = r.time("event time", kMaxInstant);
       const std::uint8_t type = r.u8();
       if (type > std::uint8_t(int(EventType::kReservationStart))) {
         throw std::runtime_error("snapshot: bad event type code");
@@ -421,11 +456,12 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   {
     // Empty dense slots are not encoded, so no byte count bounds the
     // vector's size. The occupied entries are read first, each into its
-    // place, growing the vector only to the indices read; the encoded
-    // size is applied once it meets obtain_slot's growth rule: at most
-    // twice the index that triggered a growth, never past
-    // kDenseIdLimit. Near-contiguous ids fill at most twice their count
-    // (plus the first gap), so that much capacity is reserved up front.
+    // place, growing the vector (and its live bits) only to the indices
+    // read; the encoded size is applied once it meets obtain_slot's
+    // growth rule: at most twice the index that triggered a growth,
+    // never past kDenseIdLimit. Near-contiguous ids fill at most twice
+    // their count (plus the first gap), so that much capacity is
+    // reserved up front.
     const std::uint64_t dense_size = r.u64();
     const auto dense_error = [dense_size](const char* bound) {
       return std::runtime_error("snapshot: dense slot count " +
@@ -439,29 +475,47 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     jobs_dense_.clear();
     jobs_dense_.reserve(
         std::min(std::size_t(dense_size), 2 * occupied + kDenseGapLimit));
+    live_bits_.clear();
     std::size_t max_idx = 0;
     for (std::size_t i = 0; i < occupied; ++i) {
       const std::uint64_t idx = r.u64();
       if (idx >= dense_size) {
         throw std::runtime_error("snapshot: dense slot index out of range");
       }
-      if (idx >= jobs_dense_.size()) jobs_dense_.resize(std::size_t(idx) + 1);
-      jobs_dense_[std::size_t(idx)] = read_slot();
+      if (idx >= jobs_dense_.size()) {
+        jobs_dense_.resize(std::size_t(idx) + 1);
+        live_bits_.resize(std::size_t(idx) / 64 + 1);
+      }
+      JobSlot& slot = jobs_dense_[std::size_t(idx)];
+      slot = read_slot();
+      const std::uint64_t bit = std::uint64_t(1) << (idx & 63);
+      if (slot.job.id != 0 && slot.job.state != JobState::kFinished) {
+        live_bits_[std::size_t(idx) >> 6] |= bit;
+      } else {
+        live_bits_[std::size_t(idx) >> 6] &= ~bit;
+      }
       max_idx = std::max(max_idx, std::size_t(idx));
     }
     if (dense_size > std::max(max_idx + 1, 2 * max_idx)) {
       throw dense_error("twice its highest occupied index");
     }
     jobs_dense_.resize(std::size_t(dense_size));
+    live_bits_.resize((std::size_t(dense_size) + 63) / 64);
   }
 
   jobs_overflow_.clear();
+  live_overflow_.clear();
   {
     const std::size_t n = r.count("overflow job", 8 + kSlotBytes);
     jobs_overflow_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t id = r.i64();
-      jobs_overflow_.emplace(id, read_slot());
+      const auto [it, inserted] = jobs_overflow_.emplace(id, read_slot());
+      if (inserted && !config_.recycle_slots &&
+          it->second.job.state != JobState::kFinished) {
+        // Ids arrive sorted, so the hint makes each insert O(1).
+        live_overflow_.insert(live_overflow_.end(), id);
+      }
     }
   }
 
@@ -476,7 +530,7 @@ void Engine::load_snapshot(snapshot::Reader& r) {
       edges.reserve(deps);
       for (std::size_t d = 0; d < deps; ++d) {
         const std::int64_t dep = r.i64();
-        const std::int64_t think = r.i64();
+        const std::int64_t think = r.time("think time", kMaxTime);
         edges.push_back({dep, think});
       }
     }
@@ -488,9 +542,9 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     outages_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       outage::OutageRecord rec;
-      rec.announce_time = r.i64();
-      rec.start_time = r.i64();
-      rec.end_time = r.i64();
+      rec.announce_time = r.time("outage announce time", kMaxInstant);
+      rec.start_time = r.time("outage start", kMaxInstant);
+      rec.end_time = r.time("outage end", kMaxInstant);
       rec.type = outage::OutageType(r.i64());
       rec.nodes_affected = r.i64();
       const std::size_t comps = r.count("outage node", 8);
@@ -508,8 +562,8 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     for (std::size_t i = 0; i < n; ++i) {
       sched::AdvanceReservation res;
       res.id = r.i64();
-      res.start = r.i64();
-      res.duration = r.i64();
+      res.start = r.time("reservation start", kMaxInstant);
+      res.duration = r.time("reservation duration", kMaxInstant);
       res.procs = r.i64();
       if (r.boolean()) res.job_id = r.i64();
       reservations_.emplace(res.id, res);
@@ -523,11 +577,11 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     for (std::size_t i = 0; i < n; ++i) {
       CompletedJob c;
       c.id = r.i64();
-      c.submit = r.i64();
-      c.start = r.i64();
-      c.end = r.i64();
-      c.runtime = r.i64();
-      c.estimate = r.i64();
+      c.submit = r.time("completed job submit time", kMaxInstant);
+      c.start = r.time("completed job start time", kMaxInstant);
+      c.end = r.time("completed job end time", kMaxInstant);
+      c.runtime = r.time("completed job runtime", kMaxTime);
+      c.estimate = r.time("completed job estimate", kMaxTime);
       c.procs = r.i64();
       c.user_id = r.i64();
       c.executable_id = r.i64();
@@ -566,7 +620,7 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     finished_end_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t id = r.i64();
-      finished_end_.emplace(id, r.i64());
+      finished_end_.emplace(id, r.time("finished job end time", kMaxInstant));
       finished_order_.push_back(id);
     }
   }

@@ -93,7 +93,7 @@ class GateVerdicts(unittest.TestCase):
         checks, problems = gate.load_checks(
             os.path.join(ROOT, "bench", "gate.json"))
         self.assertEqual(problems, [])
-        self.assertEqual(len(checks), 15)
+        self.assertEqual(len(checks), 16)
 
 
 if __name__ == "__main__":

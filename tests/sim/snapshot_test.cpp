@@ -6,12 +6,15 @@
 // so byte-identical CSVs mean byte-identical simulations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <new>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/swf/reader.hpp"
@@ -105,6 +108,88 @@ std::string interrupted_csv(const swf::Trace& trace,
   all.insert(all.end(), suffix.decisions().begin(),
              suffix.decisions().end());
   return validate::decisions_to_csv(all);
+}
+
+/// One value of every codec type, written in this order: a u8, a u32,
+/// a u64, a negative i64, f64 -0.0, an f64 NaN with a payload, a
+/// boolean and a string.
+constexpr std::uint64_t kNanBits = 0x7ff8000000000123;
+
+void write_codec_sample(snapshot::Writer& w) {
+  w.u8(0xab);
+  w.u32(0x01020304);
+  w.u64(0x0102030405060708);
+  w.i64(-2);
+  w.f64(-0.0);
+  w.f64(std::bit_cast<double>(kNanBits));
+  w.boolean(true);
+  w.str("pjsb");
+}
+
+/// The little-endian bytes write_codec_sample must produce on every
+/// host.
+std::string codec_sample_bytes() {
+  const unsigned char bytes[] = {
+      0xab,                                            // u8
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64 -2
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // f64 -0.0
+      0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x7f,  // f64 NaN
+      0x01,                                            // boolean
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // string length
+      'p',  'j',  's',  'b'};
+  return std::string(reinterpret_cast<const char*>(bytes), sizeof bytes);
+}
+
+/// Read the sample back, checking every value; throws as the Reader
+/// does on malformed input.
+void read_codec_sample(snapshot::Reader& r) {
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x0102030405060708u);
+  EXPECT_EQ(r.i64(), -2);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), kNanBits);
+  EXPECT_TRUE(r.boolean());
+  EXPECT_EQ(r.str(), "pjsb");
+}
+
+TEST(SnapshotCodec, WritesAndReadsThePinnedLittleEndianBytes) {
+  snapshot::Writer w;
+  write_codec_sample(w);
+  const std::string expected = codec_sample_bytes();
+  EXPECT_EQ(w.bytes(), expected);
+  EXPECT_EQ(w.take(), expected);
+
+  snapshot::Reader r(expected);
+  read_codec_sample(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_NO_THROW(r.expect_done());
+}
+
+TEST(SnapshotCodec, RejectsEveryTruncationAndAMalformedBoolean) {
+  const std::string bytes = codec_sample_bytes();
+  for (std::size_t length = 0; length < bytes.size(); ++length) {
+    snapshot::Reader r(std::string_view(bytes).substr(0, length));
+    try {
+      read_codec_sample(r);
+      ADD_FAILURE() << "a " << length << "-byte prefix read back whole";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "snapshot: truncated data") << length;
+    }
+  }
+
+  auto bad = bytes;
+  bad[bad.size() - 13] = 2;  // the boolean, before the string
+  snapshot::Reader r(bad);
+  try {
+    read_codec_sample(r);
+    ADD_FAILURE() << "a boolean byte of 2 was read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "snapshot: malformed boolean");
+  }
 }
 
 TEST(Snapshot, ResumeIsByteIdenticalForEveryRegistrySpec) {
@@ -215,6 +300,150 @@ TEST(Snapshot, LiveSnapshotDecidesAndAnswersLikeTheFullOne) {
   }
   RecordProperty("comparisons", int(comparisons));
   EXPECT_GT(answered, comparisons / 2) << "the grid answered too little";
+}
+
+/// Sorted ids of the jobs `engine` holds; only the non-terminated ones
+/// when `live_only`.
+std::vector<std::int64_t> job_ids(const Engine& engine, bool live_only) {
+  std::vector<std::int64_t> ids;
+  engine.for_each_job([&](const SimJob& j) {
+    if (!live_only || j.state != JobState::kFinished) ids.push_back(j.id);
+  });
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// The live snapshot holds exactly the donor's non-terminated jobs, and
+/// a clone restored from it writes the same live bytes.
+void expect_live_set(const Engine& donor, const std::string& where) {
+  const std::string live = donor.live_snapshot();
+  const auto clone = Engine::restore(live);
+  EXPECT_EQ(job_ids(*clone, false), job_ids(donor, true)) << where;
+  EXPECT_EQ(clone->live_snapshot(), live) << where;
+}
+
+/// The lowest id among `engine`'s jobs in `state`, or 0.
+std::int64_t first_in_state(const Engine& engine, JobState state) {
+  std::int64_t first = 0;
+  engine.for_each_job([&](const SimJob& j) {
+    if (j.state == state && (first == 0 || j.id < first)) first = j.id;
+  });
+  return first;
+}
+
+TEST(Snapshot, LiveSetFollowsEveryStateChange) {
+  // The engine keeps its non-terminated jobs as they change state, and
+  // live_snapshot() writes that set. Engines run a crashy workload
+  // (fault kills with requeue, retry-limit drops) under plain and
+  // recycled slots; at each of eight cuts both take a dense-range and
+  // an outlier submit_job (past kDenseGapLimit) and cancel their lowest
+  // queued and running jobs, and from the third cut on a twin restored
+  // from the full snapshot takes the same steps.
+  const auto trace = validate::fuzz_workload(kSeed + 7, kJobs, kNodes);
+  for (const bool recycle : {false, true}) {
+    auto spec = crashy(SimulationSpec{}.with_scheduler("easy"));
+    spec.retry_limit = 2;
+    if (recycle) spec.streaming_memory();
+    auto donor = make_engine(trace, spec);
+    std::size_t requeued = 0;
+    std::size_t retry_drops = 0;
+    FunctionObserver counts;
+    counts.job_kill = [&requeued](std::int64_t, const SimJob&,
+                                  const KillInfo& info) {
+      requeued += info.will_requeue ? 1 : 0;
+    };
+    counts.job_drop = [&retry_drops](std::int64_t, const SimJob&,
+                                     DropReason reason) {
+      retry_drops += reason == DropReason::kRetryLimit ? 1 : 0;
+    };
+    donor->add_observer(counts);
+    donor->load_trace(trace);
+    std::unique_ptr<Engine> twin;
+    for (std::int64_t cut = 1; cut <= 8; ++cut) {
+      const std::string where = std::string(recycle ? "recycled" : "plain") +
+                                " cut " + std::to_string(cut);
+      donor->run_until(trace.horizon() * cut / 8);
+      if (twin) twin->run_until(trace.horizon() * cut / 8);
+      const std::int64_t queued = first_in_state(*donor, JobState::kQueued);
+      const std::int64_t running = first_in_state(*donor, JobState::kRunning);
+      for (Engine* engine : {donor.get(), twin.get()}) {
+        if (!engine) continue;
+        SimJob job;
+        job.submit = engine->now();
+        job.runtime = job.estimate = 600 * cut;
+        job.procs = 1 + cut;
+        job.id = std::int64_t(kJobs) + cut;
+        engine->submit_job(job);
+        job.id = 1'000'000 + cut;
+        engine->submit_job(job);
+        if (queued != 0) {
+          EXPECT_TRUE(engine->cancel_job(queued)) << where;
+        }
+        if (running != 0) {
+          EXPECT_TRUE(engine->cancel_job(running)) << where;
+        }
+      }
+      expect_live_set(*donor, where);
+      if (twin) {
+        EXPECT_EQ(twin->live_snapshot(), donor->live_snapshot()) << where;
+      }
+      if (cut == 3) {
+        twin = Engine::restore(donor->snapshot());
+        EXPECT_EQ(twin->live_snapshot(), donor->live_snapshot()) << where;
+      }
+    }
+    EXPECT_GT(requeued, 0u) << "no fault kill was requeued";
+    EXPECT_GT(retry_drops, 0u) << "no job hit the retry limit";
+  }
+}
+
+TEST(Snapshot, LiveSetDropsDoomedDependentsAndKeepsARequeuedDuplicate) {
+  // Closed loop on 4 nodes: job 1 holds the machine, job 2 queues
+  // behind it, and jobs 3 and 4 wait on 2 and 3. Cancelling job 2 dooms
+  // 3 and 4. Job 5's second record (t=5000) submits it again after it
+  // finished, so it is live once more.
+  swf::Trace trace;
+  trace.header.max_nodes = 4;
+  const auto record = [&trace](std::int64_t id, std::int64_t submit,
+                               std::int64_t runtime, std::int64_t procs,
+                               std::int64_t preceding) {
+    swf::JobRecord r;
+    r.job_number = id;
+    r.submit_time = submit;
+    r.run_time = runtime;
+    r.requested_time = runtime;
+    r.allocated_procs = procs;
+    r.requested_procs = procs;
+    r.preceding_job = preceding;
+    r.think_time = preceding > 0 ? 5 : swf::kUnknown;
+    trace.records.push_back(r);
+  };
+  record(1, 0, 1000, 4, swf::kUnknown);
+  record(2, 10, 100, 4, swf::kUnknown);
+  record(3, 20, 100, 1, 2);
+  record(4, 30, 100, 1, 3);
+  record(5, 2000, 100, 1, swf::kUnknown);
+  record(5, 5000, 100, 1, swf::kUnknown);
+  for (const bool recycle : {false, true}) {
+    const std::string where = recycle ? "recycled" : "plain";
+    auto spec = SimulationSpec{}.with_scheduler("fcfs");
+    spec.closed_loop = true;
+    if (recycle) spec.streaming_memory();
+    auto engine = make_engine(trace, spec);
+    engine->load_trace(trace);
+    engine->run_until(50);
+    expect_live_set(*engine, where + " before the cancel");
+    ASSERT_TRUE(engine->cancel_job(2)) << where;
+    expect_live_set(*engine, where + " after the cancel");
+    EXPECT_EQ(job_ids(*engine, true), (std::vector<std::int64_t>{1, 5}))
+        << where;
+    engine->run_until(5000);
+    expect_live_set(*engine, where + " at the duplicate");
+    EXPECT_EQ(job_ids(*engine, true),
+              recycle ? std::vector<std::int64_t>{}
+                      : std::vector<std::int64_t>{5})
+        << where;
+  }
 }
 
 TEST(Snapshot, LiveSnapshotSkipsAReservationWhoseJobTerminated) {
@@ -476,6 +705,91 @@ TEST(Snapshot, RejectsConservativeStateThatContradictsItsQueue) {
   auto stale = altered;
   stale.back() = 1;
   EXPECT_EQ(Engine::restore(stale)->snapshot(), bytes);
+}
+
+TEST(Snapshot, RejectsTimesAboveTheirBoundNamingTheField) {
+  // data/contention.swf frozen at t=26000 under conservative, and
+  // data/crashy.swf under its golden's flags. Restore holds the
+  // durations admission bounds (a job's estimate) to kMaxTime, and
+  // instants (the clock, event times, a job's submit time, an outage's
+  // end) to kMaxInstant: a run of admitted times passes kMaxTime (a
+  // job admitted at the bound ends after it). The first event's time
+  // patched to 2^62 used to resume to utilization 1.59 and a makespan
+  // of 4.6e18.
+  const auto frozen = [](const char* trace_name, const SimulationSpec& spec,
+                         std::int64_t cut) {
+    const auto loaded = swf::read_swf_file(std::string(PJSB_SOURCE_DIR) +
+                                           "/data/" + trace_name);
+    EXPECT_TRUE(loaded.errors.empty());
+    auto donor = make_engine(loaded.trace, spec);
+    donor->load_trace(loaded.trace);
+    donor->run_until(cut);
+    return std::make_pair(donor->snapshot(), loaded.trace);
+  };
+  const auto spec = SimulationSpec{}.with_scheduler("conservative");
+  const auto [bytes, trace] = frozen("contention.swf", spec, 26000);
+
+  // The clock follows the header, the config echo and the scheduler
+  // spec; the event count follows the 16 scalars and one flag.
+  const std::size_t clock_at = 12 + 62 + 8 + spec.scheduler.size();
+  const std::size_t event_at = clock_at + 16 * 8 + 1 + 8;
+  // Job 1, finished long before the cut: id, submit, runtime, estimate.
+  snapshot::Writer job;
+  const auto& first = trace.records.front();
+  const SimJob one = SimJob::from_record(first);
+  job.i64(one.id);
+  job.i64(one.submit);
+  job.i64(one.runtime);
+  job.i64(one.estimate);
+  const std::size_t job_at = bytes.find(job.bytes());
+  ASSERT_NE(job_at, std::string::npos);
+  ASSERT_EQ(restore_error(bytes), "");
+
+  const auto refusal = [](const char* field, std::int64_t value,
+                          std::int64_t bound) {
+    return "snapshot: " + std::string(field) + " " + std::to_string(value) +
+           " is above the time bound " + std::to_string(bound) + " s";
+  };
+  const auto check = [&refusal](const std::string& snap, const char* field,
+                                std::size_t at, std::int64_t bound) {
+    EXPECT_EQ(restore_error(with_word(snap, at, bound + 1)),
+              refusal(field, bound + 1, bound));
+    EXPECT_EQ(restore_error(with_word(snap, at, bound)), "") << field;
+  };
+  check(bytes, "clock", clock_at, kMaxInstant);
+  check(bytes, "event time", event_at, kMaxInstant);
+  check(bytes, "job submit time", job_at + 8, kMaxInstant);
+  check(bytes, "job estimate", job_at + 24, kMaxTime);
+  // Instants may pass kMaxTime.
+  EXPECT_EQ(restore_error(with_word(bytes, clock_at, kMaxTime + 1)), "");
+  EXPECT_EQ(restore_error(with_word(bytes, event_at, kMaxTime + 1)), "");
+  EXPECT_EQ(restore_error(with_word(bytes, event_at, std::int64_t(1) << 62)),
+            refusal("event time", std::int64_t(1) << 62, kMaxInstant));
+
+  // The outage book of a crashy snapshot: announce, start, end, ...
+  auto faulty = spec;
+  faulty.faults = 42;
+  faulty.mtbf = 9000;
+  faulty.repair = 600;
+  faulty.checkpoint = 300;
+  faulty.dump = 20;
+  faulty.read = 40;
+  faulty.retry_limit = 3;
+  const auto [crashy, crashy_trace] =
+      frozen("crashy.swf", faulty, 20000);
+  const auto crashes = fault::generate_crashes(
+      faulty.fault_model(), crashy_trace.horizon(),
+      crashy_trace.header.max_nodes.value_or(kDefaultNodes));
+  ASSERT_FALSE(crashes.records.empty());
+  const auto& outage = crashes.records.front();
+  snapshot::Writer window;
+  window.i64(outage.announce_time);
+  window.i64(outage.start_time);
+  window.i64(outage.end_time);
+  const std::size_t outage_at = crashy.find(window.bytes());
+  ASSERT_NE(outage_at, std::string::npos);
+  ASSERT_EQ(restore_error(crashy), "");
+  check(crashy, "outage end", outage_at + 16, kMaxInstant);
 }
 
 TEST(Snapshot, ReservationBetweenEventsRestoresLikeTheDonor) {
