@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -54,20 +55,6 @@ std::unique_ptr<sim::Engine> run_to(const swf::Trace& trace,
     const auto t = engine->next_event_time();
     if (!t || *t > cut) break;
     engine->step();
-  }
-  return engine;
-}
-
-/// An EASY engine on `nodes` nodes, fresh or (with a trace) run dry.
-std::unique_ptr<sim::Engine> easy_engine(std::int64_t nodes,
-                                         const swf::Trace* finished) {
-  auto engine = std::make_unique<sim::Engine>(
-      sim::spec_engine_config(sim::SimulationSpec{}.with_scheduler("easy"),
-                              nodes),
-      sched::make_scheduler("easy"));
-  if (finished) {
-    engine->load_trace(*finished);
-    engine->run();
   }
   return engine;
 }
@@ -156,8 +143,12 @@ int main(int argc, char** argv) {
   const auto fresh_jobs =
       bench::make_workload(workload::ModelKind::kLublin99, submitted_jobs,
                            submit_nodes, 0.7, bench::kSeed + 1);
-  serve::Server fresh(config, easy_engine(submit_nodes, nullptr));
-  serve::Server loaded(config, easy_engine(submit_nodes, &history));
+  // The fresh engine replays an empty trace sized like the history.
+  swf::Trace no_jobs;
+  no_jobs.header.max_nodes = submit_nodes;
+  constexpr std::int64_t kRunDry = std::numeric_limits<std::int64_t>::max();
+  serve::Server fresh(config, run_to(no_jobs, "easy", kRunDry));
+  serve::Server loaded(config, run_to(history, "easy", kRunDry));
   fresh.start();
   loaded.start();
   struct Target {

@@ -343,9 +343,23 @@ void Server::engine_loop() {
       if (!drained_.load()) apply_drain();
       apply_shutdown();
     }
+    // No session reads a tier once the daemon stops.
     const auto t = tier();
-    if (!batch.empty() || ran || !t || t->time != engine_->now()) {
-      publish();
+    if (!stopping_.load() &&
+        (!batch.empty() || ran || !t || t->time != engine_->now())) {
+      try {
+        publish();
+      } catch (const std::exception& e) {
+        // A state that no longer restores (an instant past
+        // sim::kMaxInstant) leaves the last tier up for the readers;
+        // what this batch did is not visible in it, so it answers ERR.
+        for (auto& [promise, response] : replies) {
+          if (response.ok) {
+            response = error_response(kErrInternal,
+                                      std::string("publish: ") + e.what());
+          }
+        }
+      }
     }
     // Replies resolve only after the new epoch is visible, so a
     // QUERY issued right after a SUBMIT's OK always finds the job.

@@ -25,11 +25,14 @@
 //
 // Each tier holds a thread-safe WhatIfService over
 // Engine::live_snapshot() (pending, queued and running jobs only), so a
-// publish costs O(live jobs), not O(every job ever submitted): the
-// engine keeps its live set as jobs change state, the snapshot writes
-// it word by word, and the service restores one warm clone from those
-// bytes. A SUBMIT into a daemon that has finished 10k jobs costs what
-// it costs in a fresh one (bench_serve's `submit.cost_ratio`). QUERY
+// publish costs O(live jobs + dense slots / 64), not O(every job ever
+// submitted): the engine keeps its live set as jobs change state, the
+// snapshot scans its bits a 64-bit word at a time and writes only the
+// live jobs, and the service restores one warm clone from those bytes.
+// A SUBMIT into a daemon that has finished 10k jobs costs what it costs
+// in a fresh one (bench_serve's `submit.cost_ratio`); replays of up to
+// 100k jobs are measured flat (README), and the word scan, at most
+// 65,536 words at 2^22 dense slots, is unmeasured past that. QUERY
 // for an id the tier lacks falls back to a per-engine index of
 // terminated jobs ({submit, procs, start, end}), fed on the engine
 // thread by on_job_complete / on_job_drop and seeded from the
@@ -38,7 +41,9 @@
 // so a QUERY against an older tier ignores it and every answer is exact
 // for its epoch; tiers published before a RESUME keep their own
 // engine's index. Mutation replies resolve only after the new tier is
-// published (read-your-writes).
+// published (read-your-writes). A state that no longer restores (an
+// instant past sim::kMaxInstant) keeps the last tier up, and the batch
+// that reached it answers `ERR internal`.
 //
 // Protocol lines are capped at net::kMaxLineBytes: a longer one gets
 // `ERR bad-request line too long` and the connection is closed.

@@ -27,6 +27,20 @@ void check_time(std::int64_t id, const char* field, std::int64_t value) {
   if (value > kMaxTime) throw_above_time_bound(id, field, value);
 }
 
+/// Reject job `j`, whose longest burst passes kMaxTime, naming its
+/// checkpoint fields.
+[[noreturn, gnu::cold]] void throw_burst_above_time_bound(const SimJob& j) {
+  throw std::invalid_argument(
+      "job " + std::to_string(j.id) + ": checkpointed burst (runtime " +
+      std::to_string(j.runtime) + ", a " + std::to_string(j.dump_time) +
+      " s dump every " + std::to_string(j.checkpoint_interval) + " s, a " +
+      std::to_string(j.read_time) + " s read) is above the time bound " +
+      std::to_string(kMaxTime) + " s");
+}
+
+/// Admission's time checks, on a job that already carries its recovery
+/// defaults. Bounding each burst keeps every end event within kMaxTime
+/// of the clock, which snapshot restore relies on (sim::kMaxInstant).
 void check_job_times(const SimJob& j) {
   check_time(j.id, "submit time", j.submit);
   check_time(j.id, "runtime", j.runtime);
@@ -35,6 +49,7 @@ void check_job_times(const SimJob& j) {
   check_time(j.id, "checkpoint interval", j.checkpoint_interval);
   check_time(j.id, "dump time", j.dump_time);
   check_time(j.id, "read time", j.read_time);
+  if (!j.burst_within(kMaxTime)) throw_burst_above_time_bound(j);
 }
 
 }  // namespace
@@ -261,10 +276,10 @@ std::int64_t Engine::submit_job(SimJob job) {
   }
   const std::int64_t id = job.id > 0 ? job.id : next_job_id_;
   job.id = id;
+  apply_recovery_defaults(job);
   check_job_times(job);
   job.procs = std::min(std::max<std::int64_t>(1, job.procs),
                        machine_.total_nodes());
-  apply_recovery_defaults(job);
   next_job_id_ = std::max(next_job_id_, id + 1);
   obtain_slot(id).job = job;
   mark_live(id);

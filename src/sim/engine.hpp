@@ -237,10 +237,10 @@ class Engine final : public sched::SchedulerContext {
   /// completed archive. restore() of it is an O(live jobs) clone that
   /// decides, answers what-if queries and keeps stats() exactly like
   /// the donor, but whose find_job() no longer sees terminated jobs.
-  /// Writing it costs O(live jobs) too: the engine keeps its live set
-  /// as jobs change state (one bit per dense slot, scanned a word at a
-  /// time, plus the live ids of the overflow map), so it never visits
-  /// a terminated slot.
+  /// Writing it never visits a terminated slot: the engine keeps its
+  /// live set as jobs change state (one bit per dense slot plus the
+  /// live ids of the overflow map), and the writer scans the bits a
+  /// 64-bit word at a time, so it costs O(live jobs + dense slots / 64).
   /// Throws std::logic_error while a job source is attached or awaiting
   /// resume: a record pulled later may name a terminated predecessor or
   /// reuse a terminated id, which only the full state answers.

@@ -56,6 +56,23 @@ struct SimJob {
   /// Build from an SWF summary record. Estimates default to the runtime
   /// when the record carries none (perfect estimates).
   static SimJob from_record(const swf::JobRecord& r);
+
+  /// Whether every burst of this job lasts at most `bound` (>= 0)
+  /// seconds of wall time. With checkpoints on, the longest burst
+  /// Engine::start_job can add up is the read, the whole runtime and
+  /// one dump per completed interval; without, it is the runtime.
+  /// Divides rather than multiplies, so no step overflows.
+  bool burst_within(std::int64_t bound) const {
+    const std::int64_t work = runtime > 0 ? runtime : 0;
+    if (work > bound) return false;
+    // Without checkpoints no work is banked, so no burst reads or dumps.
+    if (checkpoint_interval <= 0) return true;
+    const std::int64_t read = read_time > 0 ? read_time : 0;
+    if (read > bound - work) return false;
+    if (dump_time <= 0 || work <= 1) return true;
+    return (work - 1) / checkpoint_interval <=
+           (bound - work - read) / dump_time;
+  }
 };
 
 /// The per-job outcome the metrics layer consumes.

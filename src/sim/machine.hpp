@@ -62,10 +62,12 @@ inline constexpr std::int64_t kMaxTime = std::int64_t(1) << 40;
 /// times, job submit, start and end times, and outage and reservation
 /// windows (which the engine takes unchecked). Instants are admitted
 /// times plus admitted durations, so they pass kMaxTime (a job admitted
-/// at the bound ends after it); reaching 2^60 s takes 2^20 bound-length
-/// jobs back to back, and an instant below it plus admitted durations
+/// at the bound ends after it). Admission also holds each burst of a
+/// job, checkpoint dumps and read included, to kMaxTime
+/// (SimJob::burst_within), so reaching 2^60 s takes 2^20 bound-length
+/// bursts back to back, and an instant below it plus admitted durations
 /// stays below sched::kForever. Snapshot restore holds instants to it
-/// and admitted durations to kMaxTime.
+/// and admitted durations and bursts to kMaxTime.
 inline constexpr std::int64_t kMaxInstant = std::int64_t(1) << 60;
 
 class Machine {

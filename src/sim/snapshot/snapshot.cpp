@@ -119,6 +119,13 @@ SimJob read_job(Reader& r, std::int64_t machine_nodes) {
   j.checkpoint_interval = r.time("job checkpoint interval", kMaxTime);
   j.dump_time = r.time("job dump time", kMaxTime);
   j.read_time = r.time("job read time", kMaxTime);
+  // Admission holds each burst to kMaxTime too, so no end event lies
+  // further than that past the clock.
+  if (!j.burst_within(kMaxTime)) {
+    throw std::runtime_error("snapshot: job " + std::to_string(j.id) +
+                             " checkpointed burst is above the time bound " +
+                             std::to_string(kMaxTime) + " s");
+  }
   const std::uint8_t state = r.u8();
   if (state > std::uint8_t(JobState::kFinished)) {
     throw std::runtime_error("snapshot: bad job state code");

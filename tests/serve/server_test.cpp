@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/outage/record.hpp"
 #include "core/swf/reader.hpp"
 #include "sched/registry.hpp"
 #include "serve/client.hpp"
@@ -454,6 +455,98 @@ TEST(ServeServer, TimesAboveTheBoundAreRefusedAndTheClockStays) {
   EXPECT_EQ(after.field_i64("epoch"), before.field_i64("epoch"));
   EXPECT_EQ(after.field_i64("queued"), before.field_i64("queued"));
   EXPECT_EQ(after.field_i64("running"), before.field_i64("running"));
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
+TEST(ServeServer, CheckpointedBurstsStayWithinTheTimeBound) {
+  // With a 2^20 s dump after every second of work, 2^20 s of work runs
+  // one burst of exactly sim::kMaxTime; a second more is refused at
+  // SUBMIT. 2^40 s of work used to queue an end event near 2^60 + 2^40,
+  // past what a snapshot restores, and the next publish terminated the
+  // daemon.
+  const auto spec = sim::SimulationSpec::parse(
+      "scheduler=fcfs nodes=1 checkpoint=1 dump=1048576");
+  const auto engine = [&spec] {
+    return std::make_unique<sim::Engine>(sim::spec_engine_config(spec, 1),
+                                         sched::make_scheduler(spec.scheduler));
+  };
+  const std::string snap_path = testing::TempDir() + "/serve_burst.snap";
+  {
+    Server server(ServerConfig{}, engine());
+    server.start();
+    auto client = Client::connect_tcp(server.port());
+    client.handshake();
+    for (const char* line : {"SUBMIT 1 1099511627776 runtime=1099511627776",
+                             "SUBMIT 1 1048577"}) {
+      const auto refused = client.request_line(line);
+      EXPECT_FALSE(refused.ok) << line;
+      EXPECT_EQ(refused.code, kErrBadRequest) << line;
+      EXPECT_NE(refused.message.find("checkpointed burst"), std::string::npos)
+          << refused.message;
+    }
+    ASSERT_TRUE(client.request_line("SUBMIT 1 1048576").ok);
+    // A later submit lifts the logical horizon, so the first job starts.
+    ASSERT_TRUE(client.request_line("SUBMIT 1 1 at=1").ok);
+    const auto status = client.status();
+    ASSERT_TRUE(status.ok);
+    EXPECT_EQ(status.field_i64("running"), 1);
+    ASSERT_TRUE(client.snapshot(snap_path).ok);
+    ASSERT_TRUE(client.shutdown().ok);
+    server.wait();
+  }
+  // The snapshot restores, and its first job ends at the bound...
+  const auto restored =
+      sim::Engine::restore(sim::snapshot::read_file(snap_path));
+  restored->run();
+  EXPECT_EQ(restored->job(1).end, sim::kMaxTime);
+
+  // ...and a fresh daemon resumes from it and drains past the bound.
+  Server server(ServerConfig{}, engine());
+  server.start();
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  ASSERT_TRUE(client.resume(snap_path).ok);
+  const auto drained = client.request_line("DRAIN");
+  ASSERT_TRUE(drained.ok) << drained.message;
+  EXPECT_EQ(drained.field_i64("completed"), 2);
+  EXPECT_EQ(drained.field_i64("time"), sim::kMaxTime + 1);
+  ASSERT_TRUE(client.shutdown().ok);
+  server.wait();
+}
+
+TEST(ServeServer, AStateThatNoLongerRestoresKeepsTheLastTier) {
+  // An outage holds the only node until just below sim::kMaxInstant,
+  // so the job queued behind it ends past that bound, where no
+  // snapshot restores. DRAIN runs it there: the engine thread keeps
+  // the last tier up and answers ERR instead of terminating.
+  auto engine = make_engine("fcfs", 1);
+  outage::OutageRecord down;
+  down.start_time = 0;
+  down.end_time = sim::kMaxInstant - 10;
+  down.nodes_affected = 1;
+  down.components = {0};
+  outage::OutageLog log;
+  log.records.push_back(down);
+  engine->add_outages(log);
+  Server server(ServerConfig{}, std::move(engine));
+  server.start();
+  auto client = Client::connect_tcp(server.port());
+  client.handshake();
+  ASSERT_TRUE(client.request_line("SUBMIT 1 100").ok);
+  const auto before = client.status();
+  ASSERT_TRUE(before.ok);
+
+  const auto drained = client.request_line("DRAIN");
+  EXPECT_FALSE(drained.ok);
+  EXPECT_EQ(drained.code, kErrInternal);
+  EXPECT_NE(drained.message.find("above the time bound"), std::string::npos)
+      << drained.message;
+  const auto after = client.status();
+  ASSERT_TRUE(after.ok);
+  EXPECT_EQ(after.field_i64("epoch"), before.field_i64("epoch"));
+  EXPECT_EQ(after.field_i64("time"), before.field_i64("time"));
+  EXPECT_TRUE(client.query(1).ok);
   ASSERT_TRUE(client.shutdown().ok);
   server.wait();
 }

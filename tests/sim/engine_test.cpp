@@ -295,12 +295,69 @@ TEST(Engine, RejectsPastSubmission) {
   wide_estimate.estimate = kMaxTime + 1;
   EXPECT_NE(refusal(wide_estimate).find("job 9: estimate"),
             std::string::npos);
-  for (const std::int64_t id : {7, 8, 9}) EXPECT_EQ(e.find_job(id), nullptr);
+  // So are the checkpoint fields, and a checkpointed burst (the read,
+  // the runtime and one dump per completed interval) above the bound:
+  // 2^20 + 1 s of work with a 2^20 s dump after every second.
+  SimJob sparse_checkpoints;
+  sparse_checkpoints.id = 10;
+  sparse_checkpoints.submit = 100;
+  sparse_checkpoints.checkpoint_interval = kMaxTime + 1;
+  EXPECT_NE(refusal(sparse_checkpoints).find("job 10: checkpoint interval"),
+            std::string::npos);
+  SimJob slow_dump;
+  slow_dump.id = 11;
+  slow_dump.submit = 100;
+  slow_dump.checkpoint_interval = 1;
+  slow_dump.dump_time = kMaxTime + 1;
+  EXPECT_NE(refusal(slow_dump).find("job 11: dump time"), std::string::npos);
+  SimJob slow_read;
+  slow_read.id = 12;
+  slow_read.submit = 100;
+  slow_read.checkpoint_interval = 1;
+  slow_read.read_time = kMaxTime + 1;
+  EXPECT_NE(refusal(slow_read).find("job 12: read time"), std::string::npos);
+  SimJob long_burst;
+  long_burst.id = 13;
+  long_burst.submit = 100;
+  long_burst.runtime = (std::int64_t(1) << 20) + 1;
+  long_burst.estimate = long_burst.runtime;
+  long_burst.checkpoint_interval = 1;
+  long_burst.dump_time = std::int64_t(1) << 20;
+  EXPECT_NE(refusal(long_burst).find("job 13: checkpointed burst"),
+            std::string::npos);
+  for (const std::int64_t id : {7, 8, 9, 10, 11, 12, 13}) {
+    EXPECT_EQ(e.find_job(id), nullptr);
+  }
   SimJob bound;
   bound.submit = kMaxTime;
   bound.runtime = kMaxTime;
   bound.estimate = kMaxTime;
   EXPECT_NO_THROW(e.submit_job(bound));
+  // Each checkpoint field at the bound, and a burst of exactly 2^40 s.
+  SimJob rare_dumps;
+  rare_dumps.submit = 100;
+  rare_dumps.checkpoint_interval = kMaxTime;
+  rare_dumps.dump_time = kMaxTime;
+  EXPECT_NO_THROW(e.submit_job(rare_dumps));
+  SimJob no_checkpoints;  // reads only follow banked work
+  no_checkpoints.submit = 100;
+  no_checkpoints.read_time = kMaxTime;
+  EXPECT_NO_THROW(e.submit_job(no_checkpoints));
+  long_burst.runtime = std::int64_t(1) << 20;
+  long_burst.estimate = long_burst.runtime;
+  EXPECT_NO_THROW(e.submit_job(long_burst));
+
+  // The burst counts the engine's recovery defaults a job inherits.
+  EngineConfig checkpointing{.nodes = 4};
+  checkpointing.recovery.checkpoint_interval = 1;
+  checkpointing.recovery.dump_time = std::int64_t(1) << 20;
+  Engine defaults(checkpointing, sched::make_scheduler("fcfs"));
+  SimJob inherits;
+  inherits.id = 14;
+  inherits.runtime = (std::int64_t(1) << 20) + 1;
+  inherits.estimate = inherits.runtime;
+  EXPECT_THROW(defaults.submit_job(inherits), std::invalid_argument);
+  EXPECT_EQ(defaults.find_job(14), nullptr);
 
   // Trace admission applies the same bound.
   auto trace = tiny_trace();
@@ -311,6 +368,19 @@ TEST(Engine, RejectsPastSubmission) {
   } catch (const std::invalid_argument& err) {
     EXPECT_NE(std::string(err.what()).find(
                   "job 2: submit time 9223372036854775000"),
+              std::string::npos)
+        << err.what();
+  }
+  trace = tiny_trace();
+  trace.records[1].run_time = (std::int64_t(1) << 20) + 1;
+  auto spec = SimulationSpec{}.with_scheduler("fcfs");
+  spec.checkpoint = 1;
+  spec.dump = std::int64_t(1) << 20;
+  try {
+    replay(trace, spec);
+    ADD_FAILURE() << "a checkpointed burst above the bound was admitted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("job 2: checkpointed burst"),
               std::string::npos)
         << err.what();
   }

@@ -760,6 +760,20 @@ TEST(Snapshot, RejectsTimesAboveTheirBoundNamingTheField) {
   check(bytes, "event time", event_at, kMaxInstant);
   check(bytes, "job submit time", job_at + 8, kMaxInstant);
   check(bytes, "job estimate", job_at + 24, kMaxTime);
+  // A checkpointed burst is held to kMaxTime as admission holds it:
+  // job 1 with a checkpoint after every second of work reaches the
+  // bound at the largest dump time below, and passes it one more.
+  ASSERT_GT(one.runtime, 1);
+  const auto checkpointed = [&](std::int64_t dump_time) {
+    return restore_error(with_word(with_word(bytes, job_at + 72, 1),
+                                   job_at + 80, dump_time));
+  };
+  const std::int64_t dump = (kMaxTime - one.runtime) / (one.runtime - 1);
+  EXPECT_EQ(checkpointed(dump), "");
+  EXPECT_EQ(checkpointed(dump + 1),
+            "snapshot: job " + std::to_string(one.id) +
+                " checkpointed burst is above the time bound " +
+                std::to_string(kMaxTime) + " s");
   // Instants may pass kMaxTime.
   EXPECT_EQ(restore_error(with_word(bytes, clock_at, kMaxTime + 1)), "");
   EXPECT_EQ(restore_error(with_word(bytes, event_at, kMaxTime + 1)), "");
