@@ -42,8 +42,7 @@ PROVENANCES = {"unspecified", "queue_head", "backfill", "reservation",
                "timeshare"}
 OUTAGE_PHASES = {"announced", "started", "ended"}
 KILL_REASONS = {"outage", "preempt", "walltime"}
-DROP_REASONS = {"retry_limit", "walltime_overrun", "requeue_disabled",
-                "cancelled"}
+DROP_REASONS = {"retry_limit", "walltime_overrun", "cancelled"}
 
 # type -> {field: required JSON type}
 REQUIRED = {

@@ -29,8 +29,6 @@ const char* drop_reason_name(sim::DropReason reason) {
       return "retry_limit";
     case sim::DropReason::kWalltimeOverrun:
       return "walltime_overrun";
-    case sim::DropReason::kRequeueDisabled:
-      return "requeue_disabled";
     case sim::DropReason::kCancelled:
       return "cancelled";
   }

@@ -1,6 +1,5 @@
 #include "sched/registry.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "util/keyval.hpp"
@@ -12,12 +11,6 @@ namespace {
 
 [[noreturn]] void bad_spec(const std::string& message) {
   throw std::invalid_argument(message);
-}
-
-std::string format_real(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -32,18 +25,6 @@ ParamSpec ParamSpec::integer(std::string key, std::string description,
   p.int_default = def;
   p.int_min = min;
   p.int_max = max;
-  return p;
-}
-
-ParamSpec ParamSpec::real(std::string key, std::string description,
-                          double def, double min, double max) {
-  ParamSpec p;
-  p.key = std::move(key);
-  p.type = Type::kReal;
-  p.description = std::move(description);
-  p.real_default = def;
-  p.real_min = min;
-  p.real_max = max;
   return p;
 }
 
@@ -64,10 +45,6 @@ std::string ParamSpec::to_string() const {
       s += "int in [" + std::to_string(int_min) + ", " +
            std::to_string(int_max) + "], default " +
            std::to_string(int_default);
-      break;
-    case Type::kReal:
-      s += "real in [" + format_real(real_min) + ", " +
-           format_real(real_max) + "], default " + format_real(real_default);
       break;
     case Type::kChoice: {
       s += "one of {";
@@ -109,17 +86,6 @@ std::int64_t ParamValues::get_int(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return p->int_default;
   return *util::parse_i64(it->second);  // validated at parse time
-}
-
-double ParamValues::get_real(const std::string& key) const {
-  const ParamSpec* p = info_ ? info_->find_param(key) : nullptr;
-  if (!p || p->type != ParamSpec::Type::kReal) {
-    throw std::logic_error("ParamValues::get_real: '" + key +
-                           "' is not a real parameter of this scheduler");
-  }
-  const auto it = values_.find(key);
-  if (it == values_.end()) return p->real_default;
-  return *util::parse_f64(it->second);  // validated at parse time
 }
 
 const std::string& ParamValues::get_choice(const std::string& key) const {
@@ -194,9 +160,6 @@ std::string Registry::ParsedSpec::to_string() const {
         case ParamSpec::Type::kInt:
           s += " " + p.key + "=" + std::to_string(values.get_int(p.key));
           break;
-        case ParamSpec::Type::kReal:
-          s += " " + p.key + "=" + format_real(values.get_real(p.key));
-          break;
         case ParamSpec::Type::kChoice:
           s += " " + p.key + "=" + values.get_choice(p.key);
           break;
@@ -260,16 +223,6 @@ Registry::ParsedSpec Registry::parse(const std::string& spec) const {
                    "='" + option.value + "' is not an integer in [" +
                    std::to_string(p->int_min) + ", " +
                    std::to_string(p->int_max) + "]");
-        }
-        break;
-      }
-      case ParamSpec::Type::kReal: {
-        const auto v = util::parse_f64(option.value);
-        if (!v || !(*v >= p->real_min && *v <= p->real_max)) {
-          bad_spec("scheduler '" + parsed.info->name + "': " + option.key +
-                   "='" + option.value + "' is not a number in [" +
-                   format_real(p->real_min) + ", " + format_real(p->real_max) +
-                   "]");
         }
         break;
       }

@@ -41,7 +41,7 @@ namespace pjsb::sched {
 
 /// One typed parameter in a scheduler's schema.
 struct ParamSpec {
-  enum class Type { kInt, kReal, kChoice };
+  enum class Type { kInt, kChoice };
 
   std::string key;  ///< lowercase key in spec strings
   Type type = Type::kInt;
@@ -51,18 +51,12 @@ struct ParamSpec {
   std::int64_t int_default = 0;
   std::int64_t int_min = std::numeric_limits<std::int64_t>::min();
   std::int64_t int_max = std::numeric_limits<std::int64_t>::max();
-  // kReal
-  double real_default = 0.0;
-  double real_min = std::numeric_limits<double>::lowest();
-  double real_max = std::numeric_limits<double>::max();
   // kChoice: choices[0] is the default.
   std::vector<std::string> choices;
 
   static ParamSpec integer(std::string key, std::string description,
                            std::int64_t def, std::int64_t min,
                            std::int64_t max);
-  static ParamSpec real(std::string key, std::string description, double def,
-                        double min, double max);
   static ParamSpec choice(std::string key, std::string description,
                           std::vector<std::string> choices);
 
@@ -80,7 +74,6 @@ struct SchedulerInfo;
 class ParamValues {
  public:
   std::int64_t get_int(const std::string& key) const;
-  double get_real(const std::string& key) const;
   const std::string& get_choice(const std::string& key) const;
   /// True when the spec set `key` explicitly (even to its default).
   bool is_set(const std::string& key) const;

@@ -415,11 +415,6 @@ Response Server::apply_submit(const Request& request) {
   // A stale timestamp is submitted immediately, mirroring the engine's
   // straggler rule for trace sources.
   if (at < now) at = now;
-  if (request.id && engine_->find_job(*request.id)) {
-    return error_response(kErrBadRequest,
-                          "job id " + std::to_string(*request.id) +
-                              " already exists");
-  }
   sim::SimJob job;
   job.id = request.id.value_or(0);  // 0: the engine picks
   job.submit = at;

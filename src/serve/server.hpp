@@ -31,9 +31,9 @@
 // live jobs, and the service restores one warm clone from those bytes.
 // A SUBMIT into a daemon that has finished 10k jobs costs what it costs
 // in a fresh one (bench_serve's `submit.cost_ratio`); replays of up to
-// 100k jobs are measured flat (README), and the word scan, at most
-// 65,536 words at 2^22 dense slots, is unmeasured past that. QUERY
-// for an id the tier lacks falls back to a per-engine index of
+// 100k jobs are measured flat (README), and the word scan, over a dense
+// table within 2 x (jobs held) + 4096 slots, is unmeasured past that.
+// QUERY for an id the tier lacks falls back to a per-engine index of
 // terminated jobs ({submit, procs, start, end}), fed on the engine
 // thread by on_job_complete / on_job_drop and seeded from the
 // already-terminated jobs when an engine is attached (construction,

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -36,6 +35,19 @@ void check_time(std::int64_t id, const char* field, std::int64_t value) {
       " s dump every " + std::to_string(j.checkpoint_interval) + " s, a " +
       std::to_string(j.read_time) + " s read) is above the time bound " +
       std::to_string(kMaxTime) + " s");
+}
+
+/// The largest job id admission takes: the id after it, which the
+/// engine picks next, must exist.
+constexpr std::int64_t kMaxJobId = std::numeric_limits<std::int64_t>::max() - 1;
+
+/// Reject job number `id`: above kMaxJobId, or else at or below an id
+/// the engine has seen (out of line, as the time checks are).
+[[noreturn, gnu::cold]] void throw_bad_job_number(std::int64_t id) {
+  throw std::invalid_argument(
+      "job " + std::to_string(id) + ": job number " +
+      (id > kMaxJobId ? "is above the bound " + std::to_string(kMaxJobId)
+                      : "repeats or descends (job numbers must ascend)"));
 }
 
 /// Admission's time checks, on a job that already carries its recovery
@@ -88,20 +100,17 @@ Engine::~Engine() = default;
 void Engine::load_trace(const swf::Trace& trace) {
   // Admission is sized once from the record count: the FIFO run of
   // submits, the completed archive, and the dense slot vector's
-  // capacity. Only capacity is reserved: the vector's size follows
-  // obtain_slot's growth rule, which snapshots record, and that rule
-  // takes ids 1..n to the power of two above n, so that is the
-  // capacity reserved (never a size taken from the largest id). Such
-  // ids fill all of it, so it is prefaulted too: when the allocator
-  // hands back fresh pages, one page-fault trap per 4 KB made set-up a
-  // third slower. (A trace whose job numbers start past the gap limit
-  // keeps every job in the overflow map and leaves the reserve unused.)
+  // capacity. Job numbers 1..n take slots 0..n, so that capacity is
+  // reserved (only capacity: obtain_slot alone decides which ids go
+  // dense) and prefaulted: when the allocator hands back fresh pages,
+  // one page-fault trap per 4 KB made set-up a third slower. (A trace
+  // whose job numbers run far past its record count keeps those jobs
+  // in the overflow map and leaves the reserve unused.)
   const std::size_t records = trace.records.size();
   events_.reserve_arrivals(records);
   if (config_.retain_completed) completed_.reserve(completed_.size() + records);
   if (!config_.recycle_slots) {
-    jobs_dense_.reserve(std::min(std::size_t(kDenseIdLimit),
-                                 std::bit_ceil(records + 1)));
+    jobs_dense_.reserve(records + 1);
     util::prefault(jobs_dense_.data(),
                    jobs_dense_.capacity() * sizeof(JobSlot));
   }
@@ -156,9 +165,14 @@ void Engine::admit_record(const swf::JobRecord& r) {
   apply_recovery_defaults(j);
   const std::int64_t id = j.id > 0 ? j.id : next_job_id_;
   j.id = id;
+  // Job numbers ascend: one at or below an id the engine has seen
+  // repeats or reorders the numbering. An O(1) test that keeps no
+  // per-id memory, so recycled slots and streams reach the same verdict
+  // as plain slots and eager loads.
+  if (id < next_job_id_ || id > kMaxJobId) throw_bad_job_number(id);
   check_job_times(j);
   if (config_.closed_loop) check_time(id, "think time", r.think_time);
-  next_job_id_ = std::max(next_job_id_, id + 1);
+  next_job_id_ = id + 1;
   if (j.submit < now_) {
     // The source contract is ascending submit order; a straggler (or a
     // record pulled after the clock passed its submit time under a tiny
@@ -168,11 +182,8 @@ void Engine::admit_record(const swf::JobRecord& r) {
   }
 
   auto& slot = obtain_slot(id);
-  const bool fresh = slot.job.id == 0;
-  if (fresh) {
-    slot.job = j;  // first record wins, as before
-    mark_live(id);
-  }
+  slot.job = j;
+  mark_live(id);
   ++pending_submits_;
 
   const bool dependent = config_.closed_loop &&
@@ -203,7 +214,7 @@ void Engine::admit_record(const swf::JobRecord& r) {
     }
     if (released >= 0) {
       const std::int64_t at = std::max(now_, released);
-      if (fresh) slot.job.submit = at;
+      slot.job.submit = at;
       push_event(at, EventType::kSubmit, id, /*version=*/1);
       return;
     }
@@ -223,12 +234,7 @@ void Engine::admit_record(const swf::JobRecord& r) {
   push_arrival(j.submit, id);
 }
 
-void Engine::release_slot(std::int64_t id) {
-  if (id >= 0 && std::size_t(id) < jobs_dense_.size()) {
-    jobs_dense_[std::size_t(id)] = JobSlot{};
-  }
-  jobs_overflow_.erase(id);
-}
+void Engine::release_slot(std::int64_t id) { jobs_overflow_.erase(id); }
 
 void Engine::mark_live(std::int64_t id) {
   if (in_dense(id)) {
@@ -275,6 +281,11 @@ std::int64_t Engine::submit_job(SimJob job) {
     throw std::invalid_argument("submit_job: submit time in the past");
   }
   const std::int64_t id = job.id > 0 ? job.id : next_job_id_;
+  if (id > kMaxJobId) throw_bad_job_number(id);
+  if (find_slot(id)) {
+    throw std::invalid_argument("job id " + std::to_string(id) +
+                                " already exists");
+  }
   job.id = id;
   apply_recovery_defaults(job);
   check_job_times(job);
@@ -407,14 +418,9 @@ void Engine::run() {
 }
 
 Engine::JobSlot* Engine::find_slot(std::int64_t id) {
-  if (id >= 0 && id < kDenseIdLimit) {
-    const auto idx = std::size_t(id);
-    if (idx < jobs_dense_.size() && jobs_dense_[idx].job.id != 0) {
-      return &jobs_dense_[idx];
-    }
-    // Fall through: a sparse id below the limit may still have been
-    // routed to the overflow map by the bounded-gap placement rule.
-  }
+  if (in_dense(id)) return &jobs_dense_[std::size_t(id)];
+  // Otherwise the map: an id below the vector's size may still have
+  // gone there, placed while the engine held fewer jobs.
   const auto it = jobs_overflow_.find(id);
   return it == jobs_overflow_.end() ? nullptr : &it->second;
 }
@@ -430,23 +436,25 @@ Engine::JobSlot& Engine::slot_at(std::int64_t id) {
 }
 
 Engine::JobSlot& Engine::obtain_slot(std::int64_t id) {
-  if (JobSlot* existing = find_slot(id)) return *existing;
   // Recycle mode keeps every job in the hash map: the dense vector is
   // sized by the largest id ever seen, which for a streamed million-job
   // trace is exactly the O(trace) growth recycling exists to avoid.
-  if (config_.recycle_slots) return jobs_overflow_[id];
-  // Place new ids densely only while they stay near-contiguous: growing
-  // the vector by a bounded gap at a time. A far outlier (e.g. the meta
-  // layer's 1'000'000-based ids over a small background trace) goes to
-  // the hash map instead of forcing a proportional allocation.
-  if (id >= 0 && id < kDenseIdLimit &&
-      std::size_t(id) < jobs_dense_.size() + kDenseGapLimit) {
+  // Otherwise an id goes dense while it stays below twice the jobs held
+  // plus kDenseGapLimit, and the vector grows to just past it (its own
+  // capacity growth amortizes that), so it never holds more than
+  // 2 x (jobs held) + kDenseGapLimit slots. A far outlier (the meta
+  // layer's 1'000'000-based ids over a small background trace, a
+  // daemon client's chosen id) goes to the hash map instead of forcing
+  // a proportional allocation.
+  const std::uint64_t held = dense_held_ + jobs_overflow_.size();
+  if (!config_.recycle_slots &&
+      std::uint64_t(id) < 2 * held + kDenseGapLimit) {
     const auto idx = std::size_t(id);
     if (idx >= jobs_dense_.size()) {
-      jobs_dense_.resize(std::min(std::size_t(kDenseIdLimit),
-                                  std::max(idx + 1, jobs_dense_.size() * 2)));
-      live_bits_.resize((jobs_dense_.size() + 63) / 64);
+      jobs_dense_.resize(idx + 1);
+      live_bits_.resize(idx / 64 + 1);
     }
+    ++dense_held_;
     return jobs_dense_[idx];
   }
   return jobs_overflow_[id];
@@ -603,19 +611,11 @@ void Engine::handle_submit(const Event& ev) {
   // Externally injected jobs (submit_job) carry version 0 and were
   // never counted, so they must not drain the gauge either.
   if (ev.version != 0 && pending_submits_ > 0) --pending_submits_;
-  JobSlot* slot = find_slot(job_id);
-  if (!slot) {
-    // A duplicate submit for a job that already terminated and was
-    // recycled; nothing to (re)queue.
-    fill_from_source();
-    return;
-  }
-  // A second record with a terminated job's id submits it again.
-  if (slot->job.state == JobState::kFinished) mark_live(job_id);
-  slot->job.state = JobState::kQueued;
+  JobSlot& slot = slot_at(job_id);
+  slot.job.state = JobState::kQueued;
   ++queued_count_;
   scheduler_->on_submit(*this, job_id);
-  observers_.on_job_submit(now_, slot->job);
+  observers_.on_job_submit(now_, slot.job);
   scheduler_dirty_ = true;
   fill_from_source();
 }
@@ -735,9 +735,6 @@ void Engine::kill_job(JobSlot& slot, KillReason reason, bool force_drop) {
   } else if (reason == KillReason::kWalltime) {
     drop = true;
     drop_reason = DropReason::kWalltimeOverrun;
-  } else if (!config_.requeue_killed_jobs) {
-    drop = true;
-    drop_reason = DropReason::kRequeueDisabled;
   } else if (rec.retry_limit > 0 && j.restarts >= rec.retry_limit) {
     drop = true;
     drop_reason = DropReason::kRetryLimit;

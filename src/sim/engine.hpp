@@ -50,8 +50,6 @@ struct EngineConfig {
   /// dependent job is submitted when its predecessor terminates plus
   /// think time (closed loop), instead of at its recorded submit time.
   bool closed_loop = false;
-  /// Requeue jobs killed by outages (restart from scratch).
-  bool requeue_killed_jobs = true;
   /// Recovery policy: checkpoint/restart defaults copied onto admitted
   /// jobs, the resubmit retry limit/backoff, and the walltime-overrun
   /// rule. The default keeps historical behavior exactly (restart from
@@ -96,8 +94,8 @@ struct EngineStats {
   std::int64_t makespan = 0;               ///< last completion time
   std::int64_t jobs_completed = 0;
   std::int64_t jobs_killed = 0;            ///< kill events (with requeue)
-  /// Jobs abandoned without completing (retry limit, overrun kill, or
-  /// requeue disabled).
+  /// Jobs abandoned without completing (retry limit, overrun kill or
+  /// cancel).
   std::int64_t jobs_dropped = 0;
   std::int64_t events_processed = 0;
 
@@ -123,7 +121,9 @@ class Engine final : public sched::SchedulerContext {
   /// submissions until their predecessor terminates. Implemented as an
   /// eager drain of a TraceSource through set_job_source, with the
   /// FIFO run, the completed archive and the dense slot vector's
-  /// capacity sized once from the record count.
+  /// capacity sized once from the record count. Throws
+  /// std::invalid_argument, naming the job, on a job number that does
+  /// not ascend past every id the engine has seen, as streams do.
   void load_trace(const swf::Trace& trace);
 
   /// Attach a pull-based job source. The engine pulls records lazily as
@@ -144,8 +144,9 @@ class Engine final : public sched::SchedulerContext {
   void add_outages(const outage::OutageLog& log);
 
   /// Submit a single external job (used by the meta layer and the
-  /// serve daemon). The job's submit time must be >= now(); returns
-  /// its id.
+  /// serve daemon). The job's submit time must be >= now(), and its id
+  /// (0 lets the engine pick one) not one the engine holds ("job id N
+  /// already exists"); returns its id.
   std::int64_t submit_job(SimJob job);
 
   /// Read-only job lookup by id. Nullptr when the id was never
@@ -232,18 +233,18 @@ class Engine final : public sched::SchedulerContext {
 
   /// snapshot() of only what the rest of the run depends on: the state
   /// as a `retain_completed=0 recycle_slots=1` engine would hold it —
-  /// that config echo, an empty dense vector, every non-terminated job
-  /// in the overflow section (sorted by id), no terminated jobs and no
-  /// completed archive. restore() of it is an O(live jobs) clone that
-  /// decides, answers what-if queries and keeps stats() exactly like
-  /// the donor, but whose find_job() no longer sees terminated jobs.
-  /// Writing it never visits a terminated slot: the engine keeps its
-  /// live set as jobs change state (one bit per dense slot plus the
-  /// live ids of the overflow map), and the writer scans the bits a
-  /// 64-bit word at a time, so it costs O(live jobs + dense slots / 64).
-  /// Throws std::logic_error while a job source is attached or awaiting
-  /// resume: a record pulled later may name a terminated predecessor or
-  /// reuse a terminated id, which only the full state answers.
+  /// that config echo, every non-terminated job in the job section, no
+  /// terminated jobs and no completed archive. restore() of it is an
+  /// O(live jobs) clone that decides, answers what-if queries and keeps
+  /// stats() exactly like the donor, but whose find_job() no longer
+  /// sees terminated jobs. Writing it never visits a terminated slot:
+  /// the engine keeps its live set as jobs change state (one bit per
+  /// dense slot plus the live ids of the overflow map), and the writer
+  /// scans the bits a 64-bit word at a time, so it costs O(live jobs +
+  /// dense slots / 64), with at most 2 x (jobs held) + kDenseGapLimit
+  /// dense slots. Throws std::logic_error while a job source is
+  /// attached or awaiting resume: a record pulled later may name a
+  /// terminated predecessor, which only the full state answers.
   std::string live_snapshot() const;
 
   /// Reconstruct an engine from snapshot() bytes: the scheduler is
@@ -294,23 +295,22 @@ class Engine final : public sched::SchedulerContext {
   };
 
   /// Job ids index straight into the dense vector while they stay
-  /// near-contiguous: a new id is stored densely only if it is below
-  /// kDenseIdLimit AND within kDenseGapLimit of the current dense size.
-  /// Sparse outliers (caller-chosen ids via submit_job, e.g. the meta
-  /// layer's 1'000'000-based ids) fall back to a hash map so a stray
-  /// id cannot force a proportional allocation. find_slot checks the
-  /// dense vector first and falls through to the map, so placement
-  /// history never changes lookup results.
-  static constexpr std::int64_t kDenseIdLimit = std::int64_t(1) << 22;
-  static constexpr std::size_t kDenseGapLimit = 4096;
+  /// near-contiguous; obtain_slot alone decides where a new id goes
+  /// (below 2 x (jobs held) + kDenseGapLimit: dense; otherwise the hash
+  /// map), so a stray id cannot force a proportional allocation.
+  /// find_slot checks the dense vector first and falls through to the
+  /// map, so placement never changes lookup results, and snapshots do
+  /// not record it.
+  static constexpr std::uint64_t kDenseGapLimit = 4096;
 
   /// Slot lookup (nullptr if absent).
   JobSlot* find_slot(std::int64_t id);
   const JobSlot* find_slot(std::int64_t id) const;
   /// Slot lookup that throws like unordered_map::at did.
   JobSlot& slot_at(std::int64_t id);
-  /// Insert-or-get: returns the slot for `id`, default-constructed if
-  /// new (job.id == 0 marks an empty slot).
+  /// The empty slot for `id`, which the engine must not hold yet (the
+  /// caller fills it in; job.id == 0 marks an empty slot): the one
+  /// placement rule, for admission, submit_job and restore alike.
   JobSlot& obtain_slot(std::int64_t id);
 
   /// Pull from the attached source until the lookahead window is full
@@ -319,7 +319,8 @@ class Engine final : public sched::SchedulerContext {
   /// Admit one source record: create its slot and either push its
   /// submit event or register it as a closed-loop dependent.
   void admit_record(const swf::JobRecord& record);
-  /// Drop a terminated job's slot (recycle_slots mode).
+  /// Drop a terminated job's slot (recycle_slots mode, which keeps
+  /// every job in the hash map).
   void release_slot(std::int64_t id);
   /// Live-set upkeep: the slot of `id` now holds a non-terminated job,
   /// or no longer does. A dense slot flips its bit in live_bits_; an
@@ -333,9 +334,9 @@ class Engine final : public sched::SchedulerContext {
     return id >= 0 && std::size_t(id) < jobs_dense_.size() &&
            jobs_dense_[std::size_t(id)].job.id != 0;
   }
-  /// live_snapshot()'s job section: every non-terminated slot, in id
-  /// order.
-  void write_live_slots(snapshot::Writer& w) const;
+  /// The job section: a count, then every slot (live: every
+  /// non-terminated one) in ascending id order.
+  void write_jobs(snapshot::Writer& w, bool live) const;
   static void write_slot(snapshot::Writer& w, const JobSlot& slot);
   /// Remember a terminated job's end time for late closed-loop
   /// dependents (bounded by kClosedLoopHistory).
@@ -387,14 +388,15 @@ class Engine final : public sched::SchedulerContext {
   EventQueue events_;
 
   /// Dense job storage indexed directly by job id (SWF job numbers are
-  /// small and near-contiguous), with a hash-map overflow for ids
-  /// beyond kDenseIdLimit. Scheduler callbacks hit job() on every
+  /// small and near-contiguous), with a hash-map overflow for the ids
+  /// obtain_slot routes past it. Scheduler callbacks hit job() on every
   /// queue entry per event, so lookups must not hash. load_trace
-  /// reserves its capacity, never its size: snapshots record the size
-  /// and the gap placement rule reads it, while growing the capacity
-  /// by doubling copied every slot again and churned page faults.
+  /// reserves its capacity: growing it by doubling copied every slot
+  /// again and churned page faults.
   std::vector<JobSlot> jobs_dense_;
   std::unordered_map<std::int64_t, JobSlot> jobs_overflow_;
+  /// Occupied dense slots; with the map's size, the jobs held.
+  std::uint64_t dense_held_ = 0;
   /// The live set. Bit i & 63 of word i >> 6 is set iff dense slot i
   /// holds a non-terminated (pending, queued or running) job; one word
   /// per 64 dense slots.

@@ -74,7 +74,6 @@ struct KillInfo {
 enum class DropReason {
   kRetryLimit,       ///< killed retry_limit times, gave up
   kWalltimeOverrun,  ///< overrun=kill/grace deadline expired
-  kRequeueDisabled,  ///< engine runs with requeue_killed_jobs off
   kCancelled,        ///< explicit Engine::cancel_job (user request)
 };
 

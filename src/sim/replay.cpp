@@ -34,11 +34,38 @@ swf::ReadResult load_trace(const std::string& path,
 
 namespace {
 
-void attach_hooks(Engine& engine, const ReplayHooks& hooks) {
+/// The run both replay overloads share, on a validated spec: build the
+/// engine, attach the hooks and the spec's sinks, let `admit` give it
+/// its workload, run it dry and collect the result.
+template <typename Admit>
+ReplayResult run_replay(std::unique_ptr<sched::Scheduler> scheduler,
+                        const SimulationSpec& spec, std::int64_t header_nodes,
+                        const ReplayHooks& hooks, Admit&& admit) {
+  const auto config = spec_engine_config(spec, header_nodes);
+
+  // Observability sinks named in the spec (no-op bundle when none):
+  // open files before the run so a bad path fails fast.
+  obs::SinkSet sinks;
+  sinks.open(spec);
+
+  Engine engine(config, std::move(scheduler));
   if (hooks.outages) engine.add_outages(*hooks.outages);
   for (SimObserver* observer : hooks.observers) {
     engine.add_observer(*observer);
   }
+  sinks.attach(engine);
+  admit(engine);
+  engine.run();
+  engine.notify_run_end();
+  sinks.finish();
+
+  ReplayResult result;
+  result.stats = engine.stats();
+  result.nodes = config.nodes;
+  result.source_pulled = engine.source_pulled();
+  result.source_clamped = engine.source_clamped();
+  result.completed = std::move(engine).completed();
+  return result;
 }
 
 }  // namespace
@@ -55,36 +82,21 @@ ReplayResult replay(const swf::Trace& trace,
         "replay: max_jobs is a streaming-source brake; a materialized "
         "trace replays whole");
   }
-  const auto config =
-      spec_engine_config(spec, trace.header.max_nodes.value_or(kDefaultNodes));
-
-  // Observability sinks named in the spec (no-op bundle when none):
-  // open files before the run so a bad path fails fast.
-  obs::SinkSet sinks;
-  sinks.open(spec);
-
-  Engine engine(config, std::move(scheduler));
-  attach_hooks(engine, hooks);
-  // The seeded crash schedule rides the outage delivery mechanism; it
-  // is a pure function of (seed, horizon, nodes), so the same spec
-  // reproduces the same failures regardless of who replays it.
-  outage::OutageLog crashes;
-  if (spec.faults != 0) {
-    crashes = fault::generate_crashes(spec.fault_model(), trace.horizon(),
-                                      config.nodes);
-    engine.add_outages(crashes);
-  }
-  sinks.attach(engine);
-  engine.load_trace(trace);
-  engine.run();
-  engine.notify_run_end();
-  sinks.finish();
-
-  ReplayResult result;
-  result.stats = engine.stats();
-  result.completed = std::move(engine).completed();
-  result.nodes = config.nodes;
-  return result;
+  return run_replay(
+      std::move(scheduler), spec,
+      trace.header.max_nodes.value_or(kDefaultNodes), hooks,
+      [&](Engine& engine) {
+        // The seeded crash schedule rides the outage delivery
+        // mechanism; it is a pure function of (seed, horizon, nodes),
+        // so the same spec reproduces the same failures regardless of
+        // who replays it.
+        if (spec.faults != 0) {
+          engine.add_outages(fault::generate_crashes(
+              spec.fault_model(), trace.horizon(),
+              engine.machine().total_nodes()));
+        }
+        engine.load_trace(trace);
+      });
 }
 
 ReplayResult replay(swf::JobSource& source,
@@ -96,30 +108,14 @@ ReplayResult replay(swf::JobSource& source,
         "replay: fault injection needs the workload horizon up front; "
         "faults= is not available on streaming sources");
   }
-  const auto config = spec_engine_config(
-      spec, source.header().max_nodes.value_or(kDefaultNodes));
-
-  obs::SinkSet sinks;
-  sinks.open(spec);
-
-  Engine engine(config, std::move(scheduler));
-  attach_hooks(engine, hooks);
-  sinks.attach(engine);
-  JobSourceOptions source_options;
-  source_options.lookahead = spec.lookahead;
-  source_options.max_jobs = spec.max_jobs;
-  engine.set_job_source(source, source_options);
-  engine.run();
-  engine.notify_run_end();
-  sinks.finish();
-
-  ReplayResult result;
-  result.stats = engine.stats();
-  result.nodes = config.nodes;
-  result.source_pulled = engine.source_pulled();
-  result.source_clamped = engine.source_clamped();
-  result.completed = std::move(engine).completed();
-  return result;
+  return run_replay(std::move(scheduler), spec,
+                    source.header().max_nodes.value_or(kDefaultNodes), hooks,
+                    [&](Engine& engine) {
+                      JobSourceOptions options;
+                      options.lookahead = spec.lookahead;
+                      options.max_jobs = spec.max_jobs;
+                      engine.set_job_source(source, options);
+                    });
 }
 
 ReplayResult replay(const swf::Trace& trace, const SimulationSpec& spec,

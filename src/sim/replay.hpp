@@ -67,7 +67,7 @@ struct ReplayResult {
   std::vector<CompletedJob> completed;
   EngineStats stats;
   std::int64_t nodes = 0;
-  /// Streaming replays only: records pulled / submit-clamped.
+  /// Records pulled from the source (a trace's records) / submit-clamped.
   std::uint64_t source_pulled = 0;
   std::uint64_t source_clamped = 0;
 };

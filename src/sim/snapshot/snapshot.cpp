@@ -39,7 +39,6 @@ void write_config(Writer& w, const EngineConfig& c) {
   w.i64(c.nodes);
   w.boolean(c.deliver_announcements);
   w.boolean(c.closed_loop);
-  w.boolean(c.requeue_killed_jobs);
   w.boolean(c.retain_completed);
   w.boolean(c.recycle_slots);
   w.i64(c.recovery.checkpoint_interval);
@@ -60,7 +59,6 @@ EngineConfig read_config(Reader& r) {
   }
   c.deliver_announcements = r.boolean();
   c.closed_loop = r.boolean();
-  c.requeue_killed_jobs = r.boolean();
   c.retain_completed = r.boolean();
   c.recycle_slots = r.boolean();
   c.recovery.checkpoint_interval = r.i64();
@@ -168,8 +166,10 @@ void read_header(Reader& r) {
   }
   const std::uint32_t version = r.u32();
   if (version != snapshot::kFormatVersion) {
-    throw std::runtime_error("snapshot: unsupported format version " +
-                             std::to_string(version));
+    throw std::runtime_error(
+        "snapshot: unsupported format version " + std::to_string(version) +
+        " (this build reads version " +
+        std::to_string(snapshot::kFormatVersion) + ")");
   }
 }
 
@@ -192,49 +192,58 @@ void Engine::write_slot(Writer& w, const JobSlot& slot) {
   w.boolean(slot.overrun_end);
 }
 
-void Engine::write_live_slots(Writer& w) const {
-  // The overflow map's live slots: the live ids kept beside it, or,
-  // under recycle_slots, the map itself (it holds no terminated job
-  // between steps), sorted.
+void Engine::write_jobs(Writer& w, bool live) const {
+  // The overflow map's slots, sorted by id (hash order is not
+  // deterministic): all of them, or the live ones, which are the live
+  // ids kept beside the map, or, under recycle_slots, the map itself
+  // (it holds no terminated job between steps).
   std::vector<std::pair<std::int64_t, const JobSlot*>> outliers;
-  if (config_.recycle_slots) {
+  if (live && !config_.recycle_slots) {
+    outliers.reserve(live_overflow_.size());
+    for (const std::int64_t id : live_overflow_) {
+      outliers.emplace_back(id, &jobs_overflow_.at(id));
+    }
+  } else {
     outliers.reserve(jobs_overflow_.size());
     for (const auto& [id, slot] : jobs_overflow_) {
-      if (slot.job.state != JobState::kFinished) {
+      if (!live || slot.job.state != JobState::kFinished) {
         outliers.emplace_back(id, &slot);
       }
     }
     std::sort(outliers.begin(), outliers.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+  std::uint64_t count = outliers.size();
+  if (live) {
+    for (const std::uint64_t word : live_bits_) count += std::popcount(word);
   } else {
-    outliers.reserve(live_overflow_.size());
-    for (const std::int64_t id : live_overflow_) {
-      outliers.emplace_back(id, &jobs_overflow_.at(id));
-    }
+    count += dense_held_;
   }
-  std::uint64_t live = outliers.size();
-  for (const std::uint64_t word : live_bits_) live += std::popcount(word);
-  w.u64(live);
+  w.u64(count);
 
-  // The dense live bits a word at a time, merged in id order with the
-  // outliers.
+  // The dense slots in id order, merged with the outliers: the live
+  // bits a word at a time, or every occupied slot.
   auto outlier = outliers.begin();
-  const auto write_outlier = [&] {
-    w.i64(outlier->first);
-    write_slot(w, *outlier->second);
-    ++outlier;
+  const auto write_dense = [&](std::size_t i) {
+    for (; outlier != outliers.end() && outlier->first < std::int64_t(i);
+         ++outlier) {
+      write_slot(w, *outlier->second);
+    }
+    write_slot(w, jobs_dense_[i]);
   };
-  for (std::size_t word = 0; word < live_bits_.size(); ++word) {
-    for (std::uint64_t bits = live_bits_[word]; bits != 0; bits &= bits - 1) {
-      const std::size_t i = word * 64 + std::size_t(std::countr_zero(bits));
-      while (outlier != outliers.end() && outlier->first < std::int64_t(i)) {
-        write_outlier();
+  if (live) {
+    for (std::size_t word = 0; word < live_bits_.size(); ++word) {
+      for (std::uint64_t bits = live_bits_[word]; bits != 0;
+           bits &= bits - 1) {
+        write_dense(word * 64 + std::size_t(std::countr_zero(bits)));
       }
-      w.i64(std::int64_t(i));
-      write_slot(w, jobs_dense_[i]);
+    }
+  } else {
+    for (std::size_t i = 0; i < jobs_dense_.size(); ++i) {
+      if (jobs_dense_[i].job.id != 0) write_dense(i);
     }
   }
-  while (outlier != outliers.end()) write_outlier();
+  for (; outlier != outliers.end(); ++outlier) write_slot(w, *outlier->second);
 }
 
 std::string Engine::write_snapshot(bool live) const {
@@ -285,39 +294,7 @@ std::string Engine::write_snapshot(bool live) const {
     }
   }
 
-  if (live) {
-    // Dense vector empty, as recycle_slots mode keeps every job in the
-    // map; every non-terminated slot, dense ones included, in the
-    // overflow section.
-    w.u64(0);
-    w.u64(0);
-    write_live_slots(w);
-  } else {
-    // Dense job storage: the vector's size (growth history feeds the
-    // dense-vs-overflow placement rule) plus only the occupied slots.
-    w.u64(jobs_dense_.size());
-    std::uint64_t occupied = 0;
-    for (const JobSlot& slot : jobs_dense_) {
-      if (slot.job.id != 0) ++occupied;
-    }
-    w.u64(occupied);
-    for (std::size_t i = 0; i < jobs_dense_.size(); ++i) {
-      if (jobs_dense_[i].job.id == 0) continue;
-      w.u64(i);
-      write_slot(w, jobs_dense_[i]);
-    }
-    // Overflow map, sorted by id (hash order is not deterministic).
-    std::vector<std::pair<std::int64_t, const JobSlot*>> slots;
-    slots.reserve(jobs_overflow_.size());
-    for (const auto& [id, slot] : jobs_overflow_) slots.emplace_back(id, &slot);
-    std::sort(slots.begin(), slots.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.u64(slots.size());
-    for (const auto& [id, slot] : slots) {
-      w.i64(id);
-      write_slot(w, *slot);
-    }
-  }
+  write_jobs(w, live);
 
   // Closed-loop dependency edges, sorted by predecessor.
   {
@@ -452,77 +429,35 @@ void Engine::load_snapshot(snapshot::Reader& r) {
     }
   }
 
-  const auto read_slot = [&r, this]() {
-    JobSlot slot;
-    slot.job = read_job(r, machine_.total_nodes());
-    slot.end_version = r.i64();
-    slot.overrun_end = r.boolean();
-    return slot;
-  };
-
   {
-    // Empty dense slots are not encoded, so no byte count bounds the
-    // vector's size. The occupied entries are read first, each into its
-    // place, growing the vector (and its live bits) only to the indices
-    // read; the encoded size is applied once it meets obtain_slot's
-    // growth rule: at most twice the index that triggered a growth,
-    // never past kDenseIdLimit. Near-contiguous ids fill at most twice
-    // their count (plus the first gap), so that much capacity is
-    // reserved up front.
-    const std::uint64_t dense_size = r.u64();
-    const auto dense_error = [dense_size](const char* bound) {
-      return std::runtime_error("snapshot: dense slot count " +
-                                std::to_string(dense_size) + " exceeds " +
-                                bound);
-    };
-    if (dense_size > std::uint64_t(kDenseIdLimit)) {
-      throw dense_error("the dense id limit");
-    }
-    const std::size_t occupied = r.count("dense slot", 8 + kSlotBytes);
-    jobs_dense_.clear();
-    jobs_dense_.reserve(
-        std::min(std::size_t(dense_size), 2 * occupied + kDenseGapLimit));
-    live_bits_.clear();
-    std::size_t max_idx = 0;
-    for (std::size_t i = 0; i < occupied; ++i) {
-      const std::uint64_t idx = r.u64();
-      if (idx >= dense_size) {
-        throw std::runtime_error("snapshot: dense slot index out of range");
-      }
-      if (idx >= jobs_dense_.size()) {
-        jobs_dense_.resize(std::size_t(idx) + 1);
-        live_bits_.resize(std::size_t(idx) / 64 + 1);
-      }
-      JobSlot& slot = jobs_dense_[std::size_t(idx)];
-      slot = read_slot();
-      const std::uint64_t bit = std::uint64_t(1) << (idx & 63);
-      if (slot.job.id != 0 && slot.job.state != JobState::kFinished) {
-        live_bits_[std::size_t(idx) >> 6] |= bit;
-      } else {
-        live_bits_[std::size_t(idx) >> 6] &= ~bit;
-      }
-      max_idx = std::max(max_idx, std::size_t(idx));
-    }
-    if (dense_size > std::max(max_idx + 1, 2 * max_idx)) {
-      throw dense_error("twice its highest occupied index");
-    }
-    jobs_dense_.resize(std::size_t(dense_size));
-    live_bits_.resize((std::size_t(dense_size) + 63) / 64);
-  }
-
-  jobs_overflow_.clear();
-  live_overflow_.clear();
-  {
-    const std::size_t n = r.count("overflow job", 8 + kSlotBytes);
-    jobs_overflow_.reserve(n);
+    // Each job goes where obtain_slot places it, as at admission: the
+    // file does not record placement, and ascending ids make each one
+    // new. Under recycle_slots every job lands in the map.
+    const std::size_t n = r.count("job", kSlotBytes);
+    if (config_.recycle_slots) jobs_overflow_.reserve(n);
+    std::int64_t last = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t id = r.i64();
-      const auto [it, inserted] = jobs_overflow_.emplace(id, read_slot());
-      if (inserted && !config_.recycle_slots &&
-          it->second.job.state != JobState::kFinished) {
-        // Ids arrive sorted, so the hint makes each insert O(1).
-        live_overflow_.insert(live_overflow_.end(), id);
+      JobSlot slot;
+      slot.job = read_job(r, machine_.total_nodes());
+      slot.end_version = r.i64();
+      slot.overrun_end = r.boolean();
+      const std::int64_t id = slot.job.id;
+      if (id <= last) {
+        throw std::runtime_error("snapshot: job " + std::to_string(id) +
+                                 " in the job section does not ascend past " +
+                                 std::to_string(last));
       }
+      last = id;
+      const bool live = slot.job.state != JobState::kFinished;
+      obtain_slot(id) = std::move(slot);
+      if (live) mark_live(id);
+    }
+    // Ids the engine picks start at next_job_id_, so it must pass every
+    // job held.
+    if (next_job_id_ <= last) {
+      throw std::runtime_error("snapshot: next job id " +
+                               std::to_string(next_job_id_) +
+                               " is not above job " + std::to_string(last));
     }
   }
 

@@ -10,10 +10,19 @@
 //
 // Layout: 8 magic bytes, a u32 format version, then fixed-order
 // sections encoded with the codec (codec.hpp). The version gates
-// compatibility — readers reject any version they do not know; there
-// is no in-band schema. The scheduler is identified by its registry
-// spec string (Scheduler::name()), so restoring instantiates the same
-// policy with the same parameters before loading its runtime state.
+// compatibility — readers reject any version they do not know (version
+// 1 files included); there is no in-band schema. The scheduler is
+// identified by its registry spec string (Scheduler::name()), so
+// restoring instantiates the same policy with the same parameters
+// before loading its runtime state.
+//
+// Version 2 holds every job in one section: a count, then each job's
+// slot, led by its id, in ascending id order (snapshot() and
+// live_snapshot() alike). Where the engine kept a job (its id-indexed
+// dense vector or its overflow map) is not recorded: restore places
+// each job by the engine's one placement rule, so the bytes do not
+// depend on placement and a file cannot claim more dense slots than
+// twice its jobs plus a fixed gap.
 //
 // What is NOT serialized (runtime attachments, re-attach after
 // restore): observers, the phase listener, the completion callback,
@@ -32,7 +41,7 @@ inline constexpr char kMagic[8] = {'P', 'J', 'S', 'B', 'S', 'N', 'A', 'P'};
 
 /// Current format version. Bump on any layout change; readers reject
 /// versions they do not understand.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Write snapshot bytes to a file (binary, atomic overwrite). Throws
 /// std::runtime_error on I/O failure.

@@ -71,12 +71,6 @@ std::vector<std::string> enumerate_scheduler_specs(
             specs.push_back(info->name + " " + p.key + "=" + p.choices[i]);
           }
           break;
-        case sched::ParamSpec::Type::kReal:
-          // No built-in scheduler carries real parameters; fuzz the
-          // bounds when one appears.
-          specs.push_back(info->name + " " + p.key + "=" +
-                          std::to_string(p.real_min));
-          break;
       }
     }
   }

@@ -256,6 +256,16 @@ TEST(ServeServer, KillAndQueryLifecycle) {
   EXPECT_FALSE(missing_query.ok);
   EXPECT_EQ(missing_query.code, kErrNotFound);
 
+  // A client-chosen id the engine holds, live or terminated, is refused
+  // by Engine::submit_job.
+  for (const std::int64_t id : {running_id, queued_id}) {
+    const auto again = client.submit(1, 60, /*at=*/100, 60, id);
+    EXPECT_FALSE(again.ok) << id;
+    EXPECT_EQ(again.code, kErrBadRequest) << id;
+    EXPECT_EQ(again.message,
+              "job id " + std::to_string(id) + " already exists");
+  }
+
   ASSERT_TRUE(client.shutdown().ok);
   server.wait();
 }
@@ -455,6 +465,18 @@ TEST(ServeServer, TimesAboveTheBoundAreRefusedAndTheClockStays) {
   EXPECT_EQ(after.field_i64("epoch"), before.field_i64("epoch"));
   EXPECT_EQ(after.field_i64("queued"), before.field_i64("queued"));
   EXPECT_EQ(after.field_i64("running"), before.field_i64("running"));
+
+  // The engine refuses the largest id, which would leave it no id to
+  // pick next (and no snapshot of it would restore); the daemon keeps
+  // serving, and its next publish restores.
+  const auto last_id =
+      client.request_line("SUBMIT 4 100 at=5 id=9223372036854775807");
+  EXPECT_FALSE(last_id.ok);
+  EXPECT_EQ(last_id.code, kErrBadRequest);
+  EXPECT_EQ(last_id.message,
+            "job 9223372036854775807: job number is above the bound "
+            "9223372036854775806");
+  EXPECT_TRUE(client.request_line("SUBMIT 4 100 at=5").ok);
   ASSERT_TRUE(client.shutdown().ok);
   server.wait();
 }

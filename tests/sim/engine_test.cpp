@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/outage/record.hpp"
 #include "sched/registry.hpp"
@@ -325,7 +326,17 @@ TEST(Engine, RejectsPastSubmission) {
   long_burst.dump_time = std::int64_t(1) << 20;
   EXPECT_NE(refusal(long_burst).find("job 13: checkpointed burst"),
             std::string::npos);
-  for (const std::int64_t id : {7, 8, 9, 10, 11, 12, 13}) {
+  // The largest id would leave no id for the engine to pick next.
+  SimJob last_id;
+  last_id.id = std::numeric_limits<std::int64_t>::max();
+  last_id.submit = 100;
+  EXPECT_EQ(refusal(last_id),
+            "job 9223372036854775807: job number is above the bound "
+            "9223372036854775806");
+  for (const std::int64_t id : {std::int64_t(7), std::int64_t(8),
+                                std::int64_t(9), std::int64_t(10),
+                                std::int64_t(11), std::int64_t(12),
+                                std::int64_t(13), last_id.id}) {
     EXPECT_EQ(e.find_job(id), nullptr);
   }
   SimJob bound;
@@ -370,6 +381,16 @@ TEST(Engine, RejectsPastSubmission) {
                   "job 2: submit time 9223372036854775000"),
               std::string::npos)
         << err.what();
+  }
+  trace = tiny_trace();
+  trace.records.back().job_number = std::numeric_limits<std::int64_t>::max();
+  try {
+    replay(trace, SimulationSpec{}.with_scheduler("fcfs"));
+    ADD_FAILURE() << "the largest job number was admitted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_STREQ(err.what(),
+                 "job 9223372036854775807: job number is above the bound "
+                 "9223372036854775806");
   }
   trace = tiny_trace();
   trace.records[1].run_time = (std::int64_t(1) << 20) + 1;

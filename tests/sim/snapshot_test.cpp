@@ -5,6 +5,9 @@
 // the policy's observable behaviour exactly (validate/decisions.hpp),
 // so byte-identical CSVs mean byte-identical simulations.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
@@ -397,11 +400,11 @@ TEST(Snapshot, LiveSetFollowsEveryStateChange) {
   }
 }
 
-TEST(Snapshot, LiveSetDropsDoomedDependentsAndKeepsARequeuedDuplicate) {
+TEST(Snapshot, LiveSetDropsDoomedDependentsAndRefusesARepeatedJobNumber) {
   // Closed loop on 4 nodes: job 1 holds the machine, job 2 queues
   // behind it, and jobs 3 and 4 wait on 2 and 3. Cancelling job 2 dooms
-  // 3 and 4. Job 5's second record (t=5000) submits it again after it
-  // finished, so it is live once more.
+  // 3 and 4. A second record for job 5 is refused at admission, with
+  // plain and recycled slots alike, before the engine keeps anything.
   swf::Trace trace;
   trace.header.max_nodes = 4;
   const auto record = [&trace](std::int64_t id, std::int64_t submit,
@@ -423,7 +426,9 @@ TEST(Snapshot, LiveSetDropsDoomedDependentsAndKeepsARequeuedDuplicate) {
   record(3, 20, 100, 1, 2);
   record(4, 30, 100, 1, 3);
   record(5, 2000, 100, 1, swf::kUnknown);
-  record(5, 5000, 100, 1, swf::kUnknown);
+  auto repeated = trace;
+  repeated.records.push_back(repeated.records.back());
+  repeated.records.back().submit_time = 5000;
   for (const bool recycle : {false, true}) {
     const std::string where = recycle ? "recycled" : "plain";
     auto spec = SimulationSpec{}.with_scheduler("fcfs");
@@ -438,11 +443,23 @@ TEST(Snapshot, LiveSetDropsDoomedDependentsAndKeepsARequeuedDuplicate) {
     EXPECT_EQ(job_ids(*engine, true), (std::vector<std::int64_t>{1, 5}))
         << where;
     engine->run_until(5000);
-    expect_live_set(*engine, where + " at the duplicate");
-    EXPECT_EQ(job_ids(*engine, true),
-              recycle ? std::vector<std::int64_t>{}
-                      : std::vector<std::int64_t>{5})
+    expect_live_set(*engine, where + " at the end");
+    EXPECT_EQ(job_ids(*engine, true), std::vector<std::int64_t>{}) << where;
+
+    auto refusing = make_engine(repeated, spec);
+    try {
+      refusing->load_trace(repeated);
+      ADD_FAILURE() << where << ": the repeated job 5 was admitted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "job 5: job number repeats or descends (job numbers "
+                   "must ascend)")
+          << where;
+    }
+    EXPECT_EQ(job_ids(*refusing, false),
+              (std::vector<std::int64_t>{1, 2, 3, 4, 5}))
         << where;
+    EXPECT_EQ(refusing->find_job(5)->submit, 2000) << where;
   }
 }
 
@@ -509,6 +526,18 @@ TEST(Snapshot, RejectsCorruptHeaderAndTruncation) {
   auto bad_version = bytes;
   bad_version[8] = char(0xee);  // version field follows the magic
   EXPECT_THROW((void)Engine::restore(bad_version), std::runtime_error);
+  // Version 1 (a dense size and split dense/overflow job sections) is
+  // refused by name; no v1 reader is kept.
+  auto v1 = bytes;
+  v1[8] = 1;
+  try {
+    (void)Engine::restore(v1);
+    ADD_FAILURE() << "a version 1 file restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "snapshot: unsupported format version 1 (this build reads "
+                 "version 2)");
+  }
 
   const auto truncated = bytes.substr(0, bytes.size() / 2);
   EXPECT_THROW((void)Engine::restore(truncated), std::runtime_error);
@@ -624,7 +653,7 @@ TEST(Snapshot, InflatedCountsFailNamingTheirSection) {
     }
   }
   const std::set<std::string> sections = {
-      "event", "dense slot", "overflow job", "dependency", "dependent",
+      "event", "job", "dependency", "dependent",
       "outage", "outage node", "reservation", "completed job",
       "finished job", "node list", "backfill queue", "backfill queued job",
       "backfill running job", "backfill reservation", "backfill outage",
@@ -731,7 +760,7 @@ TEST(Snapshot, RejectsTimesAboveTheirBoundNamingTheField) {
 
   // The clock follows the header, the config echo and the scheduler
   // spec; the event count follows the 16 scalars and one flag.
-  const std::size_t clock_at = 12 + 62 + 8 + spec.scheduler.size();
+  const std::size_t clock_at = 12 + 61 + 8 + spec.scheduler.size();
   const std::size_t event_at = clock_at + 16 * 8 + 1 + 8;
   // Job 1, finished long before the cut: id, submit, runtime, estimate.
   snapshot::Writer job;
@@ -857,40 +886,139 @@ TEST(Snapshot, ReservationBetweenEventsRestoresLikeTheDonor) {
             validate::decisions_to_csv(rest));
 }
 
-TEST(Snapshot, DenseSlotCountFollowsTheGrowthRule) {
-  // Empty dense slots are not encoded, so their count is bounded by the
-  // occupied ones: a vector grows to at most twice the index that
-  // triggered the growth. data/contention.swf frozen under conservative
-  // holds 40 jobs in 64 dense slots; 2^22 slots (the dense id limit
-  // itself) is state no engine could have grown to.
-  const auto loaded = swf::read_swf_file(std::string(PJSB_SOURCE_DIR) +
-                                         "/data/contention.swf");
-  ASSERT_TRUE(loaded.errors.empty());
-  auto donor = make_engine(loaded.trace,
-                           SimulationSpec{}.with_scheduler("conservative"));
-  donor->load_trace(loaded.trace);
-  donor->run_until(26000);
-  const std::string bytes = donor->snapshot();
-  // The dense section opens with its size, then its occupied count.
-  snapshot::Writer head;
-  head.u64(64);
-  head.u64(40);
-  const std::size_t size_at = bytes.find(head.bytes());
-  ASSERT_NE(size_at, std::string::npos);
-  const auto message = [&bytes, size_at](std::int64_t size) -> std::string {
+/// Peak RSS (MB) of a child process that runs `phase`, measured apart
+/// from this process's as bench_swf measures its phases; -1 when the
+/// child fails or `phase` throws.
+template <typename Phase>
+double child_peak_rss_mb(Phase phase) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    int code = 0;
     try {
-      (void)Engine::restore(with_word(bytes, size_at, size));
-    } catch (const std::runtime_error& e) {
-      return e.what();
+      phase();
+    } catch (...) {
+      code = 1;
     }
-    return "";
+    _exit(code);
+  }
+  int status = 0;
+  struct rusage usage {};
+  if (pid < 0 || wait4(pid, &status, 0, &usage) != pid ||
+      !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    return -1;
+  }
+  return double(usage.ru_maxrss) / 1024.0;
+}
+
+TEST(Snapshot, SparseClientIdsKeepMemoryBounded) {
+  // Eleven client-chosen ids (a daemon's `SUBMIT 1 100 id=N`), each just
+  // within a fixed gap of a dense vector that doubled at every one of
+  // them: that rule took a 4-node FCFS engine to about 1 GB, and the
+  // restore of its 2.3 KB snapshot too. Dense slots now stay within
+  // twice the jobs held plus the gap, so submitting the ids and
+  // restoring the snapshot each stay under 64 MB.
+  const std::vector<std::int64_t> ids = {
+      4095,   8191,   12287,  20479,   36863,  69631,
+      135167, 266239, 528383, 1052671, 2101247};
+  const auto path = testing::TempDir() + "pjsb_sparse_ids.snap";
+  const double submit_mb = child_peak_rss_mb([&] {
+    Engine engine(
+        spec_engine_config(SimulationSpec{}.with_scheduler("fcfs"), 4),
+        sched::make_scheduler("fcfs"));
+    for (const std::int64_t id : ids) {
+      SimJob job;
+      job.id = id;
+      job.runtime = job.estimate = job.walltime = 100;
+      job.procs = 1;
+      engine.submit_job(job);
+    }
+    snapshot::write_file(path, engine.snapshot());
+  });
+  ASSERT_GE(submit_mb, 0.0) << "the submitting child failed";
+  const std::string bytes = snapshot::read_file(path);
+  std::remove(path.c_str());
+  const double restore_mb = child_peak_rss_mb([&] {
+    const auto clone = Engine::restore(bytes);
+    if (clone->snapshot() != bytes || job_ids(*clone, false) != ids) {
+      throw std::runtime_error("the clone differs from its donor");
+    }
+  });
+  ASSERT_GE(restore_mb, 0.0) << "the restoring child failed";
+  EXPECT_LT(submit_mb, 64.0);
+  EXPECT_LT(restore_mb, 64.0);
+  RecordProperty("submit_peak_rss_kb", int(submit_mb * 1024));
+  RecordProperty("restore_peak_rss_kb", int(restore_mb * 1024));
+}
+
+/// A 4-node FCFS engine (plain or recycled slots) holding four jobs
+/// that wait for t=1000: ids 1, 2 and 3, and the outlier 1'000'000.
+/// Their runtimes (111, 222, 333, 444) find them in the bytes.
+std::unique_ptr<Engine> waiting_jobs(bool recycle) {
+  auto spec = SimulationSpec{}.with_scheduler("fcfs");
+  if (recycle) spec.streaming_memory();
+  auto engine = std::make_unique<Engine>(spec_engine_config(spec, 4),
+                                         sched::make_scheduler("fcfs"));
+  std::int64_t runtime = 111;
+  for (const std::int64_t id : {1, 2, 3, 1'000'000}) {
+    SimJob job;
+    job.id = id;
+    job.submit = 1000;
+    job.runtime = job.estimate = runtime;
+    job.procs = 1;
+    engine->submit_job(job);
+    runtime += 111;
+  }
+  return engine;
+}
+
+TEST(Snapshot, JobSectionHoldsJobsInIdOrderWhereverTheEngineKeptThem) {
+  // One job section, a count and then each slot led by its id, for
+  // snapshot() and live_snapshot() alike, and the same bytes whether
+  // the engine kept a job in its dense vector or its overflow map
+  // (recycled slots keep every job in the map).
+  const std::string plain = waiting_jobs(false)->snapshot();
+  const std::string recycled = waiting_jobs(true)->snapshot();
+  const std::string live = waiting_jobs(false)->live_snapshot();
+  const auto id_at = [&plain](std::int64_t id, std::int64_t runtime) {
+    snapshot::Writer head;
+    head.i64(id);
+    head.i64(1000);
+    head.i64(runtime);
+    const std::size_t at = plain.find(head.bytes());
+    EXPECT_NE(at, std::string::npos) << id;
+    return at;
   };
-  EXPECT_EQ(message(std::int64_t(1) << 22),
-            "snapshot: dense slot count 4194304 exceeds twice its highest "
-            "occupied index");
-  EXPECT_EQ(message(std::int64_t(1) << 25),
-            "snapshot: dense slot count 33554432 exceeds the dense id limit");
-  EXPECT_EQ(message(64), "");
+  const std::size_t first = id_at(1, 111);
+  const std::size_t second = id_at(2, 222);
+  const std::size_t third = id_at(3, 333);
+  const std::size_t outlier = id_at(1'000'000, 444);
+  ASSERT_LT(first, second);
+  ASSERT_LT(second, third);
+  ASSERT_LT(third, outlier);
+  // Slots of queued jobs hold no node ids, so each has the same size.
+  const std::size_t slot = second - first;
+  ASSERT_EQ(outlier - third, slot);
+  const std::string section = plain.substr(first - 8, 8 + 4 * slot);
+  EXPECT_EQ(snapshot::Reader(section).u64(), 4u);
+  EXPECT_NE(recycled.find(section), std::string::npos);
+  EXPECT_NE(live.find(section), std::string::npos);
+  EXPECT_EQ(Engine::restore(plain)->snapshot(), plain);
+  EXPECT_EQ(Engine::restore(recycled)->snapshot(), recycled);
+
+  // Ids that repeat or do not ascend are refused, naming the section;
+  // so is a next id the engine would pick that is already held.
+  const auto refusal = [](std::int64_t id, std::int64_t after) {
+    return "snapshot: job " + std::to_string(id) +
+           " in the job section does not ascend past " +
+           std::to_string(after);
+  };
+  EXPECT_EQ(restore_error(with_word(plain, second, 1)), refusal(1, 1));
+  EXPECT_EQ(restore_error(with_word(plain, second, 5)), refusal(3, 5));
+  EXPECT_EQ(restore_error(with_word(plain, first, 0)), refusal(0, 0));
+  EXPECT_EQ(restore_error(with_word(plain, first, -7)), refusal(-7, 0));
+  EXPECT_EQ(restore_error(with_word(plain, outlier, 3)), refusal(3, 3));
+  EXPECT_EQ(restore_error(with_word(plain, outlier, 2'000'000)),
+            "snapshot: next job id 1000001 is not above job 2000000");
 }
 
 TEST(Snapshot, RejectsASourceCursorThatContradictsTheState) {

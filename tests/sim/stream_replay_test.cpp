@@ -250,24 +250,25 @@ TEST(StreamReplay, ClosedLoopLatePullResolvesViaResidentPredecessor) {
 
 TEST(StreamReplay, EagerLoadDefersForwardReferencedDependents) {
   // A dependent whose record precedes its predecessor's in the file
-  // (legal under ascending-submit ties). The eager load must register
-  // the edge and defer, exactly like the historical all-up-front load;
-  // a bounded stream instead falls back to open loop (it cannot wait
-  // on a predecessor that may never arrive).
+  // (legal under ascending-submit ties; job numbers still ascend, so
+  // job 1 names job 2). The eager load must register the edge and
+  // defer, exactly like the historical all-up-front load; a bounded
+  // stream instead falls back to open loop (it cannot wait on a
+  // predecessor that may never arrive).
   swf::Trace trace;
   trace.header.max_nodes = 4;
   swf::JobRecord dep;
-  dep.job_number = 2;
+  dep.job_number = 1;
   dep.submit_time = 0;
   dep.run_time = 10;
   dep.allocated_procs = 1;
   dep.requested_procs = 1;
   dep.requested_time = 10;
   dep.status = swf::Status::kCompleted;
-  dep.preceding_job = 1;
+  dep.preceding_job = 2;
   dep.think_time = 7;
   swf::JobRecord pred = dep;
-  pred.job_number = 1;
+  pred.job_number = 2;
   pred.run_time = 50;
   pred.preceding_job = -1;
   pred.think_time = -1;
@@ -277,7 +278,7 @@ TEST(StreamReplay, EagerLoadDefersForwardReferencedDependents) {
       replay(trace, SimulationSpec{}.with_scheduler("fcfs").closed());
   ASSERT_EQ(batch.completed.size(), 2u);
   for (const auto& c : batch.completed) {
-    if (c.id == 2) {
+    if (c.id == 1) {
       EXPECT_EQ(c.submit, 57);  // pred end (50) + think (7)
     }
   }
@@ -290,17 +291,18 @@ TEST(StreamReplay, EagerLoadDefersForwardReferencedDependents) {
       SimulationSpec{}.with_scheduler("fcfs").closed().with_lookahead(1));
   ASSERT_EQ(stream.stats.jobs_completed, 2);
   for (const auto& c : stream.completed) {
-    if (c.id == 2) {
+    if (c.id == 1) {
       EXPECT_EQ(c.submit, 0);  // bounded stream: open-loop fallback
     }
   }
 }
 
 TEST(StreamReplay, OrphanedDependentsDoNotJamTheLookaheadWindow) {
-  // Closed loop + an outage that kills a predecessor without requeue:
-  // its dependents never run (batch semantics), but they must release
-  // their lookahead-gauge slots or a small window stops pulling and
-  // silently truncates the stream.
+  // Closed loop + an outage that kills a predecessor, which a retry
+  // limit of 1 drops at that first kill: its dependents never run
+  // (batch semantics), but they must release their lookahead-gauge
+  // slots or a small window stops pulling and silently truncates the
+  // stream.
   swf::Trace trace;
   trace.header.max_nodes = 2;
   auto rec = [](std::int64_t id, std::int64_t submit, std::int64_t runtime,
@@ -333,7 +335,7 @@ TEST(StreamReplay, OrphanedDependentsDoNotJamTheLookaheadWindow) {
   EngineConfig config;
   config.nodes = 2;
   config.closed_loop = true;
-  config.requeue_killed_jobs = false;
+  config.recovery.retry_limit = 1;
   Engine engine(config, sched::make_scheduler("fcfs"));
   engine.add_outages(outages);
 
