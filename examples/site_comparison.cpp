@@ -9,7 +9,8 @@
 //
 // Usage: site_comparison [trace.swf] [lambda]
 //   lambda in [0,1]: 0 = owner-centric (utilization), 1 = user-centric.
-//   A malformed or out-of-range lambda exits 2 before the trace is read.
+//   A malformed or out-of-range lambda exits 2 before the trace is read;
+//   a trace with a malformed line exits 1, naming each such line.
 #include <iostream>
 #include <string>
 
@@ -45,8 +46,12 @@ int main(int argc, char** argv) {
   swf::Trace trace;
   if (argc > 1) {
     auto result = swf::read_swf_file(argv[1]);
-    if (!result.ok() && result.trace.records.empty()) {
-      std::cerr << "cannot read " << argv[1] << "\n";
+    if (!result.ok()) {
+      for (const auto& e : result.errors) {
+        std::cerr << argv[1] << ":" << e.line << ": " << e.message << "\n";
+      }
+      std::cerr << "error: " << result.errors.size()
+                << " malformed line(s) in " << argv[1] << "\n";
       return 1;
     }
     trace = std::move(result.trace);

@@ -623,7 +623,7 @@ int cmd_simulate(const std::string& path, const std::string& rank_metric,
 }
 
 /// Run `path` under `scheduler` up to sim-time `at_time`, then freeze
-/// the engine into `out` (snapshot format v1). The decision prefix —
+/// the engine into `out` (snapshot format v2). The decision prefix —
 /// every decision made before the freeze — is written to
 /// `<out>.decisions` so `resume --golden` can reconstruct the full
 /// trace for comparison against an uninterrupted golden.

@@ -273,8 +273,8 @@ void ConservativeScheduler::save_state(sim::snapshot::Writer& w) const {
     w.i64(placed_.at(id).slot);
   }
   write_profile(w, full_profile_);
-  // The layout keeps the byte that once flagged a full profile left
-  // stale by an accepted reservation; this one never is.
+  // The layout keeps a byte that once flagged the full profile stale;
+  // restore refuses it set.
   w.boolean(false);
 }
 
@@ -293,7 +293,11 @@ void ConservativeScheduler::load_state(sim::snapshot::Reader& r) {
     placed_[id] = {slot, info->second.procs, info->second.estimate};
   }
   const CapacityProfile saved = read_profile(r);
-  const bool stale = r.boolean();
+  if (r.boolean()) {
+    throw std::runtime_error(
+        "snapshot: conservative full profile is flagged stale, which no "
+        "writer of this format sets");
+  }
   // Both profiles were compacted at the last pass, so neither holds a
   // step before it, and a claim still covering that time puts a step
   // right at it: the earlier of their first steps is where the pass
@@ -304,9 +308,7 @@ void ConservativeScheduler::load_state(sim::snapshot::Reader& r) {
   };
   full_profile_ =
       with_claims(profile_, std::min(first_step(saved), first_step(profile_)));
-  // A stale profile (written by older builds between an accepted
-  // reservation and the next pass) is replaced by the rebuild.
-  if (!stale && !(full_profile_ == saved)) {
+  if (!(full_profile_ == saved)) {
     throw std::runtime_error(
         "snapshot: conservative full profile differs from base + standing "
         "claims");

@@ -334,6 +334,7 @@ void Server::engine_loop() {
 
     std::vector<std::pair<std::promise<Response>, Response>> replies;
     replies.reserve(batch.size());
+    changed_ = false;
     for (auto& command : batch) {
       replies.emplace_back(std::move(command.reply), apply(command));
     }
@@ -343,10 +344,12 @@ void Server::engine_loop() {
       if (!drained_.load()) apply_drain();
       apply_shutdown();
     }
-    // No session reads a tier once the daemon stops.
+    // No session reads a tier once the daemon stops, and a batch that
+    // left the engine as it was (refused commands, SNAPSHOT) keeps the
+    // tier it has.
     const auto t = tier();
     if (!stopping_.load() &&
-        (!batch.empty() || ran || !t || t->time != engine_->now())) {
+        (changed_ || ran || !t || t->time != engine_->now())) {
       try {
         publish();
       } catch (const std::exception& e) {
@@ -434,6 +437,7 @@ Response Server::apply_submit(const Request& request) {
   // the engine runs one scheduler pass per timestamp, so this is what
   // keeps live decision streams byte-identical to offline replays.
   horizon_ = std::max(horizon_, at - 1);
+  changed_ = true;
   return ok_response().with("id", id).with("at", at);
 }
 
@@ -444,6 +448,7 @@ Response Server::apply_kill(std::int64_t job_id) {
     const bool unknown = why == "unknown job id";
     return error_response(unknown ? kErrNotFound : kErrBadRequest, why);
   }
+  changed_ = true;
   return ok_response().with("id", job_id).with("state", "cancelled");
 }
 
@@ -472,6 +477,7 @@ Response Server::apply_resume(const std::string& path) {
         "self-contained states only");
   }
   attach_engine(std::move(restored));
+  changed_ = true;
   horizon_ = engine_->now();
   sim_origin_ = engine_->now();
   wall_origin_ = Clock::now();
@@ -486,6 +492,7 @@ Response Server::apply_drain() {
     drained_.store(true);
     horizon_ = engine_->now();
     write_decisions();
+    changed_ = true;
   }
   const auto stats = engine_->stats();
   return ok_response()

@@ -11,7 +11,7 @@
 //                           v                 snapshot + status counters
 //                  engine thread: apply        + terminated-job index)
 //                  commands, advance sim
-//                  time, republish the tier after every mutation epoch
+//                  time, republish the tier when they changed it
 //
 // Mutating verbs (SUBMIT, KILL, SNAPSHOT, RESUME, DRAIN, SHUTDOWN)
 // become commands on a bounded MPSC queue consumed by the single
@@ -40,10 +40,12 @@
 // RESUME). Each entry carries the first epoch whose tier lacks the job,
 // so a QUERY against an older tier ignores it and every answer is exact
 // for its epoch; tiers published before a RESUME keep their own
-// engine's index. Mutation replies resolve only after the new tier is
-// published (read-your-writes). A state that no longer restores (an
-// instant past sim::kMaxInstant) keeps the last tier up, and the batch
-// that reached it answers `ERR internal`.
+// engine's index. A batch that changed the engine (an accepted SUBMIT,
+// KILL or RESUME, a DRAIN that ran, events run or the clock moved)
+// publishes a new tier before its replies resolve (read-your-writes);
+// refused commands and SNAPSHOT leave the epoch as it was. A state that
+// no longer restores (an instant past sim::kMaxInstant) keeps the last
+// tier up, and the batch that reached it answers `ERR internal`.
 //
 // Protocol lines are capped at net::kMaxLineBytes: a longer one gets
 // `ERR bad-request line too long` and the connection is closed.
@@ -218,6 +220,9 @@ class Server final : public ServerCore {
   /// Logical-time horizon: events up to this time may run (latest
   /// submit - 1, or +inf once drained). Engine thread only.
   std::int64_t horizon_ = 0;
+  /// A command of the batch being applied changed engine_ (an accepted
+  /// SUBMIT, KILL or RESUME, a DRAIN that ran). Engine thread only.
+  bool changed_ = false;
   std::chrono::steady_clock::time_point wall_origin_;
   std::int64_t sim_origin_ = 0;
 

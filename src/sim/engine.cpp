@@ -117,11 +117,18 @@ void Engine::load_trace(const swf::Trace& trace) {
   // An eager pull of the whole trace: with an unbounded lookahead the
   // fill loop drains the source before returning, so the stack-local
   // adapter's lifetime is safe and behavior matches the historical
-  // all-up-front load exactly.
+  // all-up-front load exactly. A refused record stops the drain early:
+  // the adapter dies with this frame, so the engine lets go of it and
+  // keeps the records admitted before it.
   swf::TraceSource source(trace);
   JobSourceOptions options;
   options.lookahead = std::numeric_limits<std::size_t>::max();
-  set_job_source(source, options);
+  try {
+    set_job_source(source, options);
+  } catch (...) {
+    source_ = nullptr;
+    throw;
+  }
 }
 
 void Engine::set_job_source(swf::JobSource& source,
@@ -264,6 +271,20 @@ void Engine::record_finished(std::int64_t id, std::int64_t end_time) {
 }
 
 void Engine::add_outages(const outage::OutageLog& log) {
+  // Every instant is checked before any is queued, so a refused log
+  // adds nothing.
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
+    const auto check = [i](const char* field, std::int64_t value) {
+      if (value <= kMaxInstant) return;
+      throw std::invalid_argument("outage " + std::to_string(i + 1) + ": " +
+                                  field + " " + std::to_string(value) +
+                                  " is above the time bound " +
+                                  std::to_string(kMaxInstant) + " s");
+    };
+    check("announce time", log.records[i].announce_time);
+    check("start time", log.records[i].start_time);
+    check("end time", log.records[i].end_time);
+  }
   for (const auto& rec : log.records) {
     outages_.push_back(rec);
     const std::size_t idx = outages_.size() - 1;
@@ -350,6 +371,8 @@ bool Engine::request_reservation(
   if (res.id <= 0) res.id = next_reservation_id_;
   next_reservation_id_ = std::max(next_reservation_id_, res.id + 1);
   if (res.start < now_ || res.duration <= 0 || res.procs <= 0) return false;
+  // A window ending past kMaxInstant queues an event no snapshot restores.
+  if (res.duration > kMaxInstant - res.start) return false;
   if (res.procs > machine_.total_nodes()) return false;
   if (!scheduler_->try_reserve(*this, res)) return false;
   reservations_.emplace(res.id, res);

@@ -123,7 +123,8 @@ class Engine final : public sched::SchedulerContext {
   /// FIFO run, the completed archive and the dense slot vector's
   /// capacity sized once from the record count. Throws
   /// std::invalid_argument, naming the job, on a job number that does
-  /// not ascend past every id the engine has seen, as streams do.
+  /// not ascend past every id the engine has seen, as streams do; the
+  /// records before the refused one stay admitted and run.
   void load_trace(const swf::Trace& trace);
 
   /// Attach a pull-based job source. The engine pulls records lazily as
@@ -140,7 +141,10 @@ class Engine final : public sched::SchedulerContext {
   /// Source records whose submit time lay in the past when pulled.
   std::uint64_t source_clamped() const { return source_clamped_; }
 
-  /// Register an outage stream (call before run()).
+  /// Register an outage stream (call before run()). Throws
+  /// std::invalid_argument, naming the outage (1-based, in log order)
+  /// and the field, when an announce, start or end time is above
+  /// kMaxInstant; a refused log adds nothing.
   void add_outages(const outage::OutageLog& log);
 
   /// Submit a single external job (used by the meta layer and the
@@ -178,7 +182,9 @@ class Engine final : public sched::SchedulerContext {
   bool cancel_job(std::int64_t id, std::string* why = nullptr);
 
   /// Request an advance reservation (forwards to the scheduler).
-  /// Returns true if the scheduler accepted and the engine committed it.
+  /// Returns true if the scheduler accepted and the engine committed it;
+  /// a window ending past kMaxInstant, which no snapshot restores, is
+  /// refused.
   bool request_reservation(const sched::AdvanceReservation& reservation);
 
   // -- incremental execution --

@@ -248,7 +248,9 @@ TEST(ServeServer, KillAndQueryLifecycle) {
   ASSERT_TRUE(state.ok);
   EXPECT_EQ(state.field("state"), "finished");
 
-  // Unknown ids are a stable error, not a crash.
+  // Unknown ids are a stable error, not a crash, and like every refused
+  // command they leave the engine, so the epoch, as it was.
+  const auto epoch = client.status().field_i64("epoch");
   const auto missing = client.kill(424242);
   EXPECT_FALSE(missing.ok);
   EXPECT_EQ(missing.code, kErrNotFound);
@@ -265,6 +267,7 @@ TEST(ServeServer, KillAndQueryLifecycle) {
     EXPECT_EQ(again.message,
               "job id " + std::to_string(id) + " already exists");
   }
+  EXPECT_EQ(client.status().field_i64("epoch"), epoch);
 
   ASSERT_TRUE(client.shutdown().ok);
   server.wait();
@@ -288,6 +291,8 @@ TEST(ServeServer, SnapshotAndResumeVerbs) {
     const auto snap = client.snapshot(snap_path);
     ASSERT_TRUE(snap.ok) << snap.message;
     EXPECT_GT(*snap.field_i64("bytes"), 0);
+    // Writing a snapshot changes nothing a reader sees.
+    EXPECT_EQ(client.status().field_i64("epoch"), status.field_i64("epoch"));
     ASSERT_TRUE(client.shutdown().ok);
     server.wait();
   }
@@ -476,6 +481,7 @@ TEST(ServeServer, TimesAboveTheBoundAreRefusedAndTheClockStays) {
   EXPECT_EQ(last_id.message,
             "job 9223372036854775807: job number is above the bound "
             "9223372036854775806");
+  EXPECT_EQ(client.status().field_i64("epoch"), after.field_i64("epoch"));
   EXPECT_TRUE(client.request_line("SUBMIT 4 100 at=5").ok);
   ASSERT_TRUE(client.shutdown().ok);
   server.wait();

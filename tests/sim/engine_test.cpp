@@ -407,6 +407,79 @@ TEST(Engine, RejectsPastSubmission) {
   }
 }
 
+TEST(Engine, RefusedTraceLoadRunsTheAdmittedPrefix) {
+  // The third record repeats job 2: load_trace refuses it after
+  // admitting jobs 1 and 2 from an adapter local to load_trace, so the
+  // engine must not pull from that adapter again when it runs dry.
+  auto trace = tiny_trace();
+  trace.records[2].job_number = 2;
+  Engine e(EngineConfig{.nodes = 4}, sched::make_scheduler("fcfs"));
+  EXPECT_THROW(e.load_trace(trace), std::invalid_argument);
+  e.run();
+  ASSERT_EQ(e.completed().size(), 2u);
+  EXPECT_EQ(e.completed()[0].id, 1);
+  EXPECT_EQ(e.completed()[1].id, 2);
+  EXPECT_EQ(e.completed()[1].end, 150);
+}
+
+TEST(Engine, OutagesPastTheInstantBoundAreRefusedWhole) {
+  // Every outage instant is held to kMaxInstant, as snapshot restore
+  // holds it; one bad record refuses the log, and nothing of it
+  // (the good first record included) is queued.
+  Engine e(EngineConfig{.nodes = 4}, sched::make_scheduler("fcfs"));
+  const std::string before = e.snapshot();
+  outage::OutageRecord good;
+  good.start_time = 10;
+  good.end_time = 20;
+  good.nodes_affected = 1;
+  good.components = {0};
+  const auto refusal = [&](outage::OutageRecord bad) -> std::string {
+    outage::OutageLog log;
+    log.records = {good, bad};
+    try {
+      e.add_outages(log);
+    } catch (const std::invalid_argument& err) {
+      return err.what();
+    }
+    ADD_FAILURE() << "an outage past the bound was queued";
+    return "";
+  };
+  auto bad = good;
+  bad.end_time = kMaxInstant + 1;
+  EXPECT_EQ(refusal(bad),
+            "outage 2: end time 1152921504606846977 is above the time "
+            "bound 1152921504606846976 s");
+  bad = good;
+  bad.start_time = std::numeric_limits<std::int64_t>::max();
+  EXPECT_NE(refusal(bad).find("outage 2: start time"), std::string::npos);
+  bad = good;
+  bad.announce_time = kMaxInstant + 1;
+  EXPECT_NE(refusal(bad).find("outage 2: announce time"), std::string::npos);
+  EXPECT_EQ(e.snapshot(), before);
+
+  // At the bound, the window is queued and the state still restores.
+  good.end_time = kMaxInstant;
+  outage::OutageLog log;
+  log.records = {good};
+  e.add_outages(log);
+  EXPECT_NE(e.snapshot(), before);
+  EXPECT_NO_THROW(Engine::restore(e.snapshot()));
+}
+
+TEST(Engine, ReservationsEndingPastTheInstantBoundAreRefused) {
+  Engine e(EngineConfig{.nodes = 4}, sched::make_scheduler("conservative"));
+  sched::AdvanceReservation res;
+  res.start = kMaxInstant - 100;
+  res.duration = 101;
+  res.procs = 1;
+  EXPECT_FALSE(e.request_reservation(res));
+  res.duration = std::numeric_limits<std::int64_t>::max();
+  EXPECT_FALSE(e.request_reservation(res));
+  res.duration = 100;
+  EXPECT_TRUE(e.request_reservation(res));
+  EXPECT_NO_THROW(Engine::restore(e.snapshot()));
+}
+
 TEST(Engine, ObserverMaySubmitJobsDuringCompletion) {
   // The completion observer is allowed to submit follow-up work; the
   // submission may grow the engine's job storage mid-completion, which
