@@ -289,17 +289,20 @@ class Flags {
     return parse_int(flag->value, flag->typed, lo, hi);
   }
 
-  /// `base` plus every flag not yet consumed, as SimulationSpec keys;
-  /// SimulationSpec::parse is their only validator.
+  /// `base` plus every flag not yet consumed, as SimulationSpec keys:
+  /// a flag that names no key is an unknown flag, and
+  /// SimulationSpec::parse validates the values.
   sim::SimulationSpec spec(const sim::SimulationSpec& base) {
     std::string text = base.to_string();
-    try {
-      for (Flag& flag : flags_) {
-        if (flag.taken) continue;
-        if (is_switch(flag.key)) throw UsageError("unknown flag " + flag.typed);
-        flag.taken = true;
-        text += " " + flag.key + "=" + util::quote_spec_value(flag.value);
+    for (Flag& flag : flags_) {
+      if (flag.taken) continue;
+      if (!sim::SimulationSpec::is_key(flag.key)) {
+        throw UsageError("unknown flag " + flag.typed);
       }
+      flag.taken = true;
+      text += " " + flag.key + "=" + util::quote_spec_value(flag.value);
+    }
+    try {
       return sim::SimulationSpec::parse(text);
     } catch (const std::invalid_argument& e) {
       throw UsageError(e.what());
@@ -849,20 +852,16 @@ int fail(const serve::Response& response, const char* what) {
 
 /// SWF traces list records in nondecreasing submit order; submitting in
 /// file order is what makes the live stream reproduce the offline event
-/// ordering exactly.
+/// ordering exactly. The trace is read before connecting, and refused as
+/// load_or_die refuses it.
 int client_replay(const Endpoint& endpoint, const std::string& path,
                   std::int64_t whatif_every, std::int64_t query_every,
                   bool drain) {
-  auto result = swf::read_swf_file(path);
-  if (!result.errors.empty()) {
-    std::cerr << "replay: " << result.errors.size()
-              << " malformed line(s) in " << path << "\n";
-    return 1;
-  }
+  const auto trace = load_or_die(path);
   auto client = connect(endpoint);
   std::int64_t submitted = 0;
   std::int64_t last_id = 0;
-  for (const auto& record : result.trace.records) {
+  for (const auto& record : trace.records) {
     // Mirror SimJob::from_record so the daemon admits exactly the job
     // an offline replay would.
     const auto job = sim::SimJob::from_record(record);

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -99,17 +100,21 @@ Engine::~Engine() = default;
 
 void Engine::load_trace(const swf::Trace& trace) {
   // Admission is sized once from the record count: the FIFO run of
-  // submits, the completed archive, and the dense slot vector's
-  // capacity. Job numbers 1..n take slots 0..n, so that capacity is
-  // reserved (only capacity: obtain_slot alone decides which ids go
-  // dense) and prefaulted: when the allocator hands back fresh pages,
-  // one page-fault trap per 4 KB made set-up a third slower. (A trace
+  // submits, the completed archive, and the slots. Job numbers 1..n
+  // take dense slots 0..n, so that capacity is reserved (only
+  // capacity: obtain_slot alone decides which ids go dense) and
+  // prefaulted: when the allocator hands back fresh pages, one
+  // page-fault trap per 4 KB made set-up a third slower. (A trace
   // whose job numbers run far past its record count keeps those jobs
-  // in the overflow map and leaves the reserve unused.)
+  // in the overflow map and leaves the reserve unused.) A recycled
+  // engine holds every record until the clock starts: pool room for
+  // all of them.
   const std::size_t records = trace.records.size();
   events_.reserve_arrivals(records);
   if (config_.retain_completed) completed_.reserve(completed_.size() + records);
-  if (!config_.recycle_slots) {
+  if (config_.recycle_slots) {
+    reserve_pool(records);
+  } else {
     jobs_dense_.reserve(records + 1);
     util::prefault(jobs_dense_.data(),
                    jobs_dense_.capacity() * sizeof(JobSlot));
@@ -124,7 +129,7 @@ void Engine::load_trace(const swf::Trace& trace) {
   JobSourceOptions options;
   options.lookahead = std::numeric_limits<std::size_t>::max();
   try {
-    set_job_source(source, options);
+    attach_source(source, options);
   } catch (...) {
     source_ = nullptr;
     throw;
@@ -133,6 +138,18 @@ void Engine::load_trace(const swf::Trace& trace) {
 
 void Engine::set_job_source(swf::JobSource& source,
                             const JobSourceOptions& options) {
+  // A recycled engine holds its lookahead window plus its queued and
+  // running jobs. Room for twice the window keeps a queue as deep as
+  // the window from moving every slot; capacity never written to costs
+  // address space, not memory.
+  if (config_.recycle_slots) {
+    reserve_pool(2 * std::min(options.lookahead, kWindowReserveLimit));
+  }
+  attach_source(source, options);
+}
+
+void Engine::attach_source(swf::JobSource& source,
+                           const JobSourceOptions& options) {
   source_ = &source;
   source_opts_ = options;
   if (source_opts_.lookahead == 0) source_opts_.lookahead = 1;
@@ -241,7 +258,33 @@ void Engine::admit_record(const swf::JobRecord& r) {
   push_arrival(j.submit, id);
 }
 
-void Engine::release_slot(std::int64_t id) { jobs_overflow_.erase(id); }
+void Engine::release_slot(std::int64_t id) {
+  std::uint32_t& cell = ring_[std::uint64_t(id) & ring_mask_];
+  if (cell != kNoSlot && pool_[cell].job.id == id) {
+    pool_[cell] = JobSlot();  // id 0 marks it free; frees its node runs
+    free_slots_.push_back(cell);
+    cell = kNoSlot;
+    return;
+  }
+  jobs_overflow_.erase(id);
+}
+
+void Engine::reserve_pool(std::size_t jobs) {
+  pool_.reserve(jobs);
+  if (2 * std::uint64_t(jobs) > ring_.size()) grow_ring(jobs);
+}
+
+void Engine::grow_ring(std::uint64_t jobs) {
+  std::vector<std::uint32_t> ring(std::bit_ceil(2 * jobs), kNoSlot);
+  const std::uint64_t mask = ring.size() - 1;
+  // Ids in distinct cells stay distinct: each old cell splits into
+  // cells of the larger power of two.
+  for (const std::uint32_t p : ring_) {
+    if (p != kNoSlot) ring[std::uint64_t(pool_[p].job.id) & mask] = p;
+  }
+  ring_ = std::move(ring);
+  ring_mask_ = mask;
+}
 
 void Engine::mark_live(std::int64_t id) {
   if (in_dense(id)) {
@@ -442,8 +485,14 @@ void Engine::run() {
 
 Engine::JobSlot* Engine::find_slot(std::int64_t id) {
   if (in_dense(id)) return &jobs_dense_[std::size_t(id)];
+  if (const std::uint32_t p = ring_[std::uint64_t(id) & ring_mask_];
+      p != kNoSlot && pool_[p].job.id == id) {
+    return &pool_[p];
+  }
   // Otherwise the map: an id below the vector's size may still have
-  // gone there, placed while the engine held fewer jobs.
+  // gone there, placed while the engine held fewer jobs, and so may an
+  // id whose ring cell held another job.
+  if (jobs_overflow_.empty()) return nullptr;
   const auto it = jobs_overflow_.find(id);
   return it == jobs_overflow_.end() ? nullptr : &it->second;
 }
@@ -459,9 +508,33 @@ Engine::JobSlot& Engine::slot_at(std::int64_t id) {
 }
 
 Engine::JobSlot& Engine::obtain_slot(std::int64_t id) {
-  // Recycle mode keeps every job in the hash map: the dense vector is
-  // sized by the largest id ever seen, which for a streamed million-job
-  // trace is exactly the O(trace) growth recycling exists to avoid.
+  const std::uint64_t held = dense_held_ +
+                             (pool_.size() - free_slots_.size()) +
+                             jobs_overflow_.size();
+  if (config_.recycle_slots) {
+    // Recycle mode never goes dense: the dense vector is sized by the
+    // largest id ever seen, which for a streamed million-job trace is
+    // exactly the O(trace) growth recycling exists to avoid. A job
+    // takes a pool slot (a freed one first) through its ring cell, so
+    // admission neither hashes nor allocates once the pool has grown
+    // to the jobs held. Only an id whose cell holds another job, such
+    // as a long job's while a ring's width of later ids passes, goes
+    // to the map.
+    if (2 * (held + 1) > ring_.size()) grow_ring(held + 1);
+    std::uint32_t& cell = ring_[std::uint64_t(id) & ring_mask_];
+    if (cell == kNoSlot) {
+      if (!free_slots_.empty()) {
+        cell = free_slots_.back();
+        free_slots_.pop_back();
+        return pool_[cell];
+      }
+      if (pool_.size() < kNoSlot) {
+        cell = std::uint32_t(pool_.size());
+        return pool_.emplace_back();
+      }
+    }
+    return jobs_overflow_[id];
+  }
   // Otherwise an id goes dense while it stays below twice the jobs held
   // plus kDenseGapLimit, and the vector grows to just past it (its own
   // capacity growth amortizes that), so it never holds more than
@@ -469,9 +542,7 @@ Engine::JobSlot& Engine::obtain_slot(std::int64_t id) {
   // layer's 1'000'000-based ids over a small background trace, a
   // daemon client's chosen id) goes to the hash map instead of forcing
   // a proportional allocation.
-  const std::uint64_t held = dense_held_ + jobs_overflow_.size();
-  if (!config_.recycle_slots &&
-      std::uint64_t(id) < 2 * held + kDenseGapLimit) {
+  if (std::uint64_t(id) < 2 * held + kDenseGapLimit) {
     const auto idx = std::size_t(id);
     if (idx >= jobs_dense_.size()) {
       jobs_dense_.resize(idx + 1);
@@ -692,8 +763,10 @@ void Engine::finish_job(SimJob& j) {
   scheduler_->on_job_end(*this, finished_id);
   scheduler_dirty_ = true;
 
-  // Closed loop: release dependents.
-  const auto dit = dependents_.find(finished_id);
+  // Closed loop: release dependents. An open-loop run registers none,
+  // and skips the hash probe.
+  const auto dit = dependents_.empty() ? dependents_.end()
+                                       : dependents_.find(finished_id);
   if (dit != dependents_.end()) {
     for (const auto& [dep_id, think] : dit->second) {
       auto& dep = slot_at(dep_id).job;
@@ -807,10 +880,10 @@ void Engine::drop_job(JobSlot& slot, DropReason reason,
   // the lookahead gauge forever (the pull window would jam shut and
   // silently truncate the replay), so drop them — and their own
   // dependents, transitively — outright. Dropped orphans are marked
-  // terminated (or erased, in recycle mode) so a record pulled later
-  // that names one as predecessor resolves instead of deferring
-  // forever; they are not recorded in the closed-loop history:
-  // dropped, not released.
+  // terminated (or their slots freed, in recycle mode) so a record
+  // pulled later that names one as predecessor resolves instead of
+  // deferring forever; they are not recorded in the closed-loop
+  // history: dropped, not released.
   std::vector<std::int64_t> doomed = {id};
   if (config_.recycle_slots && !defer_release) release_slot(id);
   while (!doomed.empty()) {

@@ -59,10 +59,11 @@ struct EngineConfig {
   /// for constant-memory streaming runs and consume the completion
   /// observer instead; stats() stays exact either way.
   bool retain_completed = true;
-  /// Erase a job's engine slot once it terminates (constant-memory
-  /// streaming runs). All jobs then live in the hash map rather than
-  /// the dense id-indexed vector, so live memory is O(running+queued)
-  /// instead of O(max job id).
+  /// Free a job's engine slot once it terminates (constant-memory
+  /// streaming runs). Jobs then live in a pool of reused slots, found
+  /// by id through a direct-mapped index, rather than in the dense
+  /// id-indexed vector, so live memory is O(running + queued +
+  /// lookahead) instead of O(max job id).
   bool recycle_slots = false;
 };
 
@@ -119,9 +120,10 @@ class Engine final : public sched::SchedulerContext {
   /// Load the summary records of a trace as the job population. In
   /// closed-loop mode, dependency edges (fields 17/18) defer dependent
   /// submissions until their predecessor terminates. Implemented as an
-  /// eager drain of a TraceSource through set_job_source, with the
-  /// FIFO run, the completed archive and the dense slot vector's
-  /// capacity sized once from the record count. Throws
+  /// eager drain of a TraceSource through set_job_source's machinery,
+  /// with the FIFO run, the completed archive and the slots' capacity
+  /// (the dense vector's, or a recycled engine's pool) sized once from
+  /// the record count. Throws
   /// std::invalid_argument, naming the job, on a job number that does
   /// not ascend past every id the engine has seen, as streams do; the
   /// records before the refused one stay admitted and run.
@@ -164,6 +166,9 @@ class Engine final : public sched::SchedulerContext {
   template <typename Visit>
   void for_each_job(Visit&& visit) const {
     for (const JobSlot& slot : jobs_dense_) {
+      if (slot.job.id != 0) visit(slot.job);
+    }
+    for (const JobSlot& slot : pool_) {
       if (slot.job.id != 0) visit(slot.job);
     }
     for (const auto& entry : jobs_overflow_) visit(entry.second.job);
@@ -300,14 +305,20 @@ class Engine final : public sched::SchedulerContext {
     bool overrun_end = false;
   };
 
-  /// Job ids index straight into the dense vector while they stay
-  /// near-contiguous; obtain_slot alone decides where a new id goes
-  /// (below 2 x (jobs held) + kDenseGapLimit: dense; otherwise the hash
-  /// map), so a stray id cannot force a proportional allocation.
-  /// find_slot checks the dense vector first and falls through to the
-  /// map, so placement never changes lookup results, and snapshots do
-  /// not record it.
+  /// obtain_slot alone decides where a new id goes. Without recycling,
+  /// ids index straight into the dense vector while they stay
+  /// near-contiguous (below 2 x (jobs held) + kDenseGapLimit), so a
+  /// stray id cannot force a proportional allocation; under
+  /// recycle_slots a job takes a pool slot through its ring cell. An id
+  /// placed neither way goes to the hash map. find_slot checks the
+  /// dense vector, then the ring, then the map, so placement never
+  /// changes lookup results, and snapshots do not record it.
   static constexpr std::uint64_t kDenseGapLimit = 4096;
+  /// An empty ring cell.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
+  /// The largest lookahead window set_job_source sizes the pool by (a
+  /// huge lookahead over a short source holds little).
+  static constexpr std::size_t kWindowReserveLimit = std::size_t(1) << 16;
 
   /// Slot lookup (nullptr if absent).
   JobSlot* find_slot(std::int64_t id);
@@ -316,23 +327,34 @@ class Engine final : public sched::SchedulerContext {
   JobSlot& slot_at(std::int64_t id);
   /// The empty slot for `id`, which the engine must not hold yet (the
   /// caller fills it in; job.id == 0 marks an empty slot): the one
-  /// placement rule, for admission, submit_job and restore alike.
+  /// placement rule, for admission, submit_job and restore alike. A
+  /// new slot may move the pool's other slots, as growing the dense
+  /// vector moves its own.
   JobSlot& obtain_slot(std::int64_t id);
+  /// Recycle mode: room for `jobs` slots without moving any (the
+  /// pool's capacity) and a ring at least twice that size.
+  void reserve_pool(std::size_t jobs);
+  /// Re-index the pool into a ring of at least 2 x `jobs` cells.
+  void grow_ring(std::uint64_t jobs);
 
+  /// Attach `source` and fill the lookahead window (set_job_source
+  /// without its pool reservation, which load_trace makes for the
+  /// whole trace instead).
+  void attach_source(swf::JobSource& source, const JobSourceOptions& options);
   /// Pull from the attached source until the lookahead window is full
   /// (or the source / max_jobs budget is exhausted).
   void fill_from_source();
   /// Admit one source record: create its slot and either push its
   /// submit event or register it as a closed-loop dependent.
   void admit_record(const swf::JobRecord& record);
-  /// Drop a terminated job's slot (recycle_slots mode, which keeps
-  /// every job in the hash map).
+  /// Recycle mode: free a terminated job's slot, its pool slot back on
+  /// the free list or its map entry erased.
   void release_slot(std::int64_t id);
   /// Live-set upkeep: the slot of `id` now holds a non-terminated job,
   /// or no longer does. A dense slot flips its bit in live_bits_; an
   /// overflow id enters or leaves live_overflow_. Under recycle_slots
-  /// the overflow map is its own live set (release_slot erases every
-  /// terminated job's entry), so no overflow id is kept.
+  /// the pool and the map are their own live set (release_slot frees
+  /// every terminated job's slot), so nothing is kept.
   void mark_live(std::int64_t id);
   void mark_terminated(std::int64_t id);
   /// True when `id`'s slot is an occupied dense one.
@@ -401,8 +423,22 @@ class Engine final : public sched::SchedulerContext {
   /// again and churned page faults.
   std::vector<JobSlot> jobs_dense_;
   std::unordered_map<std::int64_t, JobSlot> jobs_overflow_;
-  /// Occupied dense slots; with the map's size, the jobs held.
+  /// Occupied dense slots; with the pool's occupied slots and the
+  /// map's size, the jobs held.
   std::uint64_t dense_held_ = 0;
+  /// Recycle mode's slots (empty otherwise): a pool whose freed slots
+  /// (job.id == 0) are reused through free_slots_, found through
+  /// ring_, a direct-mapped id index: ring_[id & ring_mask_] is the
+  /// pool index of the held job whose id maps there, or kNoSlot. The
+  /// ring is a power of two of at least twice the jobs held. Job
+  /// numbers ascend, so a recycled engine's live ids form one window,
+  /// which maps to distinct cells while it is narrower than the ring;
+  /// an id whose cell holds another job goes to the map. A plain
+  /// engine keeps one empty cell, so find_slot needs no mode test.
+  std::vector<JobSlot> pool_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> ring_ = std::vector<std::uint32_t>(1, kNoSlot);
+  std::uint64_t ring_mask_ = 0;
   /// The live set. Bit i & 63 of word i >> 6 is set iff dense slot i
   /// holds a non-terminated (pending, queued or running) job; one word
   /// per 64 dense slots.

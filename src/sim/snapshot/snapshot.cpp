@@ -193,10 +193,11 @@ void Engine::write_slot(Writer& w, const JobSlot& slot) {
 }
 
 void Engine::write_jobs(Writer& w, bool live) const {
-  // The overflow map's slots, sorted by id (hash order is not
-  // deterministic): all of them, or the live ones, which are the live
-  // ids kept beside the map, or, under recycle_slots, the map itself
-  // (it holds no terminated job between steps).
+  // The slots outside the dense vector, sorted by id (pool and hash
+  // order are not): the overflow map's and the pool's, all of them or
+  // the live ones. Without recycling those are the live ids kept beside
+  // the map; under recycle_slots the pool and the map hold no
+  // terminated job between steps.
   std::vector<std::pair<std::int64_t, const JobSlot*>> outliers;
   if (live && !config_.recycle_slots) {
     outliers.reserve(live_overflow_.size());
@@ -204,11 +205,15 @@ void Engine::write_jobs(Writer& w, bool live) const {
       outliers.emplace_back(id, &jobs_overflow_.at(id));
     }
   } else {
-    outliers.reserve(jobs_overflow_.size());
-    for (const auto& [id, slot] : jobs_overflow_) {
+    outliers.reserve(jobs_overflow_.size() + pool_.size());
+    const auto add = [&](const JobSlot& slot) {
       if (!live || slot.job.state != JobState::kFinished) {
-        outliers.emplace_back(id, &slot);
+        outliers.emplace_back(slot.job.id, &slot);
       }
+    };
+    for (const auto& entry : jobs_overflow_) add(entry.second);
+    for (const JobSlot& slot : pool_) {
+      if (slot.job.id != 0) add(slot);
     }
     std::sort(outliers.begin(), outliers.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -432,9 +437,10 @@ void Engine::load_snapshot(snapshot::Reader& r) {
   {
     // Each job goes where obtain_slot places it, as at admission: the
     // file does not record placement, and ascending ids make each one
-    // new. Under recycle_slots every job lands in the map.
+    // new. Under recycle_slots the pool is sized for the file's jobs,
+    // never for its lookahead: a what-if clone holds only those.
     const std::size_t n = r.count("job", kSlotBytes);
-    if (config_.recycle_slots) jobs_overflow_.reserve(n);
+    if (config_.recycle_slots) reserve_pool(n);
     std::int64_t last = 0;
     for (std::size_t i = 0; i < n; ++i) {
       JobSlot slot;

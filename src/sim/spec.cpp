@@ -1,7 +1,9 @@
 #include "sim/spec.hpp"
 
 #include <initializer_list>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "sched/registry.hpp"
@@ -12,15 +14,45 @@ namespace pjsb::sim {
 
 namespace {
 
-constexpr const char* kValidKeys =
-    "scheduler=<registry spec string>, nodes=<int|auto>, closed_loop=<bool>, "
-    "announce=<bool>, lookahead=<int>, max_jobs=<int>, threads=<int>, "
-    "retain_completed=<bool>, recycle_slots=<bool>, trace=<path>, "
-    "timeseries=<path>, sample_every=<int>, profile=<path>, "
-    "faults=<seed>, mtbf=<seconds>, repair=<seconds>, "
-    "checkpoint=<seconds>, dump=<seconds>, read=<seconds>, "
-    "retry_limit=<int>, backoff=<seconds>, overrun=<extend|kill|grace>, "
-    "grace=<seconds>";
+/// Every key parse() takes, with the form of its value, in the order
+/// the unknown-key error lists them.
+struct KeyForm {
+  std::string_view key;
+  std::string_view value;
+};
+constexpr KeyForm kKeys[] = {
+    {"scheduler", "<registry spec string>"},
+    {"nodes", "<int|auto>"},
+    {"closed_loop", "<bool>"},
+    {"announce", "<bool>"},
+    {"lookahead", "<int>"},
+    {"max_jobs", "<int>"},
+    {"threads", "<int>"},
+    {"retain_completed", "<bool>"},
+    {"recycle_slots", "<bool>"},
+    {"trace", "<path>"},
+    {"timeseries", "<path>"},
+    {"sample_every", "<int>"},
+    {"profile", "<path>"},
+    {"faults", "<seed>"},
+    {"mtbf", "<seconds>"},
+    {"repair", "<seconds>"},
+    {"checkpoint", "<seconds>"},
+    {"dump", "<seconds>"},
+    {"read", "<seconds>"},
+    {"retry_limit", "<int>"},
+    {"backoff", "<seconds>"},
+    {"overrun", "<extend|kill|grace>"},
+    {"grace", "<seconds>"},
+};
+constexpr std::size_t kKeyCount = std::size(kKeys);
+
+/// `key`'s index in kKeys, or kKeyCount.
+std::size_t key_index(std::string_view key) {
+  std::size_t i = 0;
+  while (i < kKeyCount && kKeys[i].key != key) ++i;
+  return i;
+}
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::invalid_argument("simulation spec: " + message);
@@ -226,22 +258,31 @@ std::string SimulationSpec::to_string() const {
   return s;
 }
 
+bool SimulationSpec::is_key(std::string_view key) {
+  return key_index(key) != kKeyCount;
+}
+
 SimulationSpec SimulationSpec::parse(const std::string& text) {
   SimulationSpec spec;
   const auto tokens = util::parse_spec(text, /*allow_head=*/false);
-  bool seen[23] = {};
-  auto once = [&](int idx, const std::string& key) {
-    if (seen[idx]) fail(key + " set twice");
-    seen[idx] = true;
-  };
+  bool seen[kKeyCount] = {};
   for (const auto& option : tokens.options) {
     const std::string& key = option.key;
     const std::string& value = option.value;
+    const std::size_t idx = key_index(key);
+    if (idx == kKeyCount) {
+      std::string valid;
+      for (const KeyForm& form : kKeys) {
+        if (!valid.empty()) valid += ", ";
+        valid += std::string(form.key) + "=" + std::string(form.value);
+      }
+      fail("unknown key '" + key + "'; valid keys: " + valid);
+    }
+    if (seen[idx]) fail(key + " set twice");
+    seen[idx] = true;
     if (key == "scheduler") {
-      once(0, key);
       spec.scheduler = value;
     } else if (key == "nodes") {
-      once(1, key);
       if (util::to_lower(value) == "auto") {
         spec.nodes.reset();
       } else {
@@ -250,104 +291,81 @@ SimulationSpec SimulationSpec::parse(const std::string& text) {
         spec.nodes = *n;
       }
     } else if (key == "closed_loop") {
-      once(2, key);
       spec.closed_loop = parse_bool_or_fail(key, value);
     } else if (key == "announce") {
-      once(3, key);
       spec.deliver_announcements = parse_bool_or_fail(key, value);
     } else if (key == "lookahead") {
-      once(4, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 1) fail("lookahead must be a positive integer");
       spec.lookahead = std::size_t(*n);
     } else if (key == "max_jobs") {
-      once(5, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("max_jobs must be a non-negative integer");
       spec.max_jobs = std::uint64_t(*n);
     } else if (key == "threads") {
-      once(22, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 1) fail("threads must be a positive integer");
       spec.threads = int(*n);
     } else if (key == "retain_completed") {
-      once(6, key);
       spec.retain_completed = parse_bool_or_fail(key, value);
     } else if (key == "recycle_slots") {
-      once(7, key);
       spec.recycle_slots = parse_bool_or_fail(key, value);
     } else if (key == "trace") {
-      once(8, key);
       spec.trace = value;
     } else if (key == "timeseries") {
-      once(9, key);
       spec.timeseries = value;
     } else if (key == "sample_every") {
-      once(10, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("sample_every must be a non-negative integer");
       spec.sample_every = *n;
     } else if (key == "profile") {
-      once(11, key);
       spec.profile = value;
     } else if (key == "faults") {
-      once(12, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) {
         fail("faults must be a non-negative seed (0 disables)");
       }
       spec.faults = std::uint64_t(*n);
     } else if (key == "mtbf") {
-      once(13, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 1) fail("mtbf must be a positive number of seconds");
       spec.mtbf = *n;
     } else if (key == "repair") {
-      once(14, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 1) fail("repair must be a positive number of seconds");
       spec.repair = *n;
     } else if (key == "checkpoint") {
-      once(15, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) {
         fail("checkpoint must be a non-negative interval in seconds");
       }
       spec.checkpoint = *n;
     } else if (key == "dump") {
-      once(16, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("dump must be a non-negative number of seconds");
       spec.dump = *n;
     } else if (key == "read") {
-      once(17, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("read must be a non-negative number of seconds");
       spec.read = *n;
     } else if (key == "retry_limit") {
-      once(18, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("retry_limit must be a non-negative integer");
       spec.retry_limit = int(*n);
     } else if (key == "backoff") {
-      once(19, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) {
         fail("backoff must be a non-negative number of seconds");
       }
       spec.backoff = *n;
     } else if (key == "overrun") {
-      once(20, key);
       const auto policy = fault::overrun_policy_from_name(value);
       if (!policy) fail("overrun must be extend, kill or grace");
       spec.overrun = *policy;
     } else if (key == "grace") {
-      once(21, key);
       const auto n = util::parse_i64(value);
       if (!n || *n < 0) fail("grace must be a non-negative number of seconds");
       spec.grace = *n;
-    } else {
-      fail("unknown key '" + key + "'; valid keys: " + kValidKeys);
     }
   }
   spec.validate();

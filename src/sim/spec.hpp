@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/fault/fault.hpp"
 #include "sim/machine.hpp"
@@ -125,6 +126,9 @@ struct SimulationSpec {
   /// repeated keys and malformed values throw std::invalid_argument
   /// naming the valid keys. The result is validated.
   static SimulationSpec parse(const std::string& text);
+
+  /// True when parse() takes `key`.
+  static bool is_key(std::string_view key);
 };
 
 }  // namespace pjsb::sim

@@ -463,6 +463,83 @@ TEST(Snapshot, LiveSetDropsDoomedDependentsAndRefusesARepeatedJobNumber) {
   }
 }
 
+/// stream_replay_test's long-job trace: on 2 nodes job 1 runs 10^6 s
+/// while one-node 10 s jobs 2..2049 arrive 10 s apart.
+swf::Trace long_job_trace() {
+  swf::Trace trace;
+  trace.header.max_nodes = 2;
+  for (std::int64_t id = 1; id <= 2049; ++id) {
+    swf::JobRecord r;
+    r.job_number = id;
+    r.submit_time = id == 1 ? 0 : 10 * (id - 2);
+    r.run_time = r.requested_time = id == 1 ? 1'000'000 : 10;
+    r.allocated_procs = r.requested_procs = 1;
+    r.status = swf::Status::kCompleted;
+    trace.records.push_back(r);
+  }
+  return trace;
+}
+
+TEST(Snapshot, JobsInTheRingAndItsFallbackMapRoundTrip) {
+  // A recycled engine keeps a job whose ring cell holds another job in
+  // its fallback map. Id 2049 maps to job 1's cell in every ring of at
+  // most 2048 cells, so a clone restored while job 1 runs and fewer
+  // than 1024 jobs are held (its ring is at least twice that) keeps it
+  // there; a stream at lookahead 4 keeps there every sixteenth id it
+  // admits while job 1 runs (ids 1 mod 16), and holds one at each cut
+  // here. At eight cuts, the full snapshot of a plain, a recycled and
+  // a streamed recycled donor restores to the same bytes; the live
+  // snapshot of the first two does too and decides the rest of the
+  // run as the full one does; and the streamed clone, given its source
+  // back while it still needs it, finishes the donor's run.
+  const auto trace = long_job_trace();
+  const auto spec = SimulationSpec{}.with_scheduler("fcfs");
+  const std::string expected = uninterrupted_csv(trace, spec);
+  for (const bool recycle : {false, true}) {
+    auto donor_spec = spec;
+    if (recycle) donor_spec.streaming_memory();
+    auto donor = make_engine(trace, donor_spec);
+    donor->load_trace(trace);
+    for (std::int64_t cut = 1; cut <= 8; ++cut) {
+      const std::string where = std::string(recycle ? "recycled" : "plain") +
+                                " cut " + std::to_string(cut);
+      donor->run_until(2560 * cut - 20);
+      const std::string full = donor->snapshot();
+      EXPECT_EQ(Engine::restore(full)->snapshot(), full) << where;
+      expect_live_set(*donor, where);
+      EXPECT_EQ(remaining_run(donor->live_snapshot()), remaining_run(full))
+          << where;
+    }
+  }
+
+  auto streamed_spec = spec;
+  streamed_spec.streaming_memory();
+  auto donor = make_engine(trace, streamed_spec);
+  validate::DecisionRecorder prefix;
+  donor->add_observer(prefix);
+  swf::TraceSource source(trace);
+  JobSourceOptions options;
+  options.lookahead = 4;
+  donor->set_job_source(source, options);
+  for (std::int64_t cut = 1; cut <= 8; ++cut) {
+    const std::string where = "streamed cut " + std::to_string(cut);
+    donor->run_until(2560 * cut - 20);
+    const std::string full = donor->snapshot();
+    auto clone = Engine::restore(full);
+    EXPECT_EQ(clone->snapshot(), full) << where;
+    // By the last cut the donor has pulled every record.
+    swf::TraceSource clone_source(trace);
+    if (clone->needs_job_source()) clone->resume_job_source(clone_source);
+    validate::DecisionRecorder suffix;
+    clone->add_observer(suffix);
+    clone->run();
+    auto all = prefix.decisions();
+    all.insert(all.end(), suffix.decisions().begin(),
+               suffix.decisions().end());
+    EXPECT_EQ(validate::decisions_to_csv(all), expected) << where;
+  }
+}
+
 TEST(Snapshot, LiveSnapshotSkipsAReservationWhoseJobTerminated) {
   // The reservation's job finished before its window opened. The live
   // clone no longer holds the job and must skip it, as the full one does.

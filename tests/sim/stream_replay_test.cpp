@@ -80,6 +80,47 @@ TEST(StreamReplay, ByteIdenticalDecisionsAcrossLookaheads) {
   }
 }
 
+/// One long job among many short ones: on 2 nodes job 1 runs 10^6 s
+/// while 2048 one-node 10 s jobs (ids 2..2049) arrive 10 s apart and
+/// run one after another on the other node.
+swf::Trace long_job_trace() {
+  swf::Trace trace;
+  trace.header.max_nodes = 2;
+  const auto rec = [](std::int64_t id, std::int64_t submit,
+                      std::int64_t runtime) {
+    swf::JobRecord r;
+    r.job_number = id;
+    r.submit_time = submit;
+    r.run_time = runtime;
+    r.allocated_procs = 1;
+    r.requested_procs = 1;
+    r.requested_time = runtime;
+    r.status = swf::Status::kCompleted;
+    return r;
+  };
+  trace.records.push_back(rec(1, 0, 1'000'000));
+  for (std::int64_t id = 2; id <= 2049; ++id) {
+    trace.records.push_back(rec(id, 10 * (id - 2), 10));
+  }
+  return trace;
+}
+
+TEST(StreamReplay, ALongJobsSlotStaysWhileShortJobsPassIt) {
+  // A recycled engine finds a job through the ring cell its id maps
+  // to. At lookahead 4 it holds about six jobs, so the ring stays
+  // small and every ring's width of ids one maps to the long job's
+  // cell, which it holds for the whole run: those ids take the
+  // fallback path, and each of their lookups and releases must find
+  // them there.
+  const auto trace = long_job_trace();
+  for (const char* scheduler : {"fcfs", "easy", "conservative"}) {
+    const auto expected = replay_inmem_csv(trace, scheduler);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(replay_stream_csv(trace, scheduler, 4, true), expected)
+        << scheduler;
+  }
+}
+
 TEST(StreamReplay, BoundedMemoryModeKeepsDecisionsAndStats) {
   const auto trace = model_trace(1200);
   const auto expected = replay_inmem_csv(trace, "easy");
